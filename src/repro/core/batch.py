@@ -20,9 +20,16 @@ pattern of the K reference DMs (data/indices/indptr, shared across every
 attribute).  :class:`BatchAligner` then fits N attributes with N small
 simplex solves over the shared Gram matrix -- each reusing one Cholesky
 factorization of it (:func:`~repro.core.solver.simplex_lstsq_from_gram`
-with a :class:`~repro.core.solver.GramFactor`) -- and produces all N
-estimated DMs through the stack's sparse-dense blend / rescale /
-re-aggregation kernels.
+with a :class:`~repro.core.solver.GramFactor`).
+
+For fixed weights the disaggregation is linear in the reference DMs, so
+:meth:`BatchAligner.predict` never forms the ``(N, nnz)`` blend: the
+Eq. 16 denominators are one ``(N, k) @ (k, m)`` product with the
+stack's per-reference row sums ``R``, the factors one masked divide,
+and the Eq. 17 totals one
+:meth:`~repro.core.sparse_stack.SparseDMStack.rescaled_totals` call.
+:meth:`BatchAligner.predict_dms` materialises the N estimated DMs
+through the stack's sparse-dense blend and in-place rescale kernels.
 
 Per-attribute reference masks make leave-one-out cross-validation and the
 reference-selection series batchable against a single stack: the solve
@@ -250,6 +257,16 @@ def _solve_masked_weights(
             weights[j, idx] = result.weights
         results.append(result)
     return weights, results
+
+
+def _rescale_factors(
+    objectives: FloatArray, denominators: FloatArray
+) -> FloatArray:
+    """Eq. 16 factors: ``objectives / denominators`` where the denominator
+    is positive, exactly 0.0 elsewhere (no inf/nan temporaries)."""
+    factors = np.zeros_like(denominators)
+    np.divide(objectives, denominators, out=factors, where=denominators > 0.0)
+    return factors
 
 
 def _emit_volume_health_gauges(
@@ -535,10 +552,6 @@ class ReferenceStack:
         """Per-source-row sums of ``(n, nnz)`` blended value matrices."""
         return self.dm_stack.row_sums(blended)
 
-    def reaggregate(self, scaled: FloatArray) -> FloatArray:
-        """Eq. 17 column sums of ``(n, nnz)`` scaled value matrices."""
-        return self.dm_stack.reaggregate(scaled)
-
     def dm_from_values(self, entry_values: FloatArray) -> DisaggregationMatrix:
         """Materialise one ``(nnz,)`` value vector as a labelled DM."""
         mat = sparse.csr_matrix(
@@ -565,8 +578,9 @@ class BatchAligner:
 
     Algorithm 1 run N times, with everything attribute-independent hoisted
     into a :class:`ReferenceStack`: one design/Gram build, one union-DM
-    stack, then N small simplex solves plus two dense matmuls.  Matches
-    the scalar estimator attribute-for-attribute to solver tolerance.
+    stack, then N small simplex solves, one denominator matmul and one
+    Eq. 16/17 kernel call.  Matches the scalar estimator
+    attribute-for-attribute to solver tolerance.
 
     Parameters
     ----------
@@ -578,10 +592,11 @@ class BatchAligner:
         reference stack is built (content-addressed; see
         :meth:`ReferenceStack.build`).
     n_jobs:
-        Threads for the per-attribute rescale / re-aggregate stage.  The
-        default 1 keeps everything on the calling thread; >1 splits the
-        attribute axis across a thread pool (NumPy/SciPy release the GIL
-        inside the kernels doing the work).
+        Threads for the per-entry rescale and DM materialisation behind
+        :meth:`predict_dms`.  The default 1 keeps everything on the
+        calling thread; >1 splits the attribute axis across a thread
+        pool (NumPy/SciPy release the GIL inside the kernels doing the
+        work).  :meth:`predict` is one kernel call and does not fan out.
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -754,6 +769,30 @@ class BatchAligner:
         return self.stack_, self.weights_, self.objectives_
 
     # ------------------------------------------------------------------
+    def _denominators_and_factors(
+        self,
+    ) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """Blend weights, Eq. 16 denominators and factors, all attributes.
+
+        By linearity the blend's row sums are ``blend_weights @ R`` (``R``
+        the stack's per-reference DM row sums), so neither policy needs
+        the blended entries: ``source-vectors`` is the same product with
+        the references' source vectors in place of ``R``.
+        """
+        stack, weights, objectives = self._require_fitted()
+        # Back to raw DM scale (the scalar path's scales division).
+        blend_weights = weights / stack.scales[np.newaxis, :]
+        self.blend_weights_ = blend_weights
+        if self.denominator == "source-vectors":
+            denominators = blend_weights @ stack.source_vectors
+        else:
+            denominators = blend_weights @ stack.dm_stack.ref_row_sums
+        return (
+            blend_weights,
+            denominators,
+            _rescale_factors(objectives, denominators),
+        )
+
     def _compute_scaled_values(self) -> FloatArray:
         """Eq. 14/16 for all attributes: blend, then per-row rescale.
 
@@ -763,15 +802,15 @@ class BatchAligner:
         *view*, not a fancy-indexed copy), so the stage allocates exactly
         one value-sized array regardless of ``n_jobs``.
         """
-        stack, weights, objectives = self._require_fitted()
+        stack, _, objectives = self._require_fitted()
         if self._scaled_values is not None:
             return self._scaled_values
         with _span("batch.disaggregate"), self.timer_.stage(
             "disaggregation"
         ):
-            # Back to raw DM scale (the scalar path's scales division).
-            blend_weights = weights / stack.scales[np.newaxis, :]
-            self.blend_weights_ = blend_weights
+            blend_weights, denominators, factors = (
+                self._denominators_and_factors()
+            )
             blended = stack.dm_stack.blend(blend_weights)
             _obs_event(
                 "batch.blend_matmul",
@@ -779,14 +818,6 @@ class BatchAligner:
                 nnz=stack.nnz,
                 mode=stack.dm_stack.mode,
             )
-            if self.denominator == "source-vectors":
-                denominators = blend_weights @ stack.source_vectors
-            else:
-                denominators = stack.row_sums(blended)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factors = np.where(
-                    denominators > 0.0, objectives / denominators, 0.0
-                )
             n_attrs = int(blended.shape[0])
             if self.n_jobs > 1 and n_attrs > 1:
                 workers = min(self.n_jobs, n_attrs)
@@ -846,14 +877,37 @@ class BatchAligner:
         return [stack.dm_from_values(row) for row in scaled]
 
     def predict(self) -> FloatArray:
-        """``(n_attrs, n_targets)`` estimated target aggregates (Eq. 17)."""
-        stack, _, _ = self._require_fitted()
+        """``(n_attrs, n_targets)`` estimated target aggregates (Eq. 17).
+
+        Computed by linearity, without the ``(n_attrs, nnz)`` blend: one
+        ``(n, k) @ (k, m)`` product for the Eq. 16 denominators, one
+        masked divide for the factors, one
+        :meth:`~repro.core.sparse_stack.SparseDMStack.rescaled_totals`
+        call for the Eq. 17 totals.
+        """
+        stack, _, objectives = self._require_fitted()
         if self._predictions is not None:
             return self._predictions
         with _span("batch.predict"):
-            scaled = self._compute_scaled_values()
+            with self.timer_.stage("disaggregation"):
+                blend_weights, denominators, factors = (
+                    self._denominators_and_factors()
+                )
             with self.timer_.stage("reaggregation"):
-                self._predictions = stack.reaggregate(scaled)
+                self._predictions = stack.dm_stack.rescaled_totals(
+                    blend_weights, factors
+                )
+            if _tracing_active():
+                # Achieved row totals are factors times the blend's row
+                # sums: O(n * m), no per-entry pass.
+                row_sums = (
+                    denominators
+                    if self.denominator == "row-sums"
+                    else blend_weights @ stack.dm_stack.ref_row_sums
+                )
+                _emit_volume_health_gauges(
+                    objectives, denominators > 0.0, factors * row_sums
+                )
         return self._predictions
 
     def fit_predict(

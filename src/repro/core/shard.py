@@ -68,6 +68,7 @@ from repro.core.batch import (
     _emit_volume_health_gauges,
     _emit_weight_health_gauges,
     _normalized_rhs,
+    _rescale_factors,
     _solve_masked_weights,
 )
 from repro.core.reference import Reference
@@ -446,10 +447,7 @@ def _disaggregate_shard_body(
                 for row in blended
             ]
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factors = np.where(
-            denominators > 0.0, objectives / denominators, 0.0
-        )
+    factors = _rescale_factors(objectives, denominators)
     scaled = blended * factors[:, entry_local_rows]
     touched = np.unique(entry_cols).astype(np.int64)
     local_cols = np.searchsorted(touched, entry_cols)
@@ -867,12 +865,9 @@ class ShardedAligner(BatchAligner):
                 )
             else:
                 denominators = stack.row_sums(blended_j)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                factors = np.where(
-                    denominators > 0.0,
-                    objectives[j : j + 1] / denominators,
-                    0.0,
-                )
+            factors = _rescale_factors(
+                objectives[j : j + 1], denominators
+            )
             scaled_j = stack.dm_stack.scale_rows_inplace(
                 blended_j, factors
             )

@@ -4,13 +4,28 @@ A :class:`SparseDMStack` is the storage + kernel layer under
 :class:`~repro.core.batch.ReferenceStack`.  It lays the K reference
 disaggregation matrices out over the *union* sparsity pattern of their
 entries -- ``(entry_rows, entry_cols)`` in CSR (row-major) order with
-``indptr`` over source rows -- and provides the four Eq. 14-17 kernels
-the batch engine runs per fit:
+``indptr`` over source rows.
+
+For fixed weights the disaggregation is linear in the reference DMs
+``D_j``, so ``BatchAligner.predict`` never forms the blended matrix.
+It needs two things per stack, built once on first use from the
+stack's own arrays (a store-loaded stack builds identical ones):
+
+* ``ref_row_sums`` -- ``R``, the ``(k, m)`` row sums of each ``D_j``.
+  The blend's row sums (the Eq. 16 denominators under the
+  ``row-sums`` policy) are ``blend_weights @ R``;
+* ``rescaled_totals`` -- the Eq. 16/17 kernel.  The target totals of
+  the rescaled blend are ``sum_j blend_weights[:, j] * (factors @
+  D_j)``: k sparse products over per-reference target-major ``(t, m)``
+  CSR operators.
+
+The entry-level kernels materialise per-entry values; they serve
+``predict_dms``, ``/disaggregate``, the health audit and the shard
+merge check:
 
 * ``blend``        -- Eq. 14 numerator, ``W @ values`` over the union
   entries, returning a dense ``(n_attrs, nnz)`` matrix;
-* ``row_sums``     -- per-source-row sums of a blended entry matrix
-  (the Eq. 16 denominators under the ``row-sums`` policy);
+* ``row_sums``     -- per-source-row sums of an entry-value matrix;
 * ``scale_rows_inplace`` -- the Eq. 16 volume-preserving rescale,
   applied in place and in bounded chunks so no ``(n_attrs, nnz)``
   gather temporary is ever materialised;
@@ -44,6 +59,7 @@ property suite in ``tests/test_sparse_stack.py`` pins 1e-12.
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -157,6 +173,9 @@ class SparseDMStack:
         "_dense",
         "_nonempty_rows",
         "_nonempty_starts",
+        "_ref_row_sums",
+        "_operators",
+        "_derived_lock",
     )
 
     def __init__(
@@ -194,6 +213,11 @@ class SparseDMStack:
         nonempty = counts > 0
         self._nonempty_rows = np.flatnonzero(nonempty)
         self._nonempty_starts = self.indptr[:-1][nonempty]
+        # R and the target-major operators are built on first use, once:
+        # the lock keeps stacks shared through PipelineCache safe.
+        self._ref_row_sums: FloatArray | None = None
+        self._operators: list[Any] | None = None
+        self._derived_lock = threading.Lock()
         self.ref_matrix = None
         self._rows = None
         self._dense = None
@@ -225,6 +249,19 @@ class SparseDMStack:
                 if stored_nnz is not None
                 else int(np.count_nonzero(dense))
             )
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Locks do not pickle; the copy gets a fresh one.
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "_derived_lock"
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._derived_lock = threading.Lock()
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -307,7 +344,13 @@ class SparseDMStack:
             per_ref_keys.append(
                 rows * np.int64(n_targets) + mat.indices.astype(np.int64)
             )
-        union_keys = np.unique(np.concatenate(per_ref_keys))
+        # k sorted runs: a stable sort merges them, and dropping adjacent
+        # repeats yields exactly np.unique's result.
+        keys = np.concatenate(per_ref_keys)
+        keys.sort(kind="stable")
+        distinct = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        union_keys = keys[distinct]
         nnz = int(len(union_keys))
         entry_rows = union_keys // np.int64(n_targets)
         entry_cols = union_keys % np.int64(n_targets)
@@ -418,7 +461,8 @@ class SparseDMStack:
 
     @property
     def resident_bytes(self) -> int:
-        """Bytes held by the stack's arrays (union indices + values)."""
+        """Bytes held by the stack's arrays: union indices, values, and
+        ``R`` plus the target-major operators once built."""
         total = (
             int(self.indptr.nbytes)
             + int(self.entry_rows.nbytes)
@@ -434,6 +478,17 @@ class SparseDMStack:
             total += int(sum(row.nbytes for row in self._rows))
         if self._dense is not None:
             total += int(self._dense.nbytes)
+        if self._ref_row_sums is not None:
+            total += int(self._ref_row_sums.nbytes)
+        if self._operators is not None:
+            # Operators on one pattern share their index buffers: count
+            # each buffer once, keyed by address.
+            buffers = {
+                array.ctypes.data: int(array.nbytes)
+                for op in self._operators
+                for array in (op.data, op.indices, op.indptr)
+            }
+            total += sum(buffers.values())
         return total
 
     @property
@@ -448,6 +503,96 @@ class SparseDMStack:
                     self.ref_matrix.toarray(), dtype=float
                 )
         return self._dense
+
+    # -- linear-predict arrays ------------------------------------------
+    def _ref_entries(self, i: int) -> tuple[FloatArray, IntArray, IntArray]:
+        """Reference ``i``'s stored values with their source rows and
+        target columns."""
+        values, positions = self.ref_entry_values(i)
+        if len(positions) == self.nnz:  # the whole union pattern
+            return values, self.entry_rows, np.asarray(self.entry_cols)
+        return values, self.entry_rows[positions], self.entry_cols[positions]
+
+    @property
+    def ref_row_sums(self) -> FloatArray:
+        """``R``: ``(k, m)`` row sums of each reference DM (built once).
+
+        ``blend_weights @ R`` equals the row sums of
+        ``blend(blend_weights)`` -- the Eq. 16 ``row-sums`` denominators
+        -- without forming the blend.
+        """
+        if self._ref_row_sums is None:
+            with self._derived_lock:
+                if self._ref_row_sums is None:
+                    sums = np.empty((self.n_references, self.n_sources))
+                    for i in range(self.n_references):
+                        values, rows, _ = self._ref_entries(i)
+                        sums[i] = np.bincount(
+                            rows, weights=values, minlength=self.n_sources
+                        )
+                    self._ref_row_sums = sums
+        return self._ref_row_sums
+
+    def _target_major_operators(self) -> list[Any]:
+        """Per-reference ``(t, m)`` CSR operators ``D_j^T`` (built once)."""
+        if self._operators is None:
+            with self._derived_lock:
+                if self._operators is None:
+                    self._operators = self._build_operators()
+        return self._operators
+
+    def _build_operators(self) -> list[Any]:
+        """``D_j^T`` as ``(t, m)`` CSR with int32 indices where they fit.
+
+        The CSC form of ``D_j`` is the CSR form of ``D_j^T``; converting a
+        matrix whose values are the entries' own positions yields the
+        transposing permutation (SciPy's counting sort keeps source rows
+        ascending within each target).  References on one pattern
+        (aligned and dense stacks) share it and the index arrays.
+        """
+        m, t = self.n_sources, self.n_targets
+        index_dtype = (
+            np.int32
+            if max(self.nnz, m, t) < np.iinfo(np.int32).max
+            else np.int64
+        )
+        operators: list[Any] = []
+        pattern: tuple[IntArray, Any, Any, Any] | None = None
+        with _span(
+            "stack.operators", k=self.n_references, mode=self.mode
+        ):
+            for i in range(self.n_references):
+                values, rows, cols = self._ref_entries(i)
+                if pattern is None or not (
+                    np.array_equal(pattern[0], rows)
+                    and np.array_equal(pattern[1], cols)
+                ):
+                    row_indptr = np.zeros(m + 1, dtype=index_dtype)
+                    row_indptr[1:] = np.cumsum(
+                        np.bincount(rows, minlength=m)
+                    )
+                    by_target = sparse.csr_matrix(
+                        (
+                            np.arange(len(values), dtype=float),
+                            cols.astype(index_dtype),
+                            row_indptr,
+                        ),
+                        shape=(m, t),
+                    ).tocsc()
+                    pattern = (
+                        rows,
+                        cols,
+                        by_target.data.astype(np.intp),
+                        by_target,
+                    )
+                _, _, order, by_target = pattern
+                operators.append(
+                    sparse.csr_matrix(
+                        (values[order], by_target.indices, by_target.indptr),
+                        shape=(t, m),
+                    )
+                )
+        return operators
 
     # -- kernels --------------------------------------------------------
     def blend(self, weights: FloatArray) -> FloatArray:
@@ -516,6 +661,48 @@ class SparseDMStack:
                     minlength=self.n_targets,
                 )
             return out
+
+    def rescaled_totals(
+        self, blend_weights: FloatArray, factors: FloatArray
+    ) -> FloatArray:
+        """Eq. 16/17 by linearity: ``(n, t)`` totals of the rescaled blend.
+
+        Equals ``reaggregate(scale_rows_inplace(blend(blend_weights),
+        factors))`` -- the column sums of each blended DM after source
+        row ``r`` is multiplied by ``factors[:, r]`` -- computed as
+        ``sum_j blend_weights[:, j] * (factors @ D_j)`` over the
+        target-major operators, so no ``(n, nnz)`` matrix exists.  A
+        reference weighted zero for every attribute adds nothing and is
+        skipped.  The association of the weights follows the stack's
+        shape, so one stack always computes the same bits.
+        """
+        operators = self._target_major_operators()
+        with _span(
+            "kernel.rescaled_totals",
+            n_attrs=int(factors.shape[0]),
+            mode=self.mode,
+        ):
+            rhs = np.ascontiguousarray(factors.T)
+            # Weight whichever side of the product is smaller: the
+            # (m, n) factors or the (t, n) partial totals.
+            weight_rhs = self.n_sources < self.n_targets
+            totals: FloatArray | None = None
+            for i, operator in enumerate(operators):
+                weights = blend_weights[:, i]
+                if not weights.any():
+                    continue
+                if weight_rhs:
+                    part: FloatArray = operator @ (rhs * weights)
+                else:
+                    part = operator @ rhs
+                    part *= weights
+                if totals is None:
+                    totals = part
+                else:
+                    totals += part
+            if totals is None:
+                return np.zeros((factors.shape[0], self.n_targets))
+            return np.ascontiguousarray(totals.T)
 
     def entry_mass(self) -> FloatArray:
         """Per-union-entry value mass summed over references."""

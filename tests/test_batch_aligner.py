@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import PipelineCache
-from repro.core.batch import BatchAligner, ReferenceStack
+from repro.core.batch import BatchAligner, ReferenceStack, _rescale_factors
 from repro.core.geoalign import GeoAlign
 from repro.core.reference import Reference
 from repro.errors import (
@@ -127,6 +127,51 @@ def test_masked_batch_equals_loop_on_subset(seed, k):
         # Masked-out references carry exactly zero weight.
         dropped = batch.weights_[j][~masks[j]]
         assert np.all(dropped == 0.0)  # repro-lint: allow[float-eq] masked-out weights are set to exact literal zero, not computed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    m=st.integers(2, 14),
+    t=st.integers(1, 8),
+    k=st.integers(1, 5),
+    n_attrs=st.integers(1, 5),
+    denominator=st.sampled_from(("row-sums", "source-vectors")),
+    zero_row=st.booleans(),
+    masked=st.booleans(),
+)
+def test_predict_equals_column_sums_of_predict_dms(
+    seed, m, t, k, n_attrs, denominator, zero_row, masked
+):
+    """predict() (by linearity) vs the materialised Eq. 14/16 DMs."""
+    references, objectives = _world(
+        seed, m=m, t=t, k=k, n_attrs=n_attrs, density=0.4, zero_row=zero_row
+    )
+    masks = None
+    if masked:
+        rng = np.random.default_rng(seed + 2)
+        masks = rng.random((n_attrs, k)) < 0.5
+        masks[np.arange(n_attrs), rng.integers(k, size=n_attrs)] = True
+    aligner = BatchAligner(denominator=denominator).fit(
+        references, objectives, masks=masks
+    )
+    column_sums = np.vstack([dm.col_sums() for dm in aligner.predict_dms()])
+    np.testing.assert_allclose(
+        aligner.predict(), column_sums, rtol=1e-12, atol=1e-12
+    )
+
+
+def test_rescale_factors_bitwise_equal_masked_where():
+    rng = np.random.default_rng(3)
+    denominators = rng.random((6, 40))
+    denominators[rng.random(denominators.shape) < 0.3] = 0.0
+    objectives = rng.random((6, 40)) * 9.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = np.where(
+            denominators > 0.0, objectives / denominators, 0.0
+        )
+    got = _rescale_factors(objectives, denominators)
+    assert got.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------

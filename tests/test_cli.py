@@ -635,13 +635,13 @@ class TestDenseFallback:
             if r["type"] == "span" and r["name"] == "experiment.align"
         )
         assert experiment["attrs"]["dense_fallback"] is True
-        blends = [
+        kernels = [
             r
             for r in records
-            if r["type"] == "span" and r["name"] == "kernel.blend"
+            if r["type"] == "span" and r["name"] == "kernel.rescaled_totals"
         ]
-        assert blends
-        assert all(b["attrs"]["mode"] == "dense" for b in blends)
+        assert kernels
+        assert all(k["attrs"]["mode"] == "dense" for k in kernels)
         # The env override is scoped to the run, not leaked.
         assert "REPRO_FORCE_DENSE" not in os.environ
 

@@ -230,14 +230,15 @@ class TestTraceThreadSafety:
 
     def test_batch_fanout_counters_reach_session(self, paired_references):
         # End-to-end: BatchAligner's pool workers now deliver their
-        # per-chunk counters into the active session.
+        # per-chunk counters into the active session.  predict_dms() is
+        # the path that fans out (predict() computes by linearity).
         objectives = np.vstack(
             [r.source_vector for r in paired_references] * 3
         )
         with trace("batch") as session:
-            BatchAligner(n_jobs=4).fit_predict(
+            BatchAligner(n_jobs=4).fit(
                 paired_references * 3, objectives
-            )
+            ).predict_dms()
         # One fan-out with >1 chunk happened, and every worker-side
         # per-chunk counter survived the thread boundary: the row total
         # equals the number of attributes scaled.
@@ -398,10 +399,10 @@ class TestPipelineTelemetry:
         )
         with capture_trace() as session:
             BatchAligner().fit_predict(paired_references, objectives)
-        # The tentpole batching claim: all attributes blend in ONE
-        # matmul, not one per attribute.
-        (blend,) = session.find_events("batch.blend_matmul")
-        assert blend.fields["n_attrs"] == len(paired_references)
+        # The batching claim: all attributes go through ONE Eq. 16/17
+        # kernel call, not one per attribute.
+        (kernel,) = session.find_spans("kernel.rescaled_totals")
+        assert kernel.attrs["n_attrs"] == len(paired_references)
         (fit,) = session.find_spans("batch.fit")
         assert fit.attrs["n_attrs"] == len(paired_references)
         assert session.find_spans("batch.predict")
@@ -416,9 +417,9 @@ class TestPipelineTelemetry:
             [r.source_vector for r in paired_references] * 3
         )
         with capture_trace() as session:
-            BatchAligner(n_jobs=4).fit_predict(
+            BatchAligner(n_jobs=4).fit(
                 paired_references, objectives
-            )
+            ).predict_dms()
         (fanout,) = session.find_events("batch.fanout")
         assert fanout.fields["n_jobs"] == 4
         assert 1 <= fanout.fields["chunks"] <= 4

@@ -1,13 +1,19 @@
 """Property-based tests (hypothesis) pinning the sparse kernels.
 
 Every :class:`~repro.core.sparse_stack.SparseDMStack` kernel --
-``blend`` (Eq. 14), ``row_sums`` / ``scale_rows_inplace`` (Eq. 16) and
-``reaggregate`` (Eq. 17) -- must match the dense oracle computed from
-the raw reference matrices to 1e-12, in every storage mode, across
+``blend`` (Eq. 14), ``row_sums`` / ``scale_rows_inplace`` (Eq. 16),
+``reaggregate`` (Eq. 17), and the linear-predict pair ``ref_row_sums``
+/ ``rescaled_totals`` (Eq. 16/17) -- must match the dense oracle
+computed from the raw reference matrices to 1e-12, in every storage
+mode, across
 random union patterns that include empty rows, single-entry rows and
 fully dense matrices.  The oracle is recomputed here from scratch (no
 stack code on the oracle side), so a kernel bug cannot cancel out.
 """
+
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -155,6 +161,43 @@ class TestKernelsMatchDenseOracle:
         )
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        stack_cases(),
+        st.integers(0, 10**6),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.4, 1.0]),
+    )
+    def test_ref_row_sums_and_rescaled_totals(
+        self, case, seed, n, zero_share
+    ):
+        """R and the Eq. 16/17 kernel against blend -> rescale -> column
+        sums on dense matrices; zero weights leave rows with a zero
+        denominator (all rows when ``zero_share`` is 1)."""
+        mats, m, t, force = case
+        stack = SparseDMStack.from_matrices(mats, m, t, dense=force)
+        dense = np.array([np.asarray(mat.todense()) for mat in mats])
+        np.testing.assert_allclose(
+            stack.ref_row_sums, dense.sum(axis=2), **TOL
+        )
+        rng = np.random.default_rng(seed)
+        weights = rng.random((n, len(mats)))
+        weights[rng.random(weights.shape) < zero_share] = 0.0
+        objectives = rng.random((n, m)) + 0.1
+        blended = np.einsum("ij,jrc->irc", weights, dense)
+        denominators = blended.sum(axis=2)
+        covered = denominators > 0.0
+        factors = np.where(
+            covered, objectives / np.where(covered, denominators, 1.0), 0.0
+        )
+        oracle = (blended * factors[:, :, np.newaxis]).sum(axis=1)
+        linear = weights @ stack.ref_row_sums
+        np.testing.assert_array_equal(linear > 0.0, covered)
+        np.testing.assert_allclose(linear, denominators, **TOL)
+        np.testing.assert_allclose(
+            stack.rescaled_totals(weights, factors), oracle, **TOL
+        )
+
+    @settings(max_examples=60, deadline=None)
     @given(stack_cases(), st.integers(0, 10**6))
     def test_entry_mass_and_ref_entry_values(self, case, seed):
         mats, m, t, force = case
@@ -267,6 +310,65 @@ class TestModeSelection:
             stack.reaggregate(np.array([[4.0]])),
             np.array([[0.0, 4.0, 0.0]]),
         )
+
+
+class TestLinearPredictArrays:
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_resident_bytes_counts_r_and_operators(self, aligned):
+        mats = _ring_matrices()
+        if aligned:  # one pattern: the operators share index buffers
+            mats = [mats[0], mats[0] * 2.0]
+        stack = SparseDMStack.from_matrices(mats, 6, 5)
+        assert stack.mode == ("aligned" if aligned else "sparse")
+        before = stack.resident_bytes
+        weights = np.array([[0.25, 0.75]])
+        stack.rescaled_totals(weights, np.ones((1, 6)))
+        operators = stack._target_major_operators()
+        index_bytes = [op.indices.nbytes + op.indptr.nbytes for op in operators]
+        built = (
+            stack.ref_row_sums.nbytes
+            + sum(op.data.nbytes for op in operators)
+            + (index_bytes[0] if aligned else sum(index_bytes))
+        )
+        assert stack.resident_bytes == before + built
+        assert all(op.indices.dtype == np.int32 for op in operators)
+
+    def test_pickle_round_trip_keeps_built_arrays(self):
+        stack = SparseDMStack.from_matrices(_ring_matrices(), 6, 5)
+        weights = np.array([[0.25, 0.75]])
+        factors = np.linspace(0.5, 2.0, 6)[np.newaxis, :]
+        expected = stack.rescaled_totals(weights, factors)
+        clone = pickle.loads(pickle.dumps(stack))
+        assert np.array_equal(clone.rescaled_totals(weights, factors), expected)
+        assert np.array_equal(clone.ref_row_sums, stack.ref_row_sums)
+
+    def test_one_build_under_concurrent_first_use(self):
+        # Stacks are shared across threads through PipelineCache: every
+        # thread racing on first use must get the one built object.
+        mats = _ring_matrices(k=4, m=300, t=40)
+        stack = SparseDMStack.from_matrices(mats, 300, 40)
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def first_use():
+            barrier.wait(timeout=10)
+            seen.append(
+                (stack.ref_row_sums, stack._target_major_operators())
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert all(r is seen[0][0] and ops is seen[0][1] for r, ops in seen)
 
 
 class TestValidation:

@@ -322,8 +322,9 @@ class TestObservability:
 # ----------------------------------------------------------------------
 
 
-def _sparse_world(seed=21, m=12, t=9, k=3, n_attrs=3):
-    """Unaligned shifted-band references whose union stays sparse."""
+def _sparse_world(seed=21, m=12, t=9, k=3, n_attrs=3, shifted=True):
+    """Shifted-band references whose union stays sparse (one shared
+    band, the aligned layout, when ``shifted`` is false)."""
     from repro.core.reference import Reference
     from repro.partitions.dm import DisaggregationMatrix
 
@@ -334,8 +335,9 @@ def _sparse_world(seed=21, m=12, t=9, k=3, n_attrs=3):
     for r in range(k):
         dense = np.zeros((m, t))
         rows = np.arange(m)
-        dense[rows, (rows + r) % t] = rng.uniform(0.5, 2.0, size=m)
-        dense[rows, (rows + r + 1) % t] = rng.uniform(0.5, 2.0, size=m)
+        shift = r if shifted else 0
+        dense[rows, (rows + shift) % t] = rng.uniform(0.5, 2.0, size=m)
+        dense[rows, (rows + shift + 1) % t] = rng.uniform(0.5, 2.0, size=m)
         dm = DisaggregationMatrix(dense, source_labels, target_labels)
         references.append(Reference(f"band-{r}", dm.row_sums(), dm))
     objectives = rng.uniform(1.0, 9.0, size=(n_attrs, m))
@@ -365,6 +367,24 @@ class TestSparseArtifacts:
         assert loaded.stack_.dm_stack.mode == "sparse"
         assert (loaded.predict() == sparse_fitted.predict()).all()
         assert (loaded.weights_ == sparse_fitted.weights_).all()
+
+    @pytest.mark.parametrize("mode", ["sparse", "aligned", "dense"])
+    def test_loaded_predict_bit_identical_in_every_mode(self, store, mode):
+        # The loaded stack derives R and its target-major operators from
+        # the stored arrays, so the linear predict replays bit for bit.
+        from repro.core.batch import ReferenceStack
+
+        references, objectives = _sparse_world(shifted=mode != "aligned")
+        stack = ReferenceStack(
+            references, dense=True if mode == "dense" else None
+        )
+        assert stack.dm_stack.mode == mode
+        masks = np.ones((objectives.shape[0], len(references)), dtype=bool)
+        masks[0, 1] = False
+        model = BatchAligner().fit(stack, objectives, masks=masks)
+        loaded, _ = store.load(store.save(model).key)
+        assert loaded.stack_.dm_stack.mode == mode
+        assert np.array_equal(loaded.predict(), model.predict())
 
     def test_v1_artifact_loads_as_dense(self, store, paired_references):
         # A version-1 artifact: dense ``values`` payload, no
