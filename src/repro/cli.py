@@ -12,10 +12,9 @@ pytest::
 
 ``align`` runs the multi-attribute alignment workload (every dataset of
 a world against the rest) through the batched engine -- or, with
-``--no-batch``, the scalar per-attribute loop, for comparison::
+``--shards N``, the sharded map-reduce engine::
 
     geoalign-repro align --universe ny --scale 0.25
-    geoalign-repro align --no-batch --jobs 1
     geoalign-repro align --shards 4 --shard-workers 4
 
 Scale 1.0 (the default) is paper scale: 30,238 zip units at the top
@@ -168,31 +167,11 @@ def build_parser():
         help="multi-attribute alignment via the batched engine",
     )
     _add_common(align)
-    batch_group = align.add_mutually_exclusive_group()
-    batch_group.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=True,
-        help="use the shared-work BatchAligner engine (default)",
-    )
-    batch_group.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="fit one scalar GeoAlign per attribute instead",
-    )
     align.add_argument(
         "--universe",
         choices=("ny", "us"),
         default="ny",
         help="dataset pool: New York (default) or United States",
-    )
-    align.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="threads for the batch rescale/re-aggregate stage",
     )
     align.add_argument(
         "--shards",
@@ -202,7 +181,7 @@ def build_parser():
         help=(
             "partition the universe into N boundary-owned shards and run "
             "the map-reduce engine (engine='sharded'); 0 (default) keeps "
-            "the monolithic engine selected by --batch/--no-batch"
+            "the monolithic batch engine"
         ),
     )
     align.add_argument(
@@ -218,15 +197,6 @@ def build_parser():
         default=1,
         metavar="W",
         help="process-pool width for the shard map phases (1 = inline)",
-    )
-    align.add_argument(
-        "--dense-fallback",
-        action="store_true",
-        help=(
-            "force every reference stack onto the dense value path for "
-            "this run (sets REPRO_FORCE_DENSE) -- the bisect switch for "
-            "sparse-kernel regressions"
-        ),
     )
 
     obs_cmd = sub.add_parser(
@@ -538,22 +508,13 @@ def _run_figure(name, args):
         from repro.cache import PipelineCache
         from repro.experiments.align import run_alignment
 
-        if args.shards:
-            engine = "sharded"
-        elif args.batch:
-            engine = "batch"
-        else:
-            engine = "loop"
         return run_alignment(
             scale=args.scale,
             universe=args.universe,
-            engine=engine,
-            cache=PipelineCache() if engine != "loop" else None,
-            n_jobs=args.jobs,
-            n_shards=args.shards or 2,
+            cache=PipelineCache(),
+            n_shards=args.shards,
             shard_strategy=args.shard_strategy,
             shard_workers=args.shard_workers,
-            dense_fallback=args.dense_fallback,
             **_seed_kwargs(args),
         ).to_text()
     raise ValueError(f"unknown figure {name!r}")

@@ -4,10 +4,12 @@
     Simplex-constrained least squares (paper Eq. 15) with three
     independent from-scratch solvers plus a scipy cross-check.
 ``geoalign``
-    The three-step GeoAlign estimator (Algorithm 1).
+    The three-step GeoAlign estimator (Algorithm 1): the one-attribute
+    front over ``batch``.
 ``batch``
-    The batched multi-attribute engine: N objectives against one shared
-    reference stack, with the design/Gram and union-DM work done once.
+    The batched multi-attribute engine, the one implementation of
+    Algorithm 1: N objectives against one shared reference stack, with
+    the design/Gram and reference-DM work done once.
 ``shard``
     The sharded map-reduce engine: the batch computation partitioned
     into boundary-owned shards, mapped over a process pool and reduced

@@ -1,53 +1,52 @@
 """Batched multi-attribute alignment: N objectives, one pass of shared work.
 
-The scalar :class:`~repro.core.geoalign.GeoAlign` estimator re-does three
-expensive pieces of work for every objective attribute aligned against the
-same reference set:
+The paper's Algorithm 1 aligns one attribute; :class:`BatchAligner` runs
+it for N attributes against one reference set, and the scalar
+:class:`~repro.core.geoalign.GeoAlign` estimator is its one-attribute
+front.  Everything attribute-independent lives in a
+:class:`ReferenceStack`, built once per reference set:
 
-1. stacking the max-normalised reference source vectors into the design
-   matrix ``A`` and forming the Gram matrix ``A^T A`` of Eq. 15,
-2. converting every reference disaggregation matrix to a common sparsity
-   pattern before blending (Eq. 14's numerator), and
-3. the per-row rescale and column re-aggregation scaffolding
-   (Eq. 16 / Eq. 17).
+1. the max-normalised reference source vectors stacked into the design
+   matrix ``A`` and the Gram matrix ``A^T A`` of Eq. 15;
+2. ``R``, the ``(k, m)`` row sums of each reference disaggregation matrix
+   ``D_j``, and the per-reference target-major ``(t, m)`` CSR operators
+   ``D_j^T`` (Eq. 16 / Eq. 17), built on the first ``predict``;
+3. the :class:`~repro.core.sparse_stack.SparseDMStack` holding the K
+   reference DMs over the *union* of their sparsity patterns, built only
+   when a consumer first asks for per-entry values.
 
-When the paper's workloads align a whole table of attributes (Fig. 5 runs
-every ACS attribute through the same zip->county crosswalk), all of that
-is attribute-independent.  :class:`ReferenceStack` materialises it once --
-the design/Gram pair and a :class:`~repro.core.sparse_stack.SparseDMStack`
-holding the reference DM values in CSR layout over the *union* sparsity
-pattern of the K reference DMs (data/indices/indptr, shared across every
-attribute).  :class:`BatchAligner` then fits N attributes with N small
-simplex solves over the shared Gram matrix -- each reusing one Cholesky
-factorization of it (:func:`~repro.core.solver.simplex_lstsq_from_gram`
-with a :class:`~repro.core.solver.GramFactor`).
+:class:`BatchAligner` fits N attributes with N small simplex solves over
+the shared Gram matrix -- each reusing one Cholesky factorization of it
+(:func:`~repro.core.solver.simplex_lstsq_from_gram` with a
+:class:`~repro.core.solver.GramFactor`).
 
 For fixed weights the disaggregation is linear in the reference DMs, so
 :meth:`BatchAligner.predict` never forms the ``(N, nnz)`` blend: the
-Eq. 16 denominators are one ``(N, k) @ (k, m)`` product with the
-stack's per-reference row sums ``R``, the factors one masked divide,
-and the Eq. 17 totals one
-:meth:`~repro.core.sparse_stack.SparseDMStack.rescaled_totals` call.
+Eq. 16 denominators are one ``(N, k) @ (k, m)`` product with ``R``, the
+factors one masked divide, and the Eq. 17 totals one
+:meth:`ReferenceStack.rescaled_totals` call.
 :meth:`BatchAligner.predict_dms` materialises the N estimated DMs
-through the stack's sparse-dense blend and in-place rescale kernels.
+through the union stack's sparse-dense blend and in-place rescale
+kernels.
 
 Per-attribute reference masks make leave-one-out cross-validation and the
 reference-selection series batchable against a single stack: the solve
 for a masked attribute uses the sub-Gram ``G[mask][:, mask]``, and its
 excluded references get an exactly-zero blend weight -- a no-op in the
-blend, matching the scalar path run on the subset.
+blend, matching a fit on the subset.
 
-Numerics are shared with the scalar path (same solver kernels, same
-rescale semantics), so batch results match per-attribute loops to
-tolerance (the golden suite pins 1e-9); bitwise equality is not promised
-because BLAS reassociates the blend sums.
+An N-row fit matches N one-row fits to tolerance (the golden suite pins
+1e-9), not bitwise: BLAS computes ``A^T b`` by one gemm for N rows and
+by gemv for one.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -65,7 +64,7 @@ from repro.core.solver import (
     SimplexLstsqResult,
     simplex_lstsq_from_gram,
 )
-from repro.core.sparse_stack import SparseDMStack
+from repro.core.sparse_stack import SparseDMStack, _as_sorted_csr
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import (
     current_trace_context as _trace_context,
@@ -331,6 +330,138 @@ def _emit_weight_health_gauges(weights: FloatArray, gram: FloatArray) -> None:
     )
 
 
+def _build_linear(
+    matrices: Sequence[Any], n_sources: int, n_targets: int
+) -> tuple[FloatArray, list[Any]]:
+    """``R`` and the target-major operators ``D_j^T`` of K reference DMs.
+
+    ``R[j]`` is one CSR mat-vec of ``D_j`` with a ones vector.  The
+    operators are ``(t, m)`` CSR with int32 indices where they fit: the
+    CSC form of ``D_j`` is the CSR form of ``D_j^T``, and converting a
+    matrix whose values are the entries' own positions yields the
+    transposing permutation (SciPy's counting sort keeps source rows
+    ascending within each target).  References on one pattern share it
+    and the index arrays.
+    """
+    m, t = n_sources, n_targets
+    row_sums = np.empty((len(matrices), m))
+    ones = np.ones(t)
+    operators: list[Any] = []
+    pattern: tuple[Any, NDArray[np.intp], Any] | None = None
+    with _span("stack.operators", k=len(matrices)):
+        for j, matrix in enumerate(matrices):
+            csr = _as_sorted_csr(matrix)
+            row_sums[j] = csr @ ones
+            if pattern is None or not (
+                np.array_equal(pattern[0].indptr, csr.indptr)
+                and np.array_equal(pattern[0].indices, csr.indices)
+            ):
+                index_dtype = (
+                    np.int32
+                    if max(csr.nnz, m, t) < np.iinfo(np.int32).max
+                    else np.int64
+                )
+                by_target = sparse.csr_matrix(
+                    (
+                        np.arange(csr.nnz, dtype=float),
+                        csr.indices.astype(index_dtype, copy=False),
+                        csr.indptr.astype(index_dtype, copy=False),
+                    ),
+                    shape=(m, t),
+                ).tocsc()
+                pattern = (csr, by_target.data.astype(np.intp), by_target)
+            _, order, by_target = pattern
+            operators.append(
+                sparse.csr_matrix(
+                    (csr.data[order], by_target.indices, by_target.indptr),
+                    shape=(t, m),
+                )
+            )
+    return row_sums, operators
+
+
+class _DMArrays:
+    """What a stack derives from its reference DMs, each built once.
+
+    ``R`` and the operators serve :meth:`BatchAligner.predict`; the
+    union-pattern :class:`~repro.core.sparse_stack.SparseDMStack`
+    serves the per-entry consumers.  Both are built on first use under
+    one lock, which keeps stacks shared across threads through
+    :class:`~repro.cache.PipelineCache` safe.  Stacks over the same DMs
+    (:meth:`ReferenceStack.with_references`) share one instance, so a
+    member built through any of them is built for all.
+    """
+
+    def __init__(
+        self,
+        matrices: list[Any],
+        n_sources: int,
+        n_targets: int,
+        dense: bool | None = None,
+        dm_stack: SparseDMStack | None = None,
+    ) -> None:
+        self.matrices = matrices
+        self.n_sources = n_sources
+        self.n_targets = n_targets
+        self.dense = dense
+        self.dm_stack = dm_stack
+        self.linear: tuple[FloatArray, list[Any]] | None = None
+        self.lock = threading.Lock()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Locks do not pickle; the copy gets a fresh one.
+        state = dict(self.__dict__)
+        del state["lock"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.lock = threading.Lock()
+
+    def union(self) -> SparseDMStack:
+        """The union-pattern value stack, built on the first call."""
+        if self.dm_stack is None:
+            with self.lock:
+                if self.dm_stack is None:
+                    dm_stack = SparseDMStack.from_matrices(
+                        self.matrices,
+                        self.n_sources,
+                        self.n_targets,
+                        dense=self.dense,
+                    )
+                    _set_gauge("health.stack_density", dm_stack.density)
+                    self.dm_stack = dm_stack
+        return self.dm_stack
+
+    def linear_arrays(self) -> tuple[FloatArray, list[Any]]:
+        """``(R, operators)``, built together on the first call."""
+        if self.linear is None:
+            with self.lock:
+                if self.linear is None:
+                    self.linear = _build_linear(
+                        self.matrices, self.n_sources, self.n_targets
+                    )
+        return self.linear
+
+    @property
+    def resident_bytes(self) -> int:
+        """``R`` and the operators, plus the union stack, once built."""
+        total = 0
+        if self.linear is not None:
+            row_sums, operators = self.linear
+            # Operators on one pattern share their index buffers: count
+            # each buffer once, keyed by address.
+            buffers = {
+                array.ctypes.data: int(array.nbytes)
+                for op in operators
+                for array in (op.data, op.indices, op.indptr)
+            }
+            total += int(row_sums.nbytes) + sum(buffers.values())
+        if self.dm_stack is not None:
+            total += self.dm_stack.resident_bytes
+        return total
+
+
 class ReferenceStack:
     """All attribute-independent work for one reference set, done once.
 
@@ -342,11 +473,10 @@ class ReferenceStack:
         Whether the design matrix holds max-normalised source vectors
         (must match the aligner's ``normalize`` setting).
     dense:
-        Storage-mode override for the value stack: ``None`` (default)
+        Storage-mode override for the union stack: ``None`` (default)
         auto-selects (CSR below ~0.5 stored density, dense above, the
         zero-copy aligned layout when every reference shares the union
-        pattern, dense everywhere under ``REPRO_FORCE_DENSE``);
-        ``True``/``False`` force / forbid the dense path.
+        pattern); ``True``/``False`` force / forbid the dense path.
 
     Attributes
     ----------
@@ -358,13 +488,17 @@ class ReferenceStack:
     scales:
         Per-reference source maxima (1.0 each when ``normalize=False``);
         divides the learned weights back to raw-DM scale before blending.
+    ref_row_sums, operators:
+        ``R`` and the per-reference ``D_j^T`` behind
+        :meth:`rescaled_totals`, built together on first use.
     dm_stack:
         The :class:`~repro.core.sparse_stack.SparseDMStack` holding the
         reference DM entries in CSR layout over the union sparsity
-        pattern, shared by the blend / rescale / re-aggregation kernels.
+        pattern, built on first access for the per-entry blend /
+        rescale / re-aggregation kernels.
     entry_rows, entry_cols:
         ``(nnz,)`` source-row / target-column index of each union entry,
-        sorted by ``(row, col)`` (CSR order).
+        sorted by ``(row, col)`` (CSR order); read through ``dm_stack``.
     """
 
     def __init__(
@@ -395,21 +529,36 @@ class ReferenceStack:
             self.scales = np.ones(len(refs))
         self.gram = self.design.T @ self.design
         self.source_vectors = np.vstack([ref.source_vector for ref in refs])
-
-        self.dm_stack = SparseDMStack.from_matrices(
+        self._dms = _DMArrays(
             [ref.dm.matrix for ref in refs],
             self.n_sources,
             self.n_targets,
             dense=dense,
         )
-        self.entry_rows = self.dm_stack.entry_rows
-        self.entry_cols = self.dm_stack.entry_cols
-        _set_gauge("health.stack_density", self.dm_stack.density)
         self._fingerprint: str | None = None
 
     @property
     def n_references(self) -> int:
         return len(self.references)
+
+    @property
+    def dm_stack(self) -> SparseDMStack:
+        """The union-pattern value stack (built on first access)."""
+        return self._dms.union()
+
+    @property
+    def built_dm_stack(self) -> SparseDMStack | None:
+        """The union-pattern value stack if built, else ``None`` (reading
+        it builds nothing)."""
+        return self._dms.dm_stack
+
+    @property
+    def entry_rows(self) -> NDArray[Any]:
+        return self.dm_stack.entry_rows
+
+    @property
+    def entry_cols(self) -> NDArray[Any]:
+        return self.dm_stack.entry_cols
 
     @property
     def nnz(self) -> int:
@@ -420,6 +569,63 @@ class ReferenceStack:
     def values(self) -> FloatArray:
         """Dense ``(k, nnz)`` oracle view of the value stack (cached)."""
         return self.dm_stack.values
+
+    @property
+    def ref_row_sums(self) -> FloatArray:
+        """``R``: ``(k, m)`` row sums of each reference DM.
+
+        ``blend_weights @ R`` equals the row sums of the blended DMs --
+        the Eq. 16 ``row-sums`` denominators -- without forming them.
+        """
+        return self._dms.linear_arrays()[0]
+
+    @property
+    def operators(self) -> list[Any]:
+        """Per-reference ``(t, m)`` CSR operators ``D_j^T``."""
+        return self._dms.linear_arrays()[1]
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes held by ``R`` and the operators plus the union stack,
+        each once built."""
+        return self._dms.resident_bytes
+
+    def rescaled_totals(
+        self, blend_weights: FloatArray, factors: FloatArray
+    ) -> FloatArray:
+        """Eq. 16/17 by linearity: ``(n, t)`` totals of the rescaled blend.
+
+        The column sums of each blended DM after source row ``r`` is
+        multiplied by ``factors[:, r]``, computed as ``sum_j
+        blend_weights[:, j] * (factors @ D_j)`` over the target-major
+        operators, so no ``(n, nnz)`` matrix exists.  A reference
+        weighted zero for every attribute adds nothing and is skipped.
+        The association of the weights follows the stack's shape, so
+        one stack always computes the same bits.
+        """
+        operators = self.operators
+        with _span("kernel.rescaled_totals", n_attrs=int(factors.shape[0])):
+            rhs = np.ascontiguousarray(factors.T)
+            # Weight whichever side of the product is smaller: the
+            # (m, n) factors or the (t, n) partial totals.
+            weight_rhs = self.n_sources < self.n_targets
+            totals: FloatArray | None = None
+            for j, operator in enumerate(operators):
+                weights = blend_weights[:, j]
+                if not weights.any():
+                    continue
+                if weight_rhs:
+                    part: FloatArray = operator @ (rhs * weights)
+                else:
+                    part = operator @ rhs
+                    part *= weights
+                if totals is None:
+                    totals = part
+                else:
+                    totals += part
+            if totals is None:
+                return np.zeros((factors.shape[0], self.n_targets))
+            return np.ascontiguousarray(totals.T)
 
     def fingerprint(self) -> str:
         """Content fingerprint: the references plus the normalise flag."""
@@ -446,17 +652,16 @@ class ReferenceStack:
         so a perturbed reference (e.g. from the noise experiment) can
         never be served a stale stack, while repeat alignments over the
         same pool -- the reference-selection series, repeated CLI runs --
-        reuse the union-pattern construction outright.
+        reuse the stack and whatever it has built so far.
         """
         def construct(refs_: list[Reference]) -> "ReferenceStack":
-            # The expensive union-pattern build; absent from a trace
-            # exactly when the cache served the stack.
+            # Absent from a trace exactly when the cache served the stack.
             with _span("stack.construct", n_references=len(refs_)):
                 return cls(refs_, normalize=normalize)
 
         if cache is None:
             with _span("stack.build", cache=False):
-                return construct(_validated_references(references))
+                return construct(list(references))
         refs = _validated_references(references)
         from repro.cache import combine_fingerprints
 
@@ -472,14 +677,50 @@ class ReferenceStack:
         assert isinstance(built, ReferenceStack)
         return built
 
+    @classmethod
+    def from_stored(
+        cls,
+        references: list[Reference],
+        normalize: bool,
+        source_labels: list[str],
+        target_labels: list[str],
+        design: FloatArray,
+        scales: FloatArray,
+        gram: FloatArray,
+        source_vectors: FloatArray,
+        dm_stack: SparseDMStack,
+    ) -> "ReferenceStack":
+        """Adopt stored arrays and a built union stack verbatim (the
+        store loader's entry point); ``references`` must carry the DMs
+        the union stack holds."""
+        stack = object.__new__(cls)
+        stack.references = references
+        stack.normalize = normalize
+        stack.source_labels = source_labels
+        stack.target_labels = target_labels
+        stack.n_sources = len(source_labels)
+        stack.n_targets = len(target_labels)
+        stack.design = design
+        stack.scales = scales
+        stack.gram = gram
+        stack.source_vectors = source_vectors
+        stack._dms = _DMArrays(
+            [ref.dm.matrix for ref in references],
+            stack.n_sources,
+            stack.n_targets,
+            dm_stack=dm_stack,
+        )
+        stack._fingerprint = None
+        return stack
+
     def with_references(
         self, references: Iterable[Reference]
     ) -> "ReferenceStack":
         """A stack over references with the *same DMs*, new source vectors.
 
         The noise experiment (Fig. 7) perturbs reference source vectors
-        while the crosswalk DMs stay intact, so the expensive union
-        sparsity pattern and value stack are shared wholesale, and the
+        while the crosswalk DMs stay intact, so ``R``, the operators and
+        the union stack are shared wholesale (built or not), and the
         Gram matrix is updated rather than rebuilt: only the columns of
         references whose source vector actually changed are recomputed
         (a symmetric column replacement, ``O(m k c)`` for ``c`` changed
@@ -507,21 +748,12 @@ class ReferenceStack:
             if theirs.source_vector is not mine.source_vector
             and not np.array_equal(theirs.source_vector, mine.source_vector)
         ]
-        clone = object.__new__(ReferenceStack)
+        # A shallow copy shares the labels, the design/Gram pair (read-only
+        # downstream) and the DM-derived arrays with this stack.
+        clone = copy.copy(self)
         clone.references = refs
-        clone.normalize = self.normalize
-        clone.source_labels = self.source_labels
-        clone.target_labels = self.target_labels
-        clone.n_sources = self.n_sources
-        clone.n_targets = self.n_targets
-        if not changed:
-            # Identical source vectors throughout: the design/Gram pair
-            # is read-only downstream, so the parent's arrays are shared.
-            clone.design = self.design
-            clone.scales = self.scales
-            clone.gram = self.gram
-            clone.source_vectors = self.source_vectors
-        else:
+        clone._fingerprint = None
+        if changed:
             clone.design = self.design.copy()
             clone.scales = self.scales.copy()
             clone.source_vectors = self.source_vectors.copy()
@@ -542,10 +774,6 @@ class ReferenceStack:
             gram[:, idx] = cross
             gram[idx, :] = cross.T
             clone.gram = gram
-        clone.dm_stack = self.dm_stack
-        clone.entry_rows = self.entry_rows
-        clone.entry_cols = self.entry_cols
-        clone._fingerprint = None
         return clone
 
     def row_sums(self, blended: FloatArray) -> FloatArray:
@@ -554,11 +782,12 @@ class ReferenceStack:
 
     def dm_from_values(self, entry_values: FloatArray) -> DisaggregationMatrix:
         """Materialise one ``(nnz,)`` value vector as a labelled DM."""
+        dm_stack = self.dm_stack
         mat = sparse.csr_matrix(
             (
                 np.ascontiguousarray(entry_values, dtype=float),
-                self.dm_stack.entry_cols.astype(np.int64, copy=False),
-                self.dm_stack.indptr,
+                dm_stack.entry_cols.astype(np.int64, copy=False),
+                dm_stack.indptr,
             ),
             shape=(self.n_sources, self.n_targets),
         )
@@ -569,7 +798,7 @@ class ReferenceStack:
     def __repr__(self) -> str:
         return (
             f"ReferenceStack(k={self.n_references}, m={self.n_sources}, "
-            f"t={self.n_targets}, nnz={self.nnz})"
+            f"t={self.n_targets})"
         )
 
 
@@ -577,10 +806,10 @@ class BatchAligner:
     """GeoAlign for N objective attributes sharing one reference set.
 
     Algorithm 1 run N times, with everything attribute-independent hoisted
-    into a :class:`ReferenceStack`: one design/Gram build, one union-DM
-    stack, then N small simplex solves, one denominator matmul and one
-    Eq. 16/17 kernel call.  Matches the scalar estimator
-    attribute-for-attribute to solver tolerance.
+    into a :class:`ReferenceStack`: one design/Gram build, then N small
+    simplex solves, one denominator matmul and one Eq. 16/17 kernel
+    call.  :class:`~repro.core.geoalign.GeoAlign` is its one-attribute
+    front.
 
     Parameters
     ----------
@@ -608,8 +837,10 @@ class BatchAligner:
     solver_results_:
         Per-attribute :class:`~repro.core.solver.SimplexLstsqResult`.
     timer_:
-        Stage totals over the whole batch ("weights", "disaggregation",
-        "reaggregation").
+        Stage totals over the whole batch: "weights" (the stack build and
+        the solves), "disaggregation" (the ``R`` and operator builds, the
+        Eq. 16 denominators and factors) and "reaggregation" (the Eq. 17
+        operator products).
     """
 
     def __init__(
@@ -644,16 +875,6 @@ class BatchAligner:
         self._predictions: FloatArray | None = None
 
     # ------------------------------------------------------------------
-    def _coerce_objectives(
-        self, objectives: ArrayLike, n_sources: int
-    ) -> FloatArray:
-        return _coerce_objectives_matrix(objectives, n_sources)
-
-    def _coerce_masks(
-        self, masks: ArrayLike | None, n_attrs: int, n_refs: int
-    ) -> BoolArray:
-        return _coerce_mask_matrix(masks, n_attrs, n_refs)
-
     def _resolve_stack(
         self, references: Iterable[Reference] | ReferenceStack
     ) -> ReferenceStack:
@@ -722,17 +943,15 @@ class BatchAligner:
         # stage timings and report multi-fit totals as one run's.
         self.timer_.reset()
         with _span("batch.fit", solver=self.solver_method) as fit_span:
-            stack, objective_matrix, mask_matrix, names = (
-                self._coerce_fit_inputs(
-                    references, objectives, attribute_names, masks
-                )
-            )
-            n_attrs = objective_matrix.shape[0]
-            if fit_span is not None:
-                fit_span.attrs["n_attrs"] = n_attrs
-                fit_span.attrs["n_references"] = stack.n_references
-
             with self.timer_.stage("weights"):
+                stack, objective_matrix, mask_matrix, names = (
+                    self._coerce_fit_inputs(
+                        references, objectives, attribute_names, masks
+                    )
+                )
+                if fit_span is not None:
+                    fit_span.attrs["n_attrs"] = objective_matrix.shape[0]
+                    fit_span.attrs["n_references"] = stack.n_references
                 rhs = _normalized_rhs(objective_matrix, self.normalize)
                 # One matmul projects every attribute onto the shared
                 # design: column j of atb_all is A^T b_j.
@@ -777,16 +996,19 @@ class BatchAligner:
         By linearity the blend's row sums are ``blend_weights @ R`` (``R``
         the stack's per-reference DM row sums), so neither policy needs
         the blended entries: ``source-vectors`` is the same product with
-        the references' source vectors in place of ``R``.
+        the references' source vectors in place of ``R``.  The first call
+        on a stack builds ``R`` and the operators.
         """
         stack, weights, objectives = self._require_fitted()
-        # Back to raw DM scale (the scalar path's scales division).
+        row_sums = stack.ref_row_sums
+        # The weights were learned on max-normalised vectors; blending
+        # the raw DMs takes them back to each reference's own scale.
         blend_weights = weights / stack.scales[np.newaxis, :]
         self.blend_weights_ = blend_weights
         if self.denominator == "source-vectors":
             denominators = blend_weights @ stack.source_vectors
         else:
-            denominators = blend_weights @ stack.dm_stack.ref_row_sums
+            denominators = blend_weights @ row_sums
         return (
             blend_weights,
             denominators,
@@ -882,8 +1104,8 @@ class BatchAligner:
         Computed by linearity, without the ``(n_attrs, nnz)`` blend: one
         ``(n, k) @ (k, m)`` product for the Eq. 16 denominators, one
         masked divide for the factors, one
-        :meth:`~repro.core.sparse_stack.SparseDMStack.rescaled_totals`
-        call for the Eq. 17 totals.
+        :meth:`ReferenceStack.rescaled_totals` call for the Eq. 17
+        totals.  The union stack is never touched.
         """
         stack, _, objectives = self._require_fitted()
         if self._predictions is not None:
@@ -894,7 +1116,7 @@ class BatchAligner:
                     self._denominators_and_factors()
                 )
             with self.timer_.stage("reaggregation"):
-                self._predictions = stack.dm_stack.rescaled_totals(
+                self._predictions = stack.rescaled_totals(
                     blend_weights, factors
                 )
             if _tracing_active():
@@ -903,7 +1125,7 @@ class BatchAligner:
                 row_sums = (
                     denominators
                     if self.denominator == "row-sums"
-                    else blend_weights @ stack.dm_stack.ref_row_sums
+                    else blend_weights @ stack.ref_row_sums
                 )
                 _emit_volume_health_gauges(
                     objectives, denominators > 0.0, factors * row_sums

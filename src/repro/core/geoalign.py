@@ -12,6 +12,11 @@ to target units in three steps:
 3. **Re-aggregation** (Eq. 17) -- column sums of the estimated matrix are
    the target-unit estimates.
 
+The three steps run in :class:`~repro.core.batch.BatchAligner`, which
+aligns N attributes against one reference set; :class:`GeoAlign` is its
+one-attribute front, so a GeoAlign fit is row 0 of a one-row batch fit,
+bit for bit.
+
 The estimator is deliberately dimension-agnostic: it consumes aggregate
 vectors and disaggregation matrices only, never geometry, so the same
 class realigns 2-D maps, 1-D histograms and n-D box systems (paper §3.4,
@@ -25,34 +30,15 @@ from collections.abc import Iterable
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from repro.errors import (
-    NotFittedError,
-    ShapeMismatchError,
-    ValidationError,
-)
-from repro.core.diagnostics import (
-    effective_references,
-    gram_condition_number,
-    simplex_violation,
-    volume_residual,
-    weight_entropy,
-)
+from repro.core.batch import BatchAligner
 from repro.core.reference import Reference
-from repro.core.solver import SimplexLstsqResult, simplex_lstsq
-from repro.obs.trace import (
-    set_gauge_max as _gauge_max,
-    set_gauge_min as _gauge_min,
-    span as _span,
-    tracing_active as _tracing_active,
-)
+from repro.core.solver import SimplexLstsqResult
+from repro.errors import NotFittedError
+from repro.obs.trace import span as _span
 from repro.partitions.dm import DisaggregationMatrix
-from repro.utils.arrays import as_nonnegative_vector
-from repro.utils.timer import StageTimer
+from repro.utils.arrays import as_float_vector
 
 FloatArray = NDArray[np.float64]
-
-#: Valid choices for the Eq. 14 denominator (see ``GeoAlign`` docs).
-_DENOMINATORS = ("source-vectors", "row-sums")
 
 
 class GeoAlign:
@@ -82,6 +68,9 @@ class GeoAlign:
     ------------------------------
     weights_:
         Learned simplex weights, one per reference.
+    blend_weights_:
+        The weights taken back to each reference's raw scale (set by
+        :meth:`predict` / :meth:`predict_dm`).
     references_:
         The fitted references, in input order.
     objective_source_:
@@ -100,22 +89,35 @@ class GeoAlign:
         normalize: bool = True,
         denominator: str = "row-sums",
     ) -> None:
-        if denominator not in _DENOMINATORS:
-            raise ValidationError(
-                f"denominator must be one of {_DENOMINATORS}, "
-                f"got {denominator!r}"
-            )
-        self.solver_method = solver_method
-        self.normalize = normalize
-        self.denominator = denominator
+        self._batch = BatchAligner(
+            solver_method=solver_method,
+            normalize=normalize,
+            denominator=denominator,
+        )
         self.weights_: FloatArray | None = None
-        self.blend_weights_: FloatArray | None = None
         self.references_: list[Reference] | None = None
         self.objective_source_: FloatArray | None = None
         self.solver_result_: SimplexLstsqResult | None = None
-        self.timer_ = StageTimer()
+        self.timer_ = self._batch.timer_
         self._estimated_dm: DisaggregationMatrix | None = None
         self._estimates: FloatArray | None = None
+
+    @property
+    def solver_method(self) -> str:
+        return self._batch.solver_method
+
+    @property
+    def normalize(self) -> bool:
+        return self._batch.normalize
+
+    @property
+    def denominator(self) -> str:
+        return self._batch.denominator
+
+    @property
+    def blend_weights_(self) -> FloatArray | None:
+        blend_weights = self._batch.blend_weights_
+        return None if blend_weights is None else blend_weights[0]
 
     # ------------------------------------------------------------------
     def fit(
@@ -139,92 +141,25 @@ class GeoAlign:
         self
         """
         references = list(references)
-        if not references:
-            raise ValidationError("GeoAlign needs at least one reference")
-        for ref in references:
-            if not isinstance(ref, Reference):
-                raise ValidationError(
-                    "references must be Reference instances, got "
-                    f"{type(ref).__name__}"
-                )
-        first = references[0].dm
-        for ref in references[1:]:
-            if (
-                ref.dm.source_labels != first.source_labels
-                or ref.dm.target_labels != first.target_labels
-            ):
-                raise ShapeMismatchError(
-                    f"reference {ref.name!r} is labelled over different "
-                    "units than the others"
-                )
-        objective = as_nonnegative_vector(
-            objective_source, name="objective_source"
-        )
-        if objective.shape[0] != first.shape[0]:
-            raise ShapeMismatchError(
-                f"objective_source has {objective.shape[0]} entries but the "
-                f"references cover {first.shape[0]} source units"
-            )
-        if objective.sum() <= 0:
-            raise ValidationError("objective_source is identically zero")
-
-        # Telemetry from a previous fit is stale state just like the
-        # blend: without the reset, repeated fits accumulate stage
-        # timings and report multi-fit totals as if they were one run.
-        self.timer_.reset()
+        objective = as_float_vector(objective_source, name="objective_source")
         with _span(
             "geoalign.fit",
             solver=self.solver_method,
             n_references=len(references),
         ):
-            with self.timer_.stage("weights"):
-                design = np.column_stack(
-                    [
-                        ref.normalized_source()
-                        if self.normalize
-                        else ref.source_vector
-                        for ref in references
-                    ]
-                )
-                if self.normalize:
-                    rhs = objective / float(objective.max())
-                else:
-                    rhs = objective
-                self.solver_result_ = simplex_lstsq(
-                    design, rhs, method=self.solver_method
-                )
-            if _tracing_active():
-                # Health gauges (worst-case per session): computed only
-                # under an active trace so the untraced hot path stays
-                # within the <=0.1 % instrumentation budget.
-                weights = self.solver_result_.weights
-                _gauge_max(
-                    "health.simplex_violation_max",
-                    simplex_violation(weights),
-                )
-                _gauge_max(
-                    "health.gram_condition_max",
-                    gram_condition_number(design.T @ design),
-                )
-                _gauge_min(
-                    "health.effective_references_min",
-                    effective_references(weights),
-                )
-                _gauge_min(
-                    "health.weight_entropy_min", weight_entropy(weights)
-                )
-        self.weights_ = self.solver_result_.weights
-        self.references_ = references
+            batch = self._batch.fit(references, objective[np.newaxis, :])
+        assert batch.stack_ is not None and batch.weights_ is not None
+        assert batch.solver_results_ is not None
+        self.weights_ = batch.weights_[0]
+        self.references_ = batch.stack_.references
         self.objective_source_ = objective
+        self.solver_result_ = batch.solver_results_[0]
         self._estimated_dm = None
         self._estimates = None
-        # Derived state from a previous predict_dm() is stale after refit;
-        # without this reset a refitted estimator reports the old blend.
-        self.blend_weights_ = None
         return self
 
     def _require_fitted(self) -> None:
-        if self.weights_ is None or self.references_ is None:
+        if self.weights_ is None:
             raise NotFittedError(
                 "this GeoAlign instance is not fitted; call fit() first"
             )
@@ -238,83 +173,23 @@ class GeoAlign:
         consistency under the paper's ``"source-vectors"``.
         """
         self._require_fitted()
-        assert self.weights_ is not None  # _require_fitted guarantees it
-        assert self.references_ is not None
-        assert self.objective_source_ is not None
-        if self._estimated_dm is not None:
-            return self._estimated_dm
-        with _span("geoalign.predict_dm"), self.timer_.stage(
-            "disaggregation"
-        ):
-            # The weights were learned on max-normalised vectors; to
-            # blend the *raw* disaggregation matrices they must be taken
-            # back to each reference's own scale (the paper's "adapt it
-            # to the scale of reference attributes and insert back the
-            # weights").  Without this, the largest-scale reference
-            # dominates the blend regardless of its learned weight.
-            if self.normalize:
-                scales = np.array(
-                    [
-                        float(ref.source_vector.max())
-                        for ref in self.references_
-                    ]
-                )
-                blend_weights = self.weights_ / scales
-            else:
-                blend_weights = self.weights_
-            self.blend_weights_ = blend_weights
-            blended = DisaggregationMatrix.blend(
-                [ref.dm for ref in self.references_], blend_weights
-            )
-            if self.denominator == "source-vectors":
-                denom = np.zeros(len(self.objective_source_))
-                for ref, weight in zip(self.references_, blend_weights):
-                    if weight != 0.0:  # repro-lint: allow[float-eq] exact-zero skip is a no-op optimisation; tiny weights must still contribute
-                        denom += weight * ref.source_vector
-            else:
-                denom = blended.row_sums()
-            self._estimated_dm = blended.rescale_rows(
-                self.objective_source_, denominators=denom
-            )
-            if _tracing_active():
-                # Eq. 16 check: row sums of the estimate must carry the
-                # objective's source aggregates (gated, like the fit
-                # gauges, so untraced runs skip the extra row-sum pass).
-                # Rows with a zero blended denominator cannot carry
-                # anything -- that is a *coverage* property of the
-                # reference data, reported as its own gauge, while the
-                # residual judges the rescale only where it could act.
-                covered = denom > 0.0
-                objective = self.objective_source_
-                _gauge_max(
-                    "health.uncovered_mass_max",
-                    float(objective[~covered].sum() / objective.sum()),
-                )
-                masked = np.where(covered, objective, 0.0)
-                if masked.max() > 0.0:
-                    _gauge_max(
-                        "health.volume_residual_max",
-                        volume_residual(
-                            np.where(
-                                covered, self._estimated_dm.row_sums(), 0.0
-                            ),
-                            masked,
-                        ),
-                    )
+        if self._estimated_dm is None:
+            with _span("geoalign.predict_dm"):
+                self._estimated_dm = self._batch.predict_dms()[0]
+        assert self._estimated_dm is not None  # assigned just above
         return self._estimated_dm
 
     def predict(self) -> FloatArray:
         """Estimated target-unit aggregates ``â^t_o`` (Eq. 17).
 
         Cached after the first call: repeated predicts on one fit reuse
-        the result and do not re-accumulate the "reaggregation" stage,
-        so ``timer_`` always reports single-run timings.
+        the result and do not re-accumulate the timer's stages, so
+        ``timer_`` always reports single-run timings.
         """
+        self._require_fitted()
         with _span("geoalign.predict"):
-            dm = self.predict_dm()
             if self._estimates is None:
-                with self.timer_.stage("reaggregation"):
-                    self._estimates = dm.col_sums()
+                self._estimates = self._batch.predict()[0]
         assert self._estimates is not None  # assigned just above
         return self._estimates
 

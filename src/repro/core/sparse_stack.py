@@ -1,27 +1,17 @@
 """CSR DM stacks: the union sparsity pattern, held once, shared by all kernels.
 
-A :class:`SparseDMStack` is the storage + kernel layer under
+A :class:`SparseDMStack` is the per-entry storage + kernel layer under
 :class:`~repro.core.batch.ReferenceStack`.  It lays the K reference
 disaggregation matrices out over the *union* sparsity pattern of their
 entries -- ``(entry_rows, entry_cols)`` in CSR (row-major) order with
 ``indptr`` over source rows.
 
-For fixed weights the disaggregation is linear in the reference DMs
-``D_j``, so ``BatchAligner.predict`` never forms the blended matrix.
-It needs two things per stack, built once on first use from the
-stack's own arrays (a store-loaded stack builds identical ones):
-
-* ``ref_row_sums`` -- ``R``, the ``(k, m)`` row sums of each ``D_j``.
-  The blend's row sums (the Eq. 16 denominators under the
-  ``row-sums`` policy) are ``blend_weights @ R``;
-* ``rescaled_totals`` -- the Eq. 16/17 kernel.  The target totals of
-  the rescaled blend are ``sum_j blend_weights[:, j] * (factors @
-  D_j)``: k sparse products over per-reference target-major ``(t, m)``
-  CSR operators.
-
-The entry-level kernels materialise per-entry values; they serve
-``predict_dms``, ``/disaggregate``, the health audit and the shard
-merge check:
+``BatchAligner.predict`` does not read it: for fixed weights the
+disaggregation is linear in the reference DMs, so the Eq. 16/17 totals
+come from per-reference quantities the reference stack owns.  The
+union stack is built on first use, for the consumers that need
+per-entry values -- ``predict_dms``, ``/disaggregate``, the health
+audit, the shard planner and merge check, and the model store:
 
 * ``blend``        -- Eq. 14 numerator, ``W @ values`` over the union
   entries, returning a dense ``(n_attrs, nnz)`` matrix;
@@ -47,9 +37,7 @@ Three storage modes cover the density spectrum:
     A materialised ``(k, nnz)`` matrix blended through BLAS.  Chosen
     automatically when the stored density exceeds
     :data:`DENSE_DENSITY_THRESHOLD` (above ~0.5 the CSR index overhead
-    costs more than the zeros), or forced via ``REPRO_FORCE_DENSE`` /
-    the ``--dense-fallback`` CLI flag so operators can bisect
-    sparse-kernel regressions.
+    costs more than the zeros), or forced with ``dense=True``.
 
 All kernels are mode-agnostic in their contracts and match the dense
 oracle (``W @ dense_values`` etc.) to float reassociation noise; the
@@ -58,8 +46,6 @@ property suite in ``tests/test_sparse_stack.py`` pins 1e-12.
 
 from __future__ import annotations
 
-import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -73,10 +59,8 @@ from repro.obs.trace import incr as _obs_incr, span as _span
 
 __all__ = [
     "DENSE_DENSITY_THRESHOLD",
-    "FORCE_DENSE_ENV",
     "EntrySlice",
     "SparseDMStack",
-    "dense_forced",
 ]
 
 FloatArray = NDArray[np.float64]
@@ -87,22 +71,11 @@ IntArray = NDArray[np.int64]
 #: ``docs/batching.md``.
 DENSE_DENSITY_THRESHOLD = 0.5
 
-#: Environment variable forcing every new stack onto the dense path --
-#: the production bisect switch behind ``geoalign-repro align
-#: --dense-fallback``.
-FORCE_DENSE_ENV = "REPRO_FORCE_DENSE"
-
 #: Entry-count ceiling per rescale chunk; bounds the gather temporary
 #: of :meth:`SparseDMStack.scale_rows_inplace` to a few megabytes.
 _RESCALE_CHUNK_FLOATS = 1 << 20
 
 _MODES = ("sparse", "aligned", "dense")
-
-
-def dense_forced() -> bool:
-    """Whether ``REPRO_FORCE_DENSE`` requests the dense fallback path."""
-    value = os.environ.get(FORCE_DENSE_ENV, "").strip().lower()
-    return value not in ("", "0", "false", "no")
 
 
 @dataclass(frozen=True)
@@ -141,8 +114,11 @@ class EntrySlice:
 
 def _as_sorted_csr(matrix: Any) -> Any:
     """The matrix as canonical CSR, copying only when normalisation is
-    actually needed (duplicate or unsorted entries)."""
-    csr = sparse.csr_matrix(matrix, dtype=float)
+    actually needed (duplicate or unsorted entries).  A float CSR matrix
+    is checked as itself, so SciPy caches the result on it."""
+    csr = matrix
+    if not (sparse.isspmatrix_csr(csr) and csr.dtype == np.float64):
+        csr = sparse.csr_matrix(matrix, dtype=float)
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
@@ -173,9 +149,6 @@ class SparseDMStack:
         "_dense",
         "_nonempty_rows",
         "_nonempty_starts",
-        "_ref_row_sums",
-        "_operators",
-        "_derived_lock",
     )
 
     def __init__(
@@ -213,11 +186,6 @@ class SparseDMStack:
         nonempty = counts > 0
         self._nonempty_rows = np.flatnonzero(nonempty)
         self._nonempty_starts = self.indptr[:-1][nonempty]
-        # R and the target-major operators are built on first use, once:
-        # the lock keeps stacks shared through PipelineCache safe.
-        self._ref_row_sums: FloatArray | None = None
-        self._operators: list[Any] | None = None
-        self._derived_lock = threading.Lock()
         self.ref_matrix = None
         self._rows = None
         self._dense = None
@@ -250,19 +218,6 @@ class SparseDMStack:
                 else int(np.count_nonzero(dense))
             )
 
-    def __getstate__(self) -> dict[str, Any]:
-        # Locks do not pickle; the copy gets a fresh one.
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name != "_derived_lock"
-        }
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._derived_lock = threading.Lock()
-
     # -- construction ---------------------------------------------------
     @classmethod
     def from_matrices(
@@ -275,11 +230,11 @@ class SparseDMStack:
         """Union-pattern construction over K ``(m, t)`` sparse matrices.
 
         ``dense=None`` selects the mode automatically: the dense
-        fallback when :func:`dense_forced` or the stored density
-        exceeds :data:`DENSE_DENSITY_THRESHOLD`, the zero-copy aligned
-        mode when every matrix already has the union pattern, CSR
+        fallback when the stored density exceeds
+        :data:`DENSE_DENSITY_THRESHOLD`, the zero-copy aligned mode
+        when every matrix already has the union pattern, CSR
         otherwise.  ``dense=True``/``False`` force / forbid the dense
-        path (tests and the CLI bisect flag).
+        path (the sparse == dense property tests).
         """
         if not matrices:
             raise ValidationError("a DM stack needs at least one matrix")
@@ -290,8 +245,6 @@ class SparseDMStack:
                     f"stack matrices must all be ({n_sources}, "
                     f"{n_targets}), got {mat.shape}"
                 )
-        if dense is None and dense_forced():
-            dense = True
         first = mats[0]
         aligned = all(
             mat.nnz == first.nnz
@@ -461,8 +414,7 @@ class SparseDMStack:
 
     @property
     def resident_bytes(self) -> int:
-        """Bytes held by the stack's arrays: union indices, values, and
-        ``R`` plus the target-major operators once built."""
+        """Bytes held by the stack's arrays: union indices and values."""
         total = (
             int(self.indptr.nbytes)
             + int(self.entry_rows.nbytes)
@@ -478,17 +430,6 @@ class SparseDMStack:
             total += int(sum(row.nbytes for row in self._rows))
         if self._dense is not None:
             total += int(self._dense.nbytes)
-        if self._ref_row_sums is not None:
-            total += int(self._ref_row_sums.nbytes)
-        if self._operators is not None:
-            # Operators on one pattern share their index buffers: count
-            # each buffer once, keyed by address.
-            buffers = {
-                array.ctypes.data: int(array.nbytes)
-                for op in self._operators
-                for array in (op.data, op.indices, op.indptr)
-            }
-            total += sum(buffers.values())
         return total
 
     @property
@@ -503,96 +444,6 @@ class SparseDMStack:
                     self.ref_matrix.toarray(), dtype=float
                 )
         return self._dense
-
-    # -- linear-predict arrays ------------------------------------------
-    def _ref_entries(self, i: int) -> tuple[FloatArray, IntArray, IntArray]:
-        """Reference ``i``'s stored values with their source rows and
-        target columns."""
-        values, positions = self.ref_entry_values(i)
-        if len(positions) == self.nnz:  # the whole union pattern
-            return values, self.entry_rows, np.asarray(self.entry_cols)
-        return values, self.entry_rows[positions], self.entry_cols[positions]
-
-    @property
-    def ref_row_sums(self) -> FloatArray:
-        """``R``: ``(k, m)`` row sums of each reference DM (built once).
-
-        ``blend_weights @ R`` equals the row sums of
-        ``blend(blend_weights)`` -- the Eq. 16 ``row-sums`` denominators
-        -- without forming the blend.
-        """
-        if self._ref_row_sums is None:
-            with self._derived_lock:
-                if self._ref_row_sums is None:
-                    sums = np.empty((self.n_references, self.n_sources))
-                    for i in range(self.n_references):
-                        values, rows, _ = self._ref_entries(i)
-                        sums[i] = np.bincount(
-                            rows, weights=values, minlength=self.n_sources
-                        )
-                    self._ref_row_sums = sums
-        return self._ref_row_sums
-
-    def _target_major_operators(self) -> list[Any]:
-        """Per-reference ``(t, m)`` CSR operators ``D_j^T`` (built once)."""
-        if self._operators is None:
-            with self._derived_lock:
-                if self._operators is None:
-                    self._operators = self._build_operators()
-        return self._operators
-
-    def _build_operators(self) -> list[Any]:
-        """``D_j^T`` as ``(t, m)`` CSR with int32 indices where they fit.
-
-        The CSC form of ``D_j`` is the CSR form of ``D_j^T``; converting a
-        matrix whose values are the entries' own positions yields the
-        transposing permutation (SciPy's counting sort keeps source rows
-        ascending within each target).  References on one pattern
-        (aligned and dense stacks) share it and the index arrays.
-        """
-        m, t = self.n_sources, self.n_targets
-        index_dtype = (
-            np.int32
-            if max(self.nnz, m, t) < np.iinfo(np.int32).max
-            else np.int64
-        )
-        operators: list[Any] = []
-        pattern: tuple[IntArray, Any, Any, Any] | None = None
-        with _span(
-            "stack.operators", k=self.n_references, mode=self.mode
-        ):
-            for i in range(self.n_references):
-                values, rows, cols = self._ref_entries(i)
-                if pattern is None or not (
-                    np.array_equal(pattern[0], rows)
-                    and np.array_equal(pattern[1], cols)
-                ):
-                    row_indptr = np.zeros(m + 1, dtype=index_dtype)
-                    row_indptr[1:] = np.cumsum(
-                        np.bincount(rows, minlength=m)
-                    )
-                    by_target = sparse.csr_matrix(
-                        (
-                            np.arange(len(values), dtype=float),
-                            cols.astype(index_dtype),
-                            row_indptr,
-                        ),
-                        shape=(m, t),
-                    ).tocsc()
-                    pattern = (
-                        rows,
-                        cols,
-                        by_target.data.astype(np.intp),
-                        by_target,
-                    )
-                _, _, order, by_target = pattern
-                operators.append(
-                    sparse.csr_matrix(
-                        (values[order], by_target.indices, by_target.indptr),
-                        shape=(t, m),
-                    )
-                )
-        return operators
 
     # -- kernels --------------------------------------------------------
     def blend(self, weights: FloatArray) -> FloatArray:
@@ -661,48 +512,6 @@ class SparseDMStack:
                     minlength=self.n_targets,
                 )
             return out
-
-    def rescaled_totals(
-        self, blend_weights: FloatArray, factors: FloatArray
-    ) -> FloatArray:
-        """Eq. 16/17 by linearity: ``(n, t)`` totals of the rescaled blend.
-
-        Equals ``reaggregate(scale_rows_inplace(blend(blend_weights),
-        factors))`` -- the column sums of each blended DM after source
-        row ``r`` is multiplied by ``factors[:, r]`` -- computed as
-        ``sum_j blend_weights[:, j] * (factors @ D_j)`` over the
-        target-major operators, so no ``(n, nnz)`` matrix exists.  A
-        reference weighted zero for every attribute adds nothing and is
-        skipped.  The association of the weights follows the stack's
-        shape, so one stack always computes the same bits.
-        """
-        operators = self._target_major_operators()
-        with _span(
-            "kernel.rescaled_totals",
-            n_attrs=int(factors.shape[0]),
-            mode=self.mode,
-        ):
-            rhs = np.ascontiguousarray(factors.T)
-            # Weight whichever side of the product is smaller: the
-            # (m, n) factors or the (t, n) partial totals.
-            weight_rhs = self.n_sources < self.n_targets
-            totals: FloatArray | None = None
-            for i, operator in enumerate(operators):
-                weights = blend_weights[:, i]
-                if not weights.any():
-                    continue
-                if weight_rhs:
-                    part: FloatArray = operator @ (rhs * weights)
-                else:
-                    part = operator @ rhs
-                    part *= weights
-                if totals is None:
-                    totals = part
-                else:
-                    totals += part
-            if totals is None:
-                return np.zeros((factors.shape[0], self.n_targets))
-            return np.ascontiguousarray(totals.T)
 
     def entry_mass(self) -> FloatArray:
         """Per-union-entry value mass summed over references."""

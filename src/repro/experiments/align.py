@@ -2,28 +2,22 @@
 
 Every dataset of a synthetic world in turn plays the objective attribute
 against the remaining datasets -- the paper's Fig. 5 setting without the
-baseline methods -- through either GeoAlign engine:
+baseline methods -- in one shared pass:
 
-* ``engine="batch"`` (default): all folds share one
+* ``n_shards=0`` (default): all folds share one
   :class:`~repro.core.batch.BatchAligner` pass (one design/Gram build,
-  one union-DM stack, N small solves, two matmuls).
-* ``engine="loop"``: one scalar :class:`~repro.core.geoalign.GeoAlign`
-  fit per fold, the pre-batching behaviour.
-* ``engine="sharded"``: the batch pass partitioned into boundary-owned
-  shards and map-reduced (:class:`~repro.core.shard.ShardedAligner`);
-  what ``geoalign-repro align --shards N`` runs.
+  N small solves, two matmuls and one Eq. 16/17 kernel call);
+* ``n_shards=N``: the same pass partitioned into boundary-owned shards
+  and map-reduced (:class:`~repro.core.shard.ShardedAligner`); what
+  ``geoalign-repro align --shards N`` runs.
 
-Both report per-dataset NRMSE and total wall time, so the CLI's
-``--batch`` / ``--no-batch`` toggle doubles as a quick speedup check.
+Both report per-dataset NRMSE and total wall time.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.core.sparse_stack import FORCE_DENSE_ENV
 from repro.errors import ValidationError
 from repro.metrics.crossval import leave_one_dataset_out
 from repro.obs.trace import span as _span
@@ -37,23 +31,6 @@ _UNIVERSES = {
     "ny": (build_new_york_world, 2018),
     "us": (build_united_states_world, 1776),
 }
-
-
-@contextmanager
-def _forced_dense(enabled):
-    """Set ``REPRO_FORCE_DENSE`` for the run's duration when asked."""
-    if not enabled:
-        yield
-        return
-    previous = os.environ.get(FORCE_DENSE_ENV)
-    os.environ[FORCE_DENSE_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[FORCE_DENSE_ENV]
-        else:
-            os.environ[FORCE_DENSE_ENV] = previous
 
 
 @dataclass
@@ -90,13 +67,10 @@ def run_alignment(
     seed=None,
     universe="ny",
     world=None,
-    engine="batch",
     cache=None,
-    n_jobs=1,
-    n_shards=2,
+    n_shards=0,
     shard_strategy="tile",
     shard_workers=1,
-    dense_fallback=False,
 ):
     """Align every dataset of a world against the rest.
 
@@ -109,19 +83,13 @@ def run_alignment(
         ``"ny"`` or ``"us"``; ignored when ``world`` is given.
     world:
         Optional prebuilt :class:`~repro.synth.world.SyntheticWorld`.
-    engine:
-        ``"batch"`` (default), ``"loop"`` or ``"sharded"``.
-    cache, n_jobs:
-        Forwarded to the batch engine.
+    cache:
+        Optional :class:`~repro.cache.PipelineCache` for the shared
+        reference stack.
     n_shards, shard_strategy, shard_workers:
-        Shard layout and process-pool width for ``engine="sharded"``;
-        ignored by the other engines.
-    dense_fallback:
-        Force every reference stack built during the run onto the
-        dense value path (sets ``REPRO_FORCE_DENSE`` for the run's
-        duration) -- the operator bisect switch for sparse-kernel
-        regressions, exposed as ``geoalign-repro align
-        --dense-fallback``.
+        ``n_shards`` > 0 runs the sharded engine with that many shards,
+        the given partition strategy and process-pool width; 0 (default)
+        runs the monolithic batch engine.
     """
     if world is None:
         if universe not in _UNIVERSES:
@@ -131,17 +99,12 @@ def run_alignment(
             )
         builder, default_seed = _UNIVERSES[universe]
         world = builder(scale, default_seed if seed is None else seed)
-    with _span(
-        "experiment.align",
-        universe=world.name,
-        engine=engine,
-        dense_fallback=bool(dense_fallback),
-    ), _forced_dense(dense_fallback):
+    engine = "sharded" if n_shards else "batch"
+    with _span("experiment.align", universe=world.name, engine=engine):
         crossval = leave_one_dataset_out(
             world.references(),
             engine=engine,
             cache=cache,
-            n_jobs=n_jobs,
             n_shards=n_shards,
             shard_strategy=shard_strategy,
             shard_workers=shard_workers,

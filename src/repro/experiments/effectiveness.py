@@ -61,9 +61,7 @@ def run_effectiveness(
     world,
     area_reference=None,
     geoalign_factory=None,
-    engine="batch",
     cache=None,
-    n_jobs=1,
 ):
     """Cross-validated Fig. 5 comparison over one world's dataset pool.
 
@@ -76,13 +74,14 @@ def run_effectiveness(
         Miles)" dataset when the pool has one, else the world's raster
         intersection areas.
     geoalign_factory:
-        Optional estimator factory forwarded to the harness (ablations).
-    engine:
-        GeoAlign execution engine; the default ``"batch"`` runs all folds
-        through one shared :class:`~repro.core.batch.BatchAligner` pass.
-        ``"loop"`` restores the one-estimator-per-fold path.
-    cache, n_jobs:
-        Forwarded to the harness (batch engine only).
+        Optional estimator factory forwarded to the harness (ablations);
+        its configuration applies to every fold.
+    cache:
+        Optional :class:`~repro.cache.PipelineCache` for the shared
+        reference stack.
+
+    All folds run through one shared
+    :class:`~repro.core.batch.BatchAligner` pass.
     """
     references = world.references()
     by_name = {ref.name: ref for ref in references}
@@ -96,16 +95,13 @@ def run_effectiveness(
     kwargs = {}
     if geoalign_factory is not None:
         kwargs["geoalign_factory"] = geoalign_factory
-    with _span(
-        "experiment.effectiveness", universe=world.name, engine=engine
-    ):
+    with _span("experiment.effectiveness", universe=world.name):
         crossval = leave_one_dataset_out(
             references,
             dasymetric_reference_names=dasymetric_names,
             areal_reference=area_reference,
-            engine=engine,
+            engine="batch",
             cache=cache,
-            n_jobs=n_jobs,
             **kwargs,
         )
     table = crossval.nrmse_table()

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.core.batch import BatchAligner, ReferenceStack
-from repro.core.geoalign import GeoAlign
 from repro.metrics.errors import rmse
 from repro.obs.trace import span as _span
 from repro.synth.universes import build_united_states_world
@@ -108,7 +107,6 @@ def run_noise_robustness(
     replicates=20,
     noise_seed=404,
     world=None,
-    engine="batch",
     cache=None,
 ):
     """Reproduce Fig. 7 on the United States dataset pool.
@@ -117,52 +115,36 @@ def run_noise_robustness(
     perturbed at each level; GeoAlign re-fits and the RMSE ratio against
     the unperturbed run is recorded.
 
-    With ``engine="batch"`` (the default) each fold builds its reference
-    stack once and every replicate reuses the union-DM structure via
+    Each fold builds its reference stack once and every replicate reuses
+    its DM-derived arrays via
     :meth:`~repro.core.batch.ReferenceStack.with_references` -- noise
     only touches source vectors, never the crosswalk DMs, so only the
-    cheap design/Gram piece is rebuilt per replicate.  The rng draw order
-    is identical across engines (perturbation happens in the same loop,
-    in the same pool order), so both engines see the same noise.
-    ``engine="loop"`` restores the one-scalar-fit-per-replicate path.
+    cheap design/Gram piece is rebuilt per replicate.
     """
-    if engine not in ("loop", "batch"):
-        raise ValidationError(
-            f"engine must be 'loop' or 'batch', got {engine!r}"
-        )
     if world is None:
         world = build_united_states_world(scale, seed)
     references = world.references()
     rng = as_rng(noise_seed)
     result = NoiseResult(levels=tuple(levels), replicates=replicates)
 
-    with _span("experiment.noise", engine=engine, replicates=replicates):
+    with _span("experiment.noise", replicates=replicates):
         for test in references:
             with _span("noise.fold", dataset=test.name):
                 _run_noise_fold(
-                    test, references, levels, replicates, rng, engine,
-                    cache, result,
+                    test, references, levels, replicates, rng, cache, result
                 )
     return result
 
 
-def _run_noise_fold(
-    test, references, levels, replicates, rng, engine, cache, result
-):
+def _run_noise_fold(test, references, levels, replicates, rng, cache, result):
     """One held-out dataset's noise-ratio sweep (all levels/replicates)."""
     truth = test.dm.col_sums()
     pool = [r for r in references if r.name != test.name]
     objective = test.source_vector[np.newaxis, :]
-    if engine == "batch":
-        stack = ReferenceStack.build(pool, cache=cache)
-        baseline_estimate = (
-            BatchAligner(cache=cache).fit(stack, objective).predict()[0]
-        )
-    else:
-        stack = None
-        baseline_estimate = GeoAlign().fit_predict(
-            pool, test.source_vector
-        )
+    stack = ReferenceStack.build(pool, cache=cache)
+    baseline_estimate = (
+        BatchAligner(cache=cache).fit(stack, objective).predict()[0]
+    )
     baseline_rmse = rmse(baseline_estimate, truth)
     by_level = {level: [] for level in levels}
     for level in levels:
@@ -170,16 +152,11 @@ def _run_noise_fold(
             noisy_pool = [
                 perturb_reference(ref, level, rng) for ref in pool
             ]
-            if stack is not None:
-                estimate = (
-                    BatchAligner(cache=cache)
-                    .fit(stack.with_references(noisy_pool), objective)
-                    .predict()[0]
-                )
-            else:
-                estimate = GeoAlign().fit_predict(
-                    noisy_pool, test.source_vector
-                )
+            estimate = (
+                BatchAligner(cache=cache)
+                .fit(stack.with_references(noisy_pool), objective)
+                .predict()[0]
+            )
             noisy_rmse = rmse(estimate, truth)
             if is_zero(baseline_rmse):
                 ratio = 1.0 if is_zero(noisy_rmse) else float("inf")

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.core.batch import BatchAligner, ReferenceStack
-from repro.core.geoalign import GeoAlign
 from repro.metrics.errors import nrmse
 from repro.obs.trace import span as _span
 from repro.synth.universes import build_united_states_world
@@ -93,22 +92,14 @@ class ReferenceSelectionResult:
         return "\n".join(lines)
 
 
-def run_reference_selection(
-    scale=1.0, seed=1776, world=None, engine="batch", cache=None, n_jobs=1
-):
+def run_reference_selection(scale=1.0, seed=1776, world=None, cache=None):
     """Reproduce Fig. 8 on the United States dataset pool.
 
-    With ``engine="batch"`` (the default) every (fold, series) pair is
-    one attribute row of a single :class:`~repro.core.batch.BatchAligner`
-    pass over one shared reference stack: the series subsets become
-    per-row reference masks, so the |folds| x 5 GeoAlign runs share one
-    design/Gram build and one union-DM stack.  ``engine="loop"`` restores
-    the one-scalar-fit-per-series path.
+    Every (fold, series) pair is one attribute row of a single
+    :class:`~repro.core.batch.BatchAligner` pass over one shared
+    reference stack: the series subsets become per-row reference masks,
+    so the |folds| x 5 GeoAlign runs share one design/Gram build.
     """
-    if engine not in ("loop", "batch"):
-        raise ValidationError(
-            f"engine must be 'loop' or 'batch', got {engine!r}"
-        )
     if world is None:
         world = build_united_states_world(scale, seed)
     references = world.references()
@@ -127,45 +118,23 @@ def run_reference_selection(
             for series in SERIES
         }
 
-    if engine == "batch":
-        with _span("experiment.reference_selection", engine=engine):
-            index_of = {ref.name: i for i, ref in enumerate(references)}
-            rows = [
-                (test, series) for test in references for series in SERIES
-            ]
-            objectives = np.vstack(
-                [test.source_vector for test, _ in rows]
+    with _span("experiment.reference_selection"):
+        index_of = {ref.name: i for i, ref in enumerate(references)}
+        rows = [(test, series) for test in references for series in SERIES]
+        objectives = np.vstack([test.source_vector for test, _ in rows])
+        masks = np.zeros((len(rows), len(references)), dtype=bool)
+        for row, (test, series) in enumerate(rows):
+            for name in subset_names[test.name][series]:
+                masks[row, index_of[name]] = True
+        stack = ReferenceStack.build(references, cache=cache)
+        estimates = (
+            BatchAligner(cache=cache)
+            .fit(stack, objectives, masks=masks)
+            .predict()
+        )
+        truths = {test.name: test.dm.col_sums() for test in references}
+        for row, (test, series) in enumerate(rows):
+            result.nrmse.setdefault(test.name, {})[series] = nrmse(
+                estimates[row], truths[test.name]
             )
-            masks = np.zeros((len(rows), len(references)), dtype=bool)
-            for row, (test, series) in enumerate(rows):
-                for name in subset_names[test.name][series]:
-                    masks[row, index_of[name]] = True
-            stack = ReferenceStack.build(references, cache=cache)
-            estimates = (
-                BatchAligner(cache=cache, n_jobs=n_jobs)
-                .fit(stack, objectives, masks=masks)
-                .predict()
-            )
-            truths = {
-                test.name: test.dm.col_sums() for test in references
-            }
-            for row, (test, series) in enumerate(rows):
-                result.nrmse.setdefault(test.name, {})[series] = nrmse(
-                    estimates[row], truths[test.name]
-                )
-        return result
-
-    with _span("experiment.reference_selection", engine=engine):
-        for test in references:
-            truth = test.dm.col_sums()
-            pool = [r for r in references if r.name != test.name]
-            ranked = rank_by_correlation(pool, test.source_vector)
-            by_series = {}
-            for series in SERIES:
-                subset = subset_for_series(ranked, series)
-                estimate = GeoAlign().fit_predict(
-                    subset, test.source_vector
-                )
-                by_series[series] = nrmse(estimate, truth)
-            result.nrmse[test.name] = by_series
     return result

@@ -95,7 +95,6 @@ def _batch_geoalign_scores(
     geoalign_factory,
     reference_selector,
     cache,
-    n_jobs,
     engine="batch",
     n_shards=2,
     shard_strategy="tile",
@@ -157,7 +156,6 @@ def _batch_geoalign_scores(
                 denominator=probe.denominator,
                 cache=cache,
                 max_workers=shard_workers,
-                n_jobs=n_jobs,
             )
         else:
             aligner = BatchAligner(
@@ -165,7 +163,6 @@ def _batch_geoalign_scores(
                 normalize=probe.normalize,
                 denominator=probe.denominator,
                 cache=cache,
-                n_jobs=n_jobs,
             )
         stack = ReferenceStack.build(
             datasets, normalize=probe.normalize, cache=cache
@@ -199,7 +196,6 @@ def leave_one_dataset_out(
     runner=None,
     engine="loop",
     cache=None,
-    n_jobs=1,
     n_shards=2,
     shard_strategy="tile",
     shard_workers=1,
@@ -246,8 +242,6 @@ def leave_one_dataset_out(
     cache:
         Optional :class:`~repro.cache.PipelineCache` for the batch
         engine's shared reference stack.
-    n_jobs:
-        Thread fan-out for the batch engine's rescale/re-aggregate stage.
     n_shards, shard_strategy, shard_workers:
         Shard count, partition strategy (``"tile"``/``"block"``) and
         process-pool width for ``engine="sharded"``; ignored otherwise.
@@ -293,7 +287,6 @@ def leave_one_dataset_out(
             geoalign_factory,
             reference_selector,
             cache,
-            n_jobs,
             engine=engine,
             n_shards=n_shards,
             shard_strategy=shard_strategy,

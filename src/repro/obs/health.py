@@ -531,13 +531,13 @@ def model_gauges(model: object) -> dict[str, float]:
         gauges["health.gram_condition_max"] = gram_condition_number(
             stack.gram
         )
-        gauges["health.stack_density"] = stack.dm_stack.density
-        gauges["health.stack_nnz"] = float(stack.dm_stack.nnz)
-        gauges["health.stack_resident_bytes"] = float(
-            stack.dm_stack.resident_bytes
-        )
         objectives = model.objectives_  # type: ignore[attr-defined]
+        # The audit needs per-entry values: this builds the stack's union
+        # pattern (and R) if nothing has yet.
         scaled = model._compute_scaled_values()  # type: ignore[attr-defined]
+        gauges["health.stack_density"] = stack.dm_stack.density
+        gauges["health.stack_nnz"] = float(stack.nnz)
+        gauges["health.stack_resident_bytes"] = float(stack.resident_bytes)
         # The sharded engine records its reduce-phase invariant; surface
         # it so health reports gate the merge, not just the rescale.
         merge_residual = getattr(model, "merge_residual_", None)

@@ -542,26 +542,32 @@ class AlignmentServer:
     def _live_gauges(self) -> dict[str, float]:
         """Current server gauges, shared by both /metrics renderings.
 
-        Warm-stack residency: union-pattern size and bytes actually
-        held by the CSR/aligned/dense value stacks, summed over every
-        loaded model, so operators can see what the sparse layout buys
-        (and catch a dense-fallback bisect inflating the fleet).
+        Warm-stack residency: bytes held by every loaded model's
+        reference stack (``R``, the operators and the union value
+        stack, each once built), and the union-pattern size and density
+        of the union stacks built so far (store-loaded models carry
+        theirs).  Reading the gauges builds nothing.
         """
         stacks = [
-            serving.model.stack_.dm_stack
+            serving.model.stack_
             for serving in self._models.values()
             if serving.model.stack_ is not None
+        ]
+        unions = [
+            union
+            for union in (stack.built_dm_stack for stack in stacks)
+            if union is not None
         ]
         return {
             "models": float(len(self._models)),
             "in_flight": float(self._in_flight),
             "uptime_seconds": self.uptime_seconds,
-            "stack_nnz": float(sum(stack.nnz for stack in stacks)),
+            "stack_nnz": float(sum(union.nnz for union in unions)),
             "stack_resident_bytes": float(
                 sum(stack.resident_bytes for stack in stacks)
             ),
             "stack_density": (
-                min(stack.density for stack in stacks) if stacks else 1.0
+                min(union.density for union in unions) if unions else 1.0
             ),
         }
 

@@ -297,15 +297,16 @@ def _rebuild_stack(
 ) -> ReferenceStack:
     """Reassemble a :class:`ReferenceStack` from stored arrays.
 
-    Mirrors :meth:`ReferenceStack.with_references`: the heavyweight
-    union-pattern members are adopted as-is into a
+    Nothing is recomputed: the design/Gram arrays are adopted verbatim,
+    and the union-pattern members as-is into a
     :class:`~repro.core.sparse_stack.SparseDMStack` restored in its
     *saved* storage mode (so the loaded blend arithmetic is bitwise the
     arithmetic that was saved; version-1 artifacts carry no mode and
-    load as dense, matching the old engine's BLAS blend), and
-    per-reference DMs are materialised from the stored value rows
-    (explicit zeros dropped by the DM constructor, restoring each
-    reference's original pattern).
+    load as dense, matching the old engine's BLAS blend).  Per-reference
+    DMs are materialised from the stored value rows (explicit zeros
+    dropped by the DM constructor, restoring each reference's original
+    pattern); ``R`` and the operators are built from them on the first
+    ``predict``, exactly as for the model that was saved.
     """
     source_labels = [str(s) for s in arrays["source_labels"]]
     target_labels = [str(t) for t in arrays["target_labels"]]
@@ -352,24 +353,17 @@ def _rebuild_stack(
             Reference(str(name), arrays["source_vectors"][i], dm)
         )
 
-    stack = object.__new__(ReferenceStack)
-    stack.references = references
-    stack.normalize = normalize
-    stack.source_labels = source_labels
-    stack.target_labels = target_labels
-    stack.n_sources = n_sources
-    stack.n_targets = n_targets
-    stack.design = np.asarray(arrays["design"], dtype=float)
-    stack.scales = np.asarray(arrays["scales"], dtype=float)
-    stack.gram = np.asarray(arrays["gram"], dtype=float)
-    stack.source_vectors = np.asarray(
-        arrays["source_vectors"], dtype=float
+    return ReferenceStack.from_stored(
+        references,
+        normalize,
+        source_labels,
+        target_labels,
+        design=np.asarray(arrays["design"], dtype=float),
+        scales=np.asarray(arrays["scales"], dtype=float),
+        gram=np.asarray(arrays["gram"], dtype=float),
+        source_vectors=np.asarray(arrays["source_vectors"], dtype=float),
+        dm_stack=dm_stack,
     )
-    stack.dm_stack = dm_stack
-    stack.entry_rows = dm_stack.entry_rows
-    stack.entry_cols = dm_stack.entry_cols
-    stack._fingerprint = None
-    return stack
 
 
 class ModelStore:

@@ -1,17 +1,20 @@
-"""BatchAligner / ReferenceStack: unit tests + batch==loop properties.
+"""BatchAligner / ReferenceStack: unit tests + N-row == N one-row fits.
 
-The load-bearing invariant is *engine equivalence*: for any valid world,
-fitting N attributes through one :class:`~repro.core.batch.BatchAligner`
-pass must match N scalar :class:`~repro.core.geoalign.GeoAlign` fits to
-float tolerance -- including the degenerate corners (single reference,
-zero-volume source rows, N=1, masked reference subsets).  Hypothesis
-drives randomised worlds at that invariant; the unit tests pin the API
-contract (validation, staleness, caching, thread fan-out).
+There is one engine: :class:`~repro.core.geoalign.GeoAlign` is a
+one-attribute :class:`~repro.core.batch.BatchAligner`.  The load-bearing
+invariant is that an N-row fit equals N one-row fits to float tolerance
+-- including the degenerate corners (single reference, zero-volume
+source rows, N=1, masked reference subsets).  With more references than
+source units a one-row fit is GeoAlign's bit for bit, and each row of an
+N-row fit reaches the same Eq. 15 optimum.  Hypothesis drives randomised
+worlds at those invariants; the unit tests pin the API contract
+(validation, staleness, caching, thread fan-out, which work a fit and a
+predict do).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache import PipelineCache
 from repro.core.batch import BatchAligner, ReferenceStack, _rescale_factors
@@ -49,7 +52,7 @@ def _world(seed, m=10, t=6, k=3, n_attrs=4, density=0.5, zero_row=False):
     return references, objectives
 
 
-def _assert_engines_agree(references, objectives, denominator="row-sums"):
+def _assert_rows_agree(references, objectives, denominator="row-sums"):
     batch = BatchAligner(denominator=denominator).fit(
         references, objectives
     )
@@ -69,9 +72,13 @@ def _assert_engines_agree(references, objectives, denominator="row-sums"):
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: batch == loop on randomised worlds, corners included
+# Hypothesis: N-row fit == N one-row fits on randomised worlds
 # ----------------------------------------------------------------------
 @settings(max_examples=40, deadline=None)
+@example(
+    seed=326990, m=2, t=4, k=3, n_attrs=1, density=0.5,
+    denominator="row-sums",
+)
 @given(
     seed=st.integers(0, 10**6),
     m=st.integers(2, 14),
@@ -85,22 +92,62 @@ def test_batch_equals_loop(seed, m, t, k, n_attrs, density, denominator):
     references, objectives = _world(
         seed, m=m, t=t, k=k, n_attrs=n_attrs, density=density
     )
-    _assert_engines_agree(references, objectives, denominator)
+    _assert_rows_agree(references, objectives, denominator)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    m=st.integers(2, 5),
+    extra=st.integers(1, 4),
+    t=st.integers(1, 6),
+    n_attrs=st.integers(1, 4),
+    density=st.floats(0.2, 1.0),
+    denominator=st.sampled_from(("row-sums", "source-vectors")),
+)
+def test_more_references_than_sources(
+    seed, m, extra, t, n_attrs, density, denominator
+):
+    """k > m, so rank(A) < k and Eq. 15 has a family of minimisers.
+
+    A one-row fit is GeoAlign's fit bit for bit, and every row of an
+    N-row fit attains its one-row fit's Eq. 15 optimum.  Which minimiser
+    a row lands on can still differ between the two (``A^T b`` comes
+    from gemm in one and gemv in the other); a canonical tie-break is
+    the ROADMAP's identifiability item.
+    """
+    references, objectives = _world(
+        seed, m=m, t=t, k=m + extra, n_attrs=n_attrs, density=density
+    )
+    batch = BatchAligner(denominator=denominator).fit(references, objectives)
+    for j, objective in enumerate(objectives):
+        one_row = BatchAligner(denominator=denominator).fit(
+            references, objective[np.newaxis, :]
+        )
+        scalar = GeoAlign(denominator=denominator).fit(references, objective)
+        assert scalar.weights_.tobytes() == one_row.weights_[0].tobytes()
+        assert scalar.predict().tobytes() == one_row.predict()[0].tobytes()
+        np.testing.assert_allclose(
+            batch.solver_results_[j].objective,
+            scalar.solver_result_.objective,
+            rtol=RTOL,
+            atol=ATOL,
+        )
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_batch_equals_loop_with_zero_volume_rows(seed):
     references, objectives = _world(seed, zero_row=True)
-    _assert_engines_agree(references, objectives)
+    _assert_rows_agree(references, objectives)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6), n_attrs=st.integers(1, 4))
 def test_batch_equals_loop_single_reference(seed, n_attrs):
-    """k=1: the solver's constraint-pinned shortcut, both engines."""
+    """k=1: the solver's constraint-pinned shortcut."""
     references, objectives = _world(seed, k=1, n_attrs=n_attrs)
-    _assert_engines_agree(references, objectives)
+    _assert_rows_agree(references, objectives)
 
 
 @settings(max_examples=25, deadline=None)
@@ -365,3 +412,55 @@ def test_weight_report_and_timer():
     assert {"weights", "disaggregation", "reaggregation"} <= set(
         aligner.timer_.totals
     )
+
+
+# ----------------------------------------------------------------------
+# One engine: what a fit and a predict build
+# ----------------------------------------------------------------------
+def test_fit_predict_builds_no_union_stack(capture_trace):
+    references, objectives = _world(41)
+    with capture_trace() as session:
+        BatchAligner().fit_predict(references, objectives)
+        GeoAlign().fit_predict(references, objectives[0])
+    assert session.find_spans("batch.predict")
+    assert not session.find_spans("stack.union")
+
+
+def test_predict_dms_builds_union_stack_once(capture_trace):
+    references, objectives = _world(43)
+    aligner = BatchAligner().fit(references, objectives)
+    aligner.predict()
+    assert aligner.stack_.built_dm_stack is None
+    with capture_trace() as session:
+        first = aligner.predict_dms()
+        second = aligner.predict_dms()
+    assert len(session.find_spans("stack.union")) == 1
+    assert aligner.stack_.built_dm_stack is aligner.stack_.dm_stack
+    for left, right in zip(first, second):
+        assert (left.matrix != right.matrix).nnz == 0
+
+
+@pytest.mark.parametrize("denominator", ["row-sums", "source-vectors"])
+def test_geoalign_is_row_zero_of_one_row_batch(denominator):
+    references, objectives = _world(47, k=4)
+    objective = objectives[0]
+    scalar = GeoAlign(denominator=denominator).fit(references, objective)
+    batch = BatchAligner(denominator=denominator).fit(
+        references, objective[np.newaxis, :]
+    )
+    assert scalar.weights_.tobytes() == batch.weights_[0].tobytes()
+    result, row = scalar.solver_result_, batch.solver_results_[0]
+    assert result.weights.tobytes() == row.weights.tobytes()
+    fields = ("objective", "iterations", "method", "converged")
+    assert [getattr(result, f) for f in fields] == [
+        getattr(row, f) for f in fields
+    ]
+    assert scalar.predict().tobytes() == batch.predict()[0].tobytes()
+    assert (
+        scalar.blend_weights_.tobytes() == batch.blend_weights_[0].tobytes()
+    )
+    dm, row_dm = scalar.predict_dm(), batch.predict_dms()[0]
+    assert dm.matrix.shape == row_dm.matrix.shape
+    for name in ("data", "indices", "indptr"):
+        left, right = getattr(dm.matrix, name), getattr(row_dm.matrix, name)
+        assert left.tobytes() == right.tobytes()

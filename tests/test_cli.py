@@ -599,73 +599,6 @@ class TestServeCommand:
         assert "no stored model" in capsys.readouterr().err
 
 
-class TestDenseFallback:
-    def test_flag_parses(self):
-        args = build_parser().parse_args(["align", "--dense-fallback"])
-        assert args.dense_fallback is True
-        args = build_parser().parse_args(["align"])
-        assert args.dense_fallback is False
-
-    def test_align_dense_fallback_end_to_end(self, tmp_path, monkeypatch):
-        import os
-
-        monkeypatch.delenv("REPRO_FORCE_DENSE", raising=False)
-        trace_file = tmp_path / "dense.jsonl"
-        code, out = _run(
-            [
-                "align",
-                "--scale",
-                str(TEST_SCALE),
-                "--dense-fallback",
-                "--trace",
-                str(trace_file),
-            ]
-        )
-        assert code == 0
-        assert "NRMSE by dataset" in out
-        # The run records the bisect switch on its experiment span, and
-        # every stack built inside it landed on the dense value path.
-        records = [
-            json.loads(line)
-            for line in trace_file.read_text().splitlines()
-        ]
-        experiment = next(
-            r
-            for r in records
-            if r["type"] == "span" and r["name"] == "experiment.align"
-        )
-        assert experiment["attrs"]["dense_fallback"] is True
-        kernels = [
-            r
-            for r in records
-            if r["type"] == "span" and r["name"] == "kernel.rescaled_totals"
-        ]
-        assert kernels
-        assert all(k["attrs"]["mode"] == "dense" for k in kernels)
-        # The env override is scoped to the run, not leaked.
-        assert "REPRO_FORCE_DENSE" not in os.environ
-
-    def test_align_results_match_without_fallback(self):
-        plain_code, plain = _run(["align", "--scale", str(TEST_SCALE)])
-        dense_code, dense = _run(
-            ["align", "--scale", str(TEST_SCALE), "--dense-fallback"]
-        )
-        assert plain_code == dense_code == 0
-
-        # Same numbers either way: storage mode is a perf knob, not a
-        # semantics knob (dense BLAS vs accumulation agree to print
-        # precision).  Wall-time lines differ run to run, so compare
-        # the per-dataset table only.
-        def table(text):
-            return [
-                line
-                for line in text.splitlines()
-                if "wall time" not in line and "completed in" not in line
-            ]
-
-        assert table(plain) == table(dense)
-
-
 class TestTelemetryCli:
     """PR-10 surface: serve/store trace flags, ``obs tail``/``obs prom``."""
 

@@ -13,6 +13,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import repro.core.batch
 from repro.core.batch import BatchAligner
 from repro.core.geoalign import GeoAlign
 from repro.errors import ValidationError
@@ -34,7 +35,6 @@ from repro.obs.health import (
     HealthReport,
     _REGISTRY,
 )
-from repro.partitions.dm import DisaggregationMatrix
 
 
 def _session(gauges=None, counters=None, name="t"):
@@ -374,15 +374,15 @@ def _load_gate():
     return module
 
 
-def _broken_rescale(self, new_totals, denominators=None):
+def _broken_rescale_factors(objectives, denominators):
     """Skip the Eq. 16 volume-preserving rescale entirely."""
-    return self
+    return np.ones_like(denominators)
 
 
 class TestDeliberateViolation:
     def _broken_report(self, monkeypatch, paired_references, capture_trace):
         monkeypatch.setattr(
-            DisaggregationMatrix, "rescale_rows", _broken_rescale
+            repro.core.batch, "_rescale_factors", _broken_rescale_factors
         )
         with capture_trace("broken") as session:
             GeoAlign().fit_predict(paired_references, np.arange(1.0, 7.0))

@@ -366,8 +366,8 @@ class TestPipelineTelemetry:
         (weights,) = session.find_spans("stage.weights")
         assert fit in session.ancestors_of(weights)
         (disagg,) = session.find_spans("stage.disaggregation")
-        (predict_dm,) = session.find_spans("geoalign.predict_dm")
-        assert predict_dm in session.ancestors_of(disagg)
+        (predict,) = session.find_spans("geoalign.predict")
+        assert predict in session.ancestors_of(disagg)
         assert session.find_spans("stage.reaggregation")
 
     def test_solver_converged_event_fields(

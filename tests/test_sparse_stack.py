@@ -2,10 +2,10 @@
 
 Every :class:`~repro.core.sparse_stack.SparseDMStack` kernel --
 ``blend`` (Eq. 14), ``row_sums`` / ``scale_rows_inplace`` (Eq. 16),
-``reaggregate`` (Eq. 17), and the linear-predict pair ``ref_row_sums``
-/ ``rescaled_totals`` (Eq. 16/17) -- must match the dense oracle
-computed from the raw reference matrices to 1e-12, in every storage
-mode, across
+``reaggregate`` (Eq. 17) -- and the linear-predict pair the
+:class:`~repro.core.batch.ReferenceStack` owns, ``ref_row_sums`` /
+``rescaled_totals`` (Eq. 16/17), must match the dense oracle computed
+from the raw reference matrices to 1e-12, in every storage mode, across
 random union patterns that include empty rows, single-entry rows and
 fully dense matrices.  The oracle is recomputed here from scratch (no
 stack code on the oracle side), so a kernel bug cannot cancel out.
@@ -20,13 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from repro.core.batch import ReferenceStack
+from repro.core.reference import Reference
 from repro.core.sparse_stack import (
     DENSE_DENSITY_THRESHOLD,
     EntrySlice,
     SparseDMStack,
-    dense_forced,
 )
 from repro.errors import ShapeMismatchError, ValidationError
+from repro.partitions.dm import DisaggregationMatrix
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 
@@ -73,6 +75,17 @@ def stack_cases(draw):
                 shape=(m, t),
             )
     return mats, m, t, force
+
+
+def reference_stack(mats, m, t, dense=None):
+    """A :class:`ReferenceStack` over the raw matrices as reference DMs."""
+    source_labels = [f"s{i}" for i in range(m)]
+    target_labels = [f"t{j}" for j in range(t)]
+    references = []
+    for i, mat in enumerate(mats):
+        dm = DisaggregationMatrix(mat, source_labels, target_labels)
+        references.append(Reference(f"r{i}", dm.row_sums() + 1.0, dm))
+    return ReferenceStack(references, dense=dense)
 
 
 def oracle_values(stack, mats):
@@ -170,11 +183,13 @@ class TestKernelsMatchDenseOracle:
     def test_ref_row_sums_and_rescaled_totals(
         self, case, seed, n, zero_share
     ):
-        """R and the Eq. 16/17 kernel against blend -> rescale -> column
-        sums on dense matrices; zero weights leave rows with a zero
-        denominator (all rows when ``zero_share`` is 1)."""
+        """The reference stack's R and Eq. 16/17 kernel against blend ->
+        rescale -> column sums on dense matrices, and against the union
+        stack's per-entry kernels in the drawn storage mode; zero weights
+        leave rows with a zero denominator (all rows when ``zero_share``
+        is 1)."""
         mats, m, t, force = case
-        stack = SparseDMStack.from_matrices(mats, m, t, dense=force)
+        stack = reference_stack(mats, m, t, dense=force)
         dense = np.array([np.asarray(mat.todense()) for mat in mats])
         np.testing.assert_allclose(
             stack.ref_row_sums, dense.sum(axis=2), **TOL
@@ -193,9 +208,13 @@ class TestKernelsMatchDenseOracle:
         linear = weights @ stack.ref_row_sums
         np.testing.assert_array_equal(linear > 0.0, covered)
         np.testing.assert_allclose(linear, denominators, **TOL)
-        np.testing.assert_allclose(
-            stack.rescaled_totals(weights, factors), oracle, **TOL
+        totals = stack.rescaled_totals(weights, factors)
+        np.testing.assert_allclose(totals, oracle, **TOL)
+        union = stack.dm_stack
+        per_entry = union.reaggregate(
+            union.scale_rows_inplace(union.blend(weights), factors)
         )
+        np.testing.assert_allclose(totals, per_entry, **TOL)
 
     @settings(max_examples=60, deadline=None)
     @given(stack_cases(), st.integers(0, 10**6))
@@ -288,14 +307,6 @@ class TestModeSelection:
             "sparse"
         )
 
-    def test_force_dense_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FORCE_DENSE", "1")
-        assert dense_forced()
-        stack = SparseDMStack.from_matrices(_ring_matrices(), 6, 5)
-        assert stack.mode == "dense"
-        monkeypatch.setenv("REPRO_FORCE_DENSE", "false")
-        assert not dense_forced()
-
     def test_single_entry_and_empty_rows(self):
         # Row 0 has one entry, rows 1-2 are empty everywhere.
         mat = sparse.csr_matrix(([2.0], ([0], [1])), shape=(3, 3))
@@ -313,48 +324,52 @@ class TestModeSelection:
 
 
 class TestLinearPredictArrays:
+    """``R`` and the operators live on the reference stack, built from
+    the reference DMs on first use; the union stack only on demand."""
+
     @pytest.mark.parametrize("aligned", [False, True])
     def test_resident_bytes_counts_r_and_operators(self, aligned):
         mats = _ring_matrices()
         if aligned:  # one pattern: the operators share index buffers
             mats = [mats[0], mats[0] * 2.0]
-        stack = SparseDMStack.from_matrices(mats, 6, 5)
-        assert stack.mode == ("aligned" if aligned else "sparse")
-        before = stack.resident_bytes
+        stack = reference_stack(mats, 6, 5)
+        assert stack.resident_bytes == 0  # nothing built yet
         weights = np.array([[0.25, 0.75]])
         stack.rescaled_totals(weights, np.ones((1, 6)))
-        operators = stack._target_major_operators()
+        assert stack.built_dm_stack is None
+        operators = stack.operators
         index_bytes = [op.indices.nbytes + op.indptr.nbytes for op in operators]
         built = (
             stack.ref_row_sums.nbytes
             + sum(op.data.nbytes for op in operators)
             + (index_bytes[0] if aligned else sum(index_bytes))
         )
-        assert stack.resident_bytes == before + built
+        assert stack.resident_bytes == built
         assert all(op.indices.dtype == np.int32 for op in operators)
+        union = stack.dm_stack
+        assert union.mode == ("aligned" if aligned else "sparse")
+        assert stack.resident_bytes == built + union.resident_bytes
 
     def test_pickle_round_trip_keeps_built_arrays(self):
-        stack = SparseDMStack.from_matrices(_ring_matrices(), 6, 5)
+        stack = reference_stack(_ring_matrices(), 6, 5)
         weights = np.array([[0.25, 0.75]])
         factors = np.linspace(0.5, 2.0, 6)[np.newaxis, :]
         expected = stack.rescaled_totals(weights, factors)
         clone = pickle.loads(pickle.dumps(stack))
         assert np.array_equal(clone.rescaled_totals(weights, factors), expected)
         assert np.array_equal(clone.ref_row_sums, stack.ref_row_sums)
+        assert clone.resident_bytes == stack.resident_bytes
 
-    def test_one_build_under_concurrent_first_use(self):
+    @staticmethod
+    def _first_use_from_threads(stack, read):
         # Stacks are shared across threads through PipelineCache: every
         # thread racing on first use must get the one built object.
-        mats = _ring_matrices(k=4, m=300, t=40)
-        stack = SparseDMStack.from_matrices(mats, 300, 40)
         barrier = threading.Barrier(8)
         seen = []
 
         def first_use():
             barrier.wait(timeout=10)
-            seen.append(
-                (stack.ref_row_sums, stack._target_major_operators())
-            )
+            seen.append(read(stack))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -368,7 +383,19 @@ class TestLinearPredictArrays:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(seen) == 8
+        return seen
+
+    def test_one_build_under_concurrent_first_use(self):
+        stack = reference_stack(_ring_matrices(k=4, m=300, t=40), 300, 40)
+        seen = self._first_use_from_threads(
+            stack, lambda s: (s.ref_row_sums, s.operators)
+        )
         assert all(r is seen[0][0] and ops is seen[0][1] for r, ops in seen)
+
+    def test_one_union_build_under_concurrent_first_use(self):
+        stack = reference_stack(_ring_matrices(k=4, m=300, t=40), 300, 40)
+        seen = self._first_use_from_threads(stack, lambda s: s.dm_stack)
+        assert all(union is seen[0] for union in seen)
 
 
 class TestValidation:
