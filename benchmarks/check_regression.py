@@ -41,6 +41,12 @@ each memory entry becomes ``mem_<name>``, so a per-stage slowdown, a
 cache-efficiency drop or an allocation blow-up is flagged even when
 the total wall time stays inside tolerance.
 
+A payload's ``meta`` section (unit counts, worker counts, scale, ...)
+is not compared, but every bench whose ``meta`` differs from its
+baseline's gets a ``meta differs: <key> <baseline> -> <candidate>``
+line in the report: the numbers below it were not measured like for
+like.  It never changes pass/fail.
+
 Payloads may also carry a ``health`` section (check name -> verdict
 from ``repro.obs.health``).  Any ``"fail"`` verdict in a *candidate*
 payload fails the gate outright, baseline or not: a violated numerical
@@ -143,28 +149,50 @@ def load_health_file(path):
     return failures
 
 
+def iter_bench_payloads(path):
+    """``(bench name, payload, file path)`` per BENCH_*.json in ``path``."""
+    for file_path in sorted(glob.glob(os.path.join(path, "BENCH_*.json"))):
+        with open(file_path) as handle:
+            payload = json.load(handle)
+        yield payload.get("name") or os.path.basename(file_path), payload, file_path
+
+
 def load_bench_dir(path):
     """Mapping of bench name -> metrics dict from one directory."""
     if not os.path.isdir(path):
         raise NotADirectoryError(path)
-    benches = {}
-    for file_path in sorted(glob.glob(os.path.join(path, "BENCH_*.json"))):
-        with open(file_path) as handle:
-            payload = json.load(handle)
-        name = payload.get("name") or os.path.basename(file_path)
-        benches[name] = flatten_payload(payload, file_path)
-    return benches
+    return {
+        name: flatten_payload(payload, file_path)
+        for name, payload, file_path in iter_bench_payloads(path)
+    }
+
+
+def load_bench_meta(path):
+    """Mapping of bench name -> its ``meta`` mapping (``{}`` if none)."""
+    metas = {}
+    for name, payload, _file_path in iter_bench_payloads(path):
+        meta = payload.get("meta")
+        metas[name] = meta if isinstance(meta, dict) else {}
+    return metas
 
 
 def load_dir_health(path):
     """Fail verdicts from the ``health`` sections of a bench directory."""
     failures = []
-    for file_path in sorted(glob.glob(os.path.join(path, "BENCH_*.json"))):
-        with open(file_path) as handle:
-            payload = json.load(handle)
-        name = payload.get("name") or os.path.basename(file_path)
+    for name, payload, _file_path in iter_bench_payloads(path):
         failures.extend(health_failures(payload, str(name)))
     return failures
+
+
+def meta_changes(baseline, candidate):
+    """``"<key> <baseline> -> <candidate>"`` per differing meta key."""
+    changes = []
+    for key in sorted(set(baseline) | set(candidate)):
+        old = json.dumps(baseline[key]) if key in baseline else "<absent>"
+        new = json.dumps(candidate[key]) if key in candidate else "<absent>"
+        if old != new:
+            changes.append(f"{key} {old} -> {new}")
+    return changes
 
 
 def metric_kind(key):
@@ -237,8 +265,14 @@ def compare(
     error_tol,
     mem_tol=None,
     overhead_tol=1.01,
+    baseline_meta=None,
+    candidate_meta=None,
 ):
-    """(regressions, report lines) over two bench-dir mappings."""
+    """(regressions, report lines) over two bench-dir mappings.
+
+    ``baseline_meta`` / ``candidate_meta`` (bench name -> ``meta``) only
+    add a ``meta differs`` line under a bench; they never regress it.
+    """
     lines = []
     regressions = []
     for name in sorted(set(baselines) | set(candidates)):
@@ -250,6 +284,12 @@ def compare(
             lines.append(f"{name}: new bench (no baseline; skipped)")
             continue
         lines.append(f"{name}:")
+        changes = meta_changes(
+            (baseline_meta or {}).get(name, {}),
+            (candidate_meta or {}).get(name, {}),
+        )
+        if changes:
+            lines.append("    meta differs: " + ", ".join(changes))
         base_metrics = baselines[name]
         cand_metrics = candidates[name]
         for key in sorted(set(base_metrics) | set(cand_metrics)):
@@ -331,6 +371,8 @@ def main(argv=None):
     try:
         baselines = load_bench_dir(args.baseline)
         candidates = load_bench_dir(args.candidate)
+        baseline_meta = load_bench_meta(args.baseline)
+        candidate_meta = load_bench_meta(args.candidate)
         verdicts = load_dir_health(args.candidate)
         for health_file in args.health:
             verdicts.extend(load_health_file(health_file))
@@ -347,6 +389,8 @@ def main(argv=None):
         args.error_tolerance,
         args.mem_tolerance,
         args.overhead_tolerance,
+        baseline_meta,
+        candidate_meta,
     )
     print("\n".join(lines))
     for source, check in verdicts:

@@ -208,9 +208,8 @@ def _solve_masked_weights(
     ``atb_all`` is ``(k, n_attrs)`` (column j is ``A^T b_j``), ``btb_all``
     is ``(n_attrs,)``.  Masked-out references get weight exactly 0.0 via
     the sub-Gram solve.  Returns the ``(n_attrs, k)`` weight matrix plus
-    the per-attribute solver results.  The monolithic and sharded engines
-    both reduce to this solve, which is what makes them equivalent: only
-    the way ``gram``/``atb_all``/``btb_all`` are accumulated differs.
+    the per-attribute solver results.  Every engine reaches it through
+    :meth:`BatchAligner._solve_weights` on the stack's own ``gram``.
 
     The shared Gram matrix is Cholesky-factorized **once** and the
     factor threaded through every active-set solve (per attribute and
@@ -952,19 +951,33 @@ class BatchAligner:
                 if fit_span is not None:
                     fit_span.attrs["n_attrs"] = objective_matrix.shape[0]
                     fit_span.attrs["n_references"] = stack.n_references
-                rhs = _normalized_rhs(objective_matrix, self.normalize)
-                # One matmul projects every attribute onto the shared
-                # design: column j of atb_all is A^T b_j.
-                atb_all = stack.design.T @ rhs.T
-                btb_all = np.einsum("ij,ij->i", rhs, rhs)
-                weights, results = _solve_masked_weights(
-                    stack.gram,
-                    atb_all,
-                    btb_all,
-                    mask_matrix,
-                    self.solver_method,
+                weights = self._solve_weights(
+                    stack, objective_matrix, mask_matrix, names
                 )
             _emit_weight_health_gauges(weights, stack.gram)
+        return self
+
+    def _solve_weights(
+        self,
+        stack: ReferenceStack,
+        objective_matrix: FloatArray,
+        mask_matrix: BoolArray,
+        names: list[str],
+    ) -> FloatArray:
+        """Eq. 15 for every attribute on the stack's Gram; store the fit.
+
+        The one weight path of both engines: the sharded fit calls it on
+        the same ``stack.gram``, so its weights are these bit for bit.
+        Returns the stored weights.
+        """
+        rhs = _normalized_rhs(objective_matrix, self.normalize)
+        # One matmul projects every attribute onto the shared design:
+        # column j of atb_all is A^T b_j.
+        atb_all = stack.design.T @ rhs.T
+        btb_all = np.einsum("ij,ij->i", rhs, rhs)
+        weights, results = _solve_masked_weights(
+            stack.gram, atb_all, btb_all, mask_matrix, self.solver_method
+        )
         self.stack_ = stack
         self.weights_ = weights
         self.masks_ = mask_matrix
@@ -974,7 +987,7 @@ class BatchAligner:
         self.blend_weights_ = None
         self._scaled_values = None
         self._predictions = None
-        return self
+        return weights
 
     def _require_fitted(self) -> tuple[ReferenceStack, FloatArray, FloatArray]:
         if (

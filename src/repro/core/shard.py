@@ -2,20 +2,14 @@
 
 The batched engine (:mod:`repro.core.batch`) fits a whole universe in one
 address space; Fig. 6 scalability tops out where that single process does.
-This module shards the universe spatially and runs the expensive phases
-as a map over a process pool, reducing back to *exactly* the monolithic
+This module shards the universe spatially and runs the disaggregation as
+a map over a process pool, reducing back to *exactly* the monolithic
 answer:
 
-**Weights (Eq. 15).**  The normal equations are additive over any row
-partition of the design matrix: ``A^T A = sum_s A_s^T A_s`` and
-``A^T b = sum_s A_s^T b_s``.  Each shard computes its Gram/``A^T b``
-partials over its owned source rows (against *globally* computed
-normalisation — per-reference source maxima and per-attribute objective
-maxima are taken in the driver before sharding), the driver sums them
-and runs the same masked simplex solve
-(:func:`repro.core.batch._solve_masked_weights`) the monolithic engine
-runs.  Only the accumulation order of the sums differs, so weights agree
-to float reassociation noise — far inside the golden suite's 1e-9.
+**Weights (Eq. 15).**  The fit solves on the stack's own Gram matrix
+through :meth:`repro.core.batch.BatchAligner._solve_weights`, the call
+the monolithic engine makes, so sharded weights are the monolithic ones
+bit for bit at every shard count.  Only the plan is extra.
 
 **Disaggregation (Eq. 14/16).**  Source rows are wholly owned by exactly
 one shard (see *boundary-row ownership* below), so the per-row rescale —
@@ -40,9 +34,9 @@ columns are also written by rows of *other* shards are counted as
 boundary rows (``shard.boundary_rows``): they are the rows whose column
 aggregates only become correct after the merge.
 
-Workers are module-level pure functions on plain NumPy payloads, so they
-pickle cleanly into a :class:`~concurrent.futures.ProcessPoolExecutor`
-and never touch shared state (writes would be silently lost at the
+The worker is a module-level pure function on plain NumPy payloads, so
+it pickles cleanly into a :class:`~concurrent.futures.ProcessPoolExecutor`
+and never touches shared state (writes would be silently lost at the
 process boundary — the deep-lint ``thread-shared-state`` rule covers
 process pools too).  ``max_workers=1`` runs the identical code inline,
 which is both the deterministic test path and the zero-overhead default.
@@ -54,7 +48,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -67,9 +61,7 @@ from repro.core.batch import (
     ReferenceStack,
     _emit_volume_health_gauges,
     _emit_weight_health_gauges,
-    _normalized_rhs,
     _rescale_factors,
-    _solve_masked_weights,
 )
 from repro.core.reference import Reference
 from repro.core.sparse_stack import EntrySlice
@@ -98,10 +90,14 @@ BoolArray = NDArray[np.bool_]
 
 _STRATEGIES = ("tile", "block")
 
+#: The one map phase; named in worker spans and in :class:`ShardError`.
+_PHASE = "disaggregate"
+
 #: Chaos hook for the fault-injection suite: set to ``"<phase>:<shard>"``
-#: (e.g. ``"fit:1"``) to make that shard's worker raise.  An environment
-#: variable rather than a monkeypatch because the child processes of a
-#: pool inherit the parent environment under every start method.
+#: (e.g. ``"disaggregate:1"``) to make that shard's worker raise.  An
+#: environment variable rather than a monkeypatch because the child
+#: processes of a pool inherit the parent environment under every start
+#: method.
 FAULT_ENV = "REPRO_SHARD_FAULT"
 
 
@@ -114,6 +110,14 @@ def _raise_injected_fault(phase: str, shard_id: int) -> None:
         raise RuntimeError(  # repro-lint: allow[error-types] deliberate foreign error
             f"injected shard fault ({spec}); set by {FAULT_ENV}"
         )
+
+
+def _shard_error(shard_id: int, exc: BaseException | None) -> ShardError:
+    return ShardError(
+        f"shard {shard_id} failed during the {_PHASE!r} map phase: {exc}",
+        shard_id=shard_id,
+        phase=_PHASE,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +233,14 @@ class ShardPlan:
         )
 
 
+def _split_labels(n_items: int, n_parts: int) -> IntArray:
+    """Part index of each item under ``np.array_split`` semantics."""
+    size, extra = divmod(n_items, n_parts)
+    sizes = np.full(n_parts, size)
+    sizes[:extra] += 1
+    return np.repeat(np.arange(n_parts, dtype=np.int64), sizes)
+
+
 def plan_shards(
     stack: ReferenceStack, n_shards: int, strategy: str = "tile"
 ) -> ShardPlan:
@@ -250,35 +262,32 @@ def plan_shards(
             f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
         )
     with _span("shard.plan", n_shards=n_shards, strategy=strategy) as span:
-        owner = np.zeros(stack.n_sources, dtype=np.int64)
+        entry_rows, entry_cols = stack.entry_rows, stack.entry_cols
         if strategy == "tile":
-            # int32 codes + prompt frees: these entry-length temporaries
-            # are the planner's peak at million-target scale, and the
-            # sharded engine's whole point is a low memory ceiling.
-            tile_of_col = np.zeros(stack.n_targets, dtype=np.int32)
-            for tile, block in enumerate(
-                np.array_split(np.arange(stack.n_targets), n_shards)
-            ):
-                tile_of_col[block] = tile
             # Majority vote over reference mass: how much of each row's
             # union-entry mass (summed over references) lands in each
-            # tile.  argmax ties break to the lowest tile, and rows with
-            # no entries (all-zero votes) land on shard 0.
-            entry_mass = stack.dm_stack.entry_mass()
-            entry_tile = tile_of_col[stack.entry_cols]
-            del tile_of_col
-            votes = np.zeros((stack.n_sources, n_shards))
-            np.add.at(votes, (stack.entry_rows, entry_tile), entry_mass)
-            del entry_mass, entry_tile
-            owner = np.argmax(votes, axis=1).astype(np.int64)
+            # tile, accumulated per (row, tile) code in entry order.
+            # argmax ties break to the lowest tile, and rows with no
+            # entries (all-zero votes) land on shard 0.
+            codes = entry_rows * n_shards
+            codes += _split_labels(stack.n_targets, n_shards)[entry_cols]
+            votes = np.bincount(
+                codes,
+                weights=stack.dm_stack.entry_mass(),
+                minlength=stack.n_sources * n_shards,
+            )
+            # Prompt frees: these entry-length temporaries are the
+            # planner's peak at million-target scale, and the sharded
+            # engine's whole point is a low memory ceiling.
+            del codes
+            owner = np.argmax(
+                votes.reshape(stack.n_sources, n_shards), axis=1
+            ).astype(np.int64)
             del votes
         else:
-            for shard_id, block in enumerate(
-                np.array_split(np.arange(stack.n_sources), n_shards)
-            ):
-                owner[block] = shard_id
+            owner = _split_labels(stack.n_sources, n_shards)
 
-        entry_owner = owner[stack.entry_rows].astype(np.int32)
+        entry_owner = owner[entry_rows].astype(np.int32)
         shards = tuple(
             ShardSpec(
                 shard_id=shard_id,
@@ -289,20 +298,22 @@ def plan_shards(
             )
             for shard_id in range(n_shards)
         )
-
-        # Boundary rows: rows writing into target columns that also
-        # receive entries from rows of other shards.  A column is shared
-        # exactly when the min and max owner over its entries differ.
-        col_lo = np.full(stack.n_targets, n_shards, dtype=np.int32)
-        col_hi = np.full(stack.n_targets, -1, dtype=np.int32)
-        np.minimum.at(col_lo, stack.entry_cols, entry_owner)
-        np.maximum.at(col_hi, stack.entry_cols, entry_owner)
         del entry_owner
-        shared_cols = col_lo < col_hi
-        del col_lo, col_hi
-        boundary_rows = np.unique(
-            stack.entry_rows[shared_cols[stack.entry_cols]]
-        ).astype(np.int64)
+
+        # Boundary rows: rows writing into target columns that entries
+        # of more than one shard write to.  One boolean scratch marks
+        # each shard's columns in turn; entry_rows is sorted, so the
+        # selected rows dedupe by adjacent difference.
+        shard_count = np.zeros(stack.n_targets, dtype=np.int32)
+        seen = np.zeros(stack.n_targets, dtype=bool)
+        for spec in shards:
+            cols = entry_cols[spec.entries]
+            seen[cols] = True
+            shard_count += seen
+            seen[cols] = False
+        shared_rows = entry_rows[(shard_count > 1)[entry_cols]]
+        del shard_count, seen
+        boundary_rows = shared_rows[np.diff(shared_rows, prepend=-1) != 0]
         if span is not None:
             span.attrs["boundary_rows"] = int(len(boundary_rows))
         return ShardPlan(
@@ -317,34 +328,30 @@ def plan_shards(
 
 
 # ---------------------------------------------------------------------------
-# map-phase workers (module level: picklable into a process pool; pure:
+# the map-phase worker (module level: picklable into a process pool; pure:
 # results travel back as return values, never through shared state;
-# instrumented: each records its spans/events/counters into a
+# instrumented: it records its spans/events/counters into a
 # :class:`~repro.obs.telemetry.SpanCapture` that rides back with the
 # partial and is stitched into the driver's trace)
 # ---------------------------------------------------------------------------
 
-#: (shard_id, design rows, rhs columns, capture telemetry?) ->
-#: (shard_id, Gram, A^T b, b^T b, span capture)
-_FitPayload = tuple[int, FloatArray, FloatArray, bool]
-_FitPartial = tuple[int, FloatArray, FloatArray, FloatArray, SpanCapture]
-
-#: (shard_id, blend weights, entry-value slice, local entry rows,
+#: (shard_id, blend weights, entry-value slice, entries per owned row,
 #:  entry cols, objectives slice, source-vector slice or None,
-#:  denominator, n_rows, capture telemetry?).  The entry values travel
-#: as an :class:`~repro.core.sparse_stack.EntrySlice` -- CSR triplets
-#: for sparse-mode stacks -- so worker transfer volume scales with the
-#: shard's *stored* entries, not ``k * n_entries``.
+#:  denominator, capture telemetry?).  The entry values travel as an
+#: :class:`~repro.core.sparse_stack.EntrySlice` -- CSR triplets for
+#: sparse-mode stacks -- so worker transfer volume scales with the
+#: shard's *stored* entries, not ``k * n_entries``; the entries' local
+#: rows travel as one count per owned row, since a shard's entries are
+#: in CSR order.
 _DisaggregatePayload = tuple[
     int,
     FloatArray,
     EntrySlice,
     IntArray,
-    IntArray,
+    NDArray[Any],
     FloatArray,
     "FloatArray | None",
     str,
-    int,
     bool,
 ]
 #: (shard_id, covered rows, touched cols, partial sums, span capture).
@@ -358,24 +365,26 @@ _DisaggregatePartial = tuple[
 ]
 
 
-def _fit_shard_worker(payload: _FitPayload) -> _FitPartial:
-    """Normal-equation partials over one shard's owned rows.
+def _column_map(values: NDArray[Any]) -> tuple[IntArray, IntArray]:
+    """Sorted distinct ``values`` and each value's index among them.
 
-    ``design_rows`` is the globally-normalised design sliced to the
-    shard, ``rhs_rows`` the globally-normalised objectives sliced the
-    same way, so summing partials over shards reproduces the monolithic
-    ``A^T A`` / ``A^T b`` / ``b^T b`` up to addition order.
+    ``np.unique(values, return_inverse=True)`` as int64, without a sort
+    or a hash: a presence mask over the ``[min, max]`` span marks the
+    distinct values and a running count over it numbers them.  Linear
+    in ``len(values)`` plus the span, which for a shard's target
+    columns is a narrow band of the universe.
     """
-    shard_id, design_rows, rhs_rows, capture_on = payload
-    with worker_capture(
-        "shard.worker", enabled=capture_on, shard=shard_id, phase="fit"
-    ) as capture:
-        _raise_injected_fault("fit", shard_id)
-        with _span("shard.partials", rows=int(design_rows.shape[0])):
-            gram = design_rows.T @ design_rows
-            atb = design_rows.T @ rhs_rows.T
-            btb: FloatArray = np.einsum("ij,ij->i", rhs_rows, rhs_rows)
-    return shard_id, gram, atb, btb, capture
+    if values.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    low = int(values.min())
+    offsets = values - low
+    present = np.zeros(int(offsets.max()) + 1, dtype=bool)
+    present[offsets] = True
+    rank = np.cumsum(present, dtype=np.int64)
+    rank -= 1
+    distinct: IntArray = np.flatnonzero(present).astype(np.int64)
+    distinct += low
+    return distinct, rank[offsets]
 
 
 def _disaggregate_shard_worker(
@@ -393,72 +402,43 @@ def _disaggregate_shard_worker(
         shard_id,
         blend_weights,
         values,
-        entry_local_rows,
+        row_counts,
         entry_cols,
         objectives,
         source_vectors,
         denominator,
-        n_rows,
         capture_on,
     ) = payload
     with worker_capture(
-        "shard.worker",
-        enabled=capture_on,
-        shard=shard_id,
-        phase="disaggregate",
+        "shard.worker", enabled=capture_on, shard=shard_id, phase=_PHASE
     ) as capture:
-        partial_result = _disaggregate_shard_body(
-            shard_id,
-            blend_weights,
-            values,
-            entry_local_rows,
-            entry_cols,
-            objectives,
-            source_vectors,
-            denominator,
-            n_rows,
-        )
-    return partial_result + (capture,)
-
-
-def _disaggregate_shard_body(
-    shard_id: int,
-    blend_weights: FloatArray,
-    values: EntrySlice,
-    entry_local_rows: IntArray,
-    entry_cols: IntArray,
-    objectives: FloatArray,
-    source_vectors: "FloatArray | None",
-    denominator: str,
-    n_rows: int,
-) -> tuple[int, BoolArray, IntArray, FloatArray]:
-    """The blend / rescale / partial-sum arithmetic of one shard."""
-    _raise_injected_fault("disaggregate", shard_id)
-    blended = values.blend(blend_weights)
-    if denominator == "source-vectors":
-        assert source_vectors is not None
-        denominators = blend_weights @ source_vectors
-    else:
-        denominators = np.vstack(
+        _raise_injected_fault(_PHASE, shard_id)
+        n_rows = len(row_counts)
+        entry_local_rows = np.repeat(np.arange(n_rows), row_counts)
+        blended = values.blend(blend_weights)
+        if denominator == "source-vectors":
+            assert source_vectors is not None
+            denominators = blend_weights @ source_vectors
+        else:
+            denominators = np.vstack(
+                [
+                    np.bincount(
+                        entry_local_rows, weights=row, minlength=n_rows
+                    )
+                    for row in blended
+                ]
+            )
+        factors = _rescale_factors(objectives, denominators)
+        scaled = blended * factors[:, entry_local_rows]
+        touched, local_cols = _column_map(entry_cols)
+        partial = np.vstack(
             [
-                np.bincount(
-                    entry_local_rows, weights=row, minlength=n_rows
-                )
-                for row in blended
+                np.bincount(local_cols, weights=row, minlength=len(touched))
+                for row in scaled
             ]
         )
-    factors = _rescale_factors(objectives, denominators)
-    scaled = blended * factors[:, entry_local_rows]
-    touched = np.unique(entry_cols).astype(np.int64)
-    local_cols = np.searchsorted(touched, entry_cols)
-    partial = np.vstack(
-        [
-            np.bincount(local_cols, weights=row, minlength=len(touched))
-            for row in scaled
-        ]
-    )
-    covered: BoolArray = denominators > 0.0
-    return shard_id, covered, touched, partial
+        covered: BoolArray = denominators > 0.0
+    return shard_id, covered, touched, partial, capture
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +450,10 @@ class ShardedAligner(BatchAligner):
     """Map-reduce :class:`~repro.core.batch.BatchAligner` over shards.
 
     Same interface and fitted attributes as the monolithic engine — a
-    drop-in — plus the plan and the merge residual.  Matches the
-    monolithic batch engine to 1e-9 on the golden suite at every shard
-    count (the equivalence harness pins this for {1, 2, 4, 7}).
+    drop-in — plus the plan and the merge residual.  Its weights are the
+    monolithic engine's bit for bit, and its predictions match to
+    reassociation noise at every shard count (the equivalence harness
+    pins both for {1, 2, 4, 7}).
 
     Parameters
     ----------
@@ -481,8 +462,8 @@ class ShardedAligner(BatchAligner):
     strategy:
         ``"tile"`` or ``"block"`` (see :func:`plan_shards`).
     max_workers:
-        Process-pool width for the map phases.  1 (default) runs the
-        identical shard code inline on the calling process —
+        Process-pool width for the disaggregation map.  1 (default)
+        runs the identical shard code inline on the calling process —
         deterministic and overhead-free for small universes.
     solver_method, normalize, denominator, cache, n_jobs:
         As in :class:`~repro.core.batch.BatchAligner` (``n_jobs`` only
@@ -494,8 +475,9 @@ class ShardedAligner(BatchAligner):
         The :class:`ShardPlan` used by the last fit.
     merge_residual_:
         Post-merge re-aggregation residual: merged partial column sums
-        vs a monolithic Eq. 17 pass over the assembled entries, relative
-        to the largest target aggregate.  Also emitted as the
+        vs a monolithic Eq. 17 pass over the assembled entries, each
+        attribute relative to its own largest target aggregate, worst
+        attribute reported.  Also emitted as the
         ``health.shard_merge_residual_max`` gauge.
     """
 
@@ -534,16 +516,18 @@ class ShardedAligner(BatchAligner):
         self.merge_residual_: float | None = None
 
     # ------------------------------------------------------------------
-    def _run_shard_phase(
-        self,
-        phase: str,
-        worker: Callable[[Any], tuple[Any, ...]],
-        payloads: Sequence[tuple[Any, ...]],
-    ) -> list[tuple[Any, ...]]:
-        """Run one map phase; results come back sorted by shard id.
+    def _map_shards(
+        self, payloads: Iterable[_DisaggregatePayload]
+    ) -> Iterator[tuple[Any, ...]]:
+        """Run the disaggregate map; partials arrive in shard-id order.
 
-        The sort makes the reduce deterministic: with a process pool,
-        completion order varies run to run, and float accumulation is
+        With ``max_workers == 1`` this is the memory-bounded path: each
+        payload is *built, mapped and consumed* before the next one is
+        materialised, so at no point do all shards' payloads or partials
+        coexist -- the reducer folds results as they stream past.  With
+        a process pool the payloads must be materialised for pickling
+        anyway; results are collected and sorted by shard id, because
+        completion order varies run to run and float accumulation is
         order-sensitive.  Any worker exception is re-raised as a
         :class:`ShardError` naming the shard and phase, after cancelling
         queued work and draining the pool (no orphaned children, no
@@ -559,113 +543,69 @@ class ShardedAligner(BatchAligner):
         tree is the same either way (a worker crash loses its capture;
         the ``telemetry.spans_dropped`` counter records that).
         """
-        results: list[tuple[Any, ...]] = []
-        with _span(
-            "shard.map",
-            phase=phase,
-            n_shards=len(payloads),
-            max_workers=self.max_workers,
-        ):
-            if self.max_workers > 1 and len(payloads) > 1:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.max_workers, len(payloads))
-                ) as pool:
-                    futures = {
-                        pool.submit(worker, payload): (
-                            int(payload[0]),
-                            time.perf_counter(),
-                        )
-                        for payload in payloads
-                    }
-                    done, _pending = wait(
-                        futures, return_when=FIRST_EXCEPTION
-                    )
-                    failed = next(
-                        (f for f in done if f.exception() is not None),
-                        None,
-                    )
-                    if failed is not None:
-                        shard_id, _anchor = futures[failed]
-                        # Drain before raising: queued shards are
-                        # cancelled, running ones finish, children exit.
-                        pool.shutdown(wait=True, cancel_futures=True)
-                        exc = failed.exception()
-                        _incr(SPANS_DROPPED, 1.0)
-                        raise ShardError(
-                            f"shard {shard_id} failed during the "
-                            f"{phase!r} map phase: {exc}",
-                            shard_id=shard_id,
-                            phase=phase,
-                        ) from exc
-                    for future, (shard_id, anchor) in futures.items():
-                        *partial, capture = future.result()
-                        stitch_capture(capture, anchor=anchor)
-                        results.append(tuple(partial))
-                        _obs_event(
-                            "shard.collect", shard=shard_id, phase=phase
-                        )
-            else:
-                for payload in payloads:
-                    shard_id = int(payload[0])
-                    try:
-                        *partial, capture = worker(payload)
-                    except Exception as exc:
-                        _incr(SPANS_DROPPED, 1.0)
-                        raise ShardError(
-                            f"shard {shard_id} failed during the "
-                            f"{phase!r} map phase: {exc}",
-                            shard_id=shard_id,
-                            phase=phase,
-                        ) from exc
-                    stitch_capture(capture)
-                    results.append(tuple(partial))
-        results.sort(key=lambda partial: int(partial[0]))
-        return results
-
-    def _iter_shard_phase(
-        self,
-        phase: str,
-        worker: Callable[[Any], tuple[Any, ...]],
-        payloads: "Iterable[tuple[Any, ...]]",
-    ) -> "Iterable[tuple[Any, ...]]":
-        """Streaming variant of :meth:`_run_shard_phase`.
-
-        With ``max_workers == 1`` this is the memory-bounded path: each
-        payload is *built, mapped and consumed* before the next one is
-        materialised, so at no point do all shards' payloads or partials
-        coexist -- the reducer folds results as they stream past.  With
-        a process pool the payloads must be materialised for pickling
-        anyway, so this delegates to :meth:`_run_shard_phase` (collect,
-        sort) and yields from its result.  Either way results arrive in
-        shard-id order, keeping the fold deterministic.
-        """
-        if self.max_workers > 1:
-            yield from self._run_shard_phase(phase, worker, list(payloads))
-            return
         count = 0
         with _span(
-            "shard.map",
-            phase=phase,
-            max_workers=1,
-            streaming=True,
+            "shard.map", phase=_PHASE, max_workers=self.max_workers
         ) as map_span:
-            for payload in payloads:
-                shard_id = int(payload[0])
+            partials: Iterable[tuple[Any, ...]]
+            if self.max_workers == 1:
+                partials = map(self._inline, payloads)
+            else:
+                batch = list(payloads)
+                if len(batch) > 1:
+                    partials = self._pooled(batch)
+                else:
+                    partials = map(self._inline, batch)
+            for partial in partials:
                 count += 1
-                try:
-                    *partial, capture = worker(payload)
-                except Exception as exc:
-                    _incr(SPANS_DROPPED, 1.0)
-                    raise ShardError(
-                        f"shard {shard_id} failed during the "
-                        f"{phase!r} map phase: {exc}",
-                        shard_id=shard_id,
-                        phase=phase,
-                    ) from exc
-                stitch_capture(capture)
-                yield tuple(partial)
+                yield partial
             if map_span is not None:
                 map_span.attrs["n_shards"] = count
+
+    @staticmethod
+    def _inline(payload: _DisaggregatePayload) -> tuple[Any, ...]:
+        shard_id = int(payload[0])
+        try:
+            *partial, capture = _disaggregate_shard_worker(payload)
+        except Exception as exc:
+            _incr(SPANS_DROPPED, 1.0)
+            raise _shard_error(shard_id, exc) from exc
+        stitch_capture(capture)
+        return tuple(partial)
+
+    def _pooled(
+        self, payloads: Sequence[_DisaggregatePayload]
+    ) -> list[tuple[Any, ...]]:
+        results: list[tuple[Any, ...]] = []
+        with ProcessPoolExecutor(
+            max_workers=min(self.max_workers, len(payloads))
+        ) as pool:
+            futures = {
+                pool.submit(_disaggregate_shard_worker, payload): (
+                    int(payload[0]),
+                    time.perf_counter(),
+                )
+                for payload in payloads
+            }
+            done, _pending = wait(futures, return_when=FIRST_EXCEPTION)
+            failed = next(
+                (f for f in done if f.exception() is not None), None
+            )
+            if failed is not None:
+                shard_id, _anchor = futures[failed]
+                # Drain before raising: queued shards are cancelled,
+                # running ones finish, children exit.
+                pool.shutdown(wait=True, cancel_futures=True)
+                exc = failed.exception()
+                _incr(SPANS_DROPPED, 1.0)
+                raise _shard_error(shard_id, exc) from exc
+            for future, (shard_id, anchor) in futures.items():
+                *partial, capture = future.result()
+                stitch_capture(capture, anchor=anchor)
+                results.append(tuple(partial))
+                _obs_event("shard.collect", shard=shard_id, phase=_PHASE)
+        results.sort(key=lambda partial: int(partial[0]))
+        return results
 
     # ------------------------------------------------------------------
     def fit(
@@ -675,13 +615,12 @@ class ShardedAligner(BatchAligner):
         attribute_names: Sequence[str] | None = None,
         masks: ArrayLike | None = None,
     ) -> "ShardedAligner":
-        """Map per-shard normal-equation partials, reduce, solve globally.
+        """Plan the shards, then solve Eq. 15 as the monolithic engine does.
 
         Accepts exactly the inputs of
-        :meth:`~repro.core.batch.BatchAligner.fit`; the global
-        normalisation (reference scales, per-attribute objective maxima)
-        is computed in the driver *before* sharding, which is what makes
-        the summed partials reproduce the monolithic solve.
+        :meth:`~repro.core.batch.BatchAligner.fit`.  The weights come
+        from the same solve on the stack's own Gram matrix, so they do
+        not depend on the plan; only :meth:`predict` is mapped.
         """
         self.timer_.reset()
         with _span(
@@ -695,7 +634,6 @@ class ShardedAligner(BatchAligner):
                     references, objectives, attribute_names, masks
                 )
             )
-            n_attrs = objective_matrix.shape[0]
             with self.timer_.stage("plan"):
                 plan = plan_shards(stack, self.n_shards, self.strategy)
             _set_gauge("shard.count", float(plan.n_shards))
@@ -703,46 +641,15 @@ class ShardedAligner(BatchAligner):
                 "shard.boundary_rows", float(plan.n_boundary_rows)
             )
             if fit_span is not None:
-                fit_span.attrs["n_attrs"] = n_attrs
+                fit_span.attrs["n_attrs"] = objective_matrix.shape[0]
                 fit_span.attrs["n_references"] = stack.n_references
                 fit_span.attrs["boundary_rows"] = plan.n_boundary_rows
-
             with self.timer_.stage("weights"):
-                rhs = _normalized_rhs(objective_matrix, self.normalize)
-                payloads: list[_FitPayload] = [
-                    (
-                        spec.shard_id,
-                        stack.design[spec.rows],
-                        rhs[:, spec.rows],
-                        _tracing_active(),
-                    )
-                    for spec in plan.shards
-                    if spec.n_rows
-                ]
-                k = stack.n_references
-                gram = np.zeros((k, k))
-                atb_all = np.zeros((k, n_attrs))
-                btb_all = np.zeros(n_attrs)
-                for _sid, gram_s, atb_s, btb_s in self._run_shard_phase(
-                    "fit", _fit_shard_worker, payloads
-                ):
-                    gram += gram_s
-                    atb_all += atb_s
-                    btb_all += btb_s
-                weights, results = _solve_masked_weights(
-                    gram, atb_all, btb_all, mask_matrix, self.solver_method
+                weights = self._solve_weights(
+                    stack, objective_matrix, mask_matrix, names
                 )
-            _emit_weight_health_gauges(weights, gram)
-        self.stack_ = stack
-        self.weights_ = weights
-        self.masks_ = mask_matrix
-        self.attribute_names_ = names
-        self.objectives_ = objective_matrix
-        self.solver_results_ = results
+            _emit_weight_health_gauges(weights, stack.gram)
         self.plan_ = plan
-        self.blend_weights_ = None
-        self._scaled_values = None
-        self._predictions = None
         self.merge_residual_ = None
         return self
 
@@ -771,23 +678,21 @@ class ShardedAligner(BatchAligner):
         plan = self.plan_
         assert plan is not None
         n_attrs = objectives.shape[0]
+        dm_stack = stack.dm_stack
+        row_counts = np.diff(dm_stack.indptr)
 
         def payload_for(spec: ShardSpec) -> _DisaggregatePayload:
-            entry_rows = stack.entry_rows[spec.entries]
             return (
                 spec.shard_id,
                 blend_weights,
-                stack.dm_stack.entry_slice(spec.entries),
-                np.searchsorted(spec.rows, entry_rows).astype(
-                    np.int64
-                ),
-                stack.entry_cols[spec.entries],
+                dm_stack.entry_slice(spec.entries),
+                row_counts[spec.rows],
+                dm_stack.entry_cols[spec.entries],
                 objectives[:, spec.rows],
                 stack.source_vectors[:, spec.rows]
                 if self.denominator == "source-vectors"
                 else None,
                 self.denominator,
-                spec.n_rows,
                 _tracing_active(),
             )
 
@@ -805,14 +710,8 @@ class ShardedAligner(BatchAligner):
                 # the merged output plus one shard's transient state --
                 # never all shards, and never an assembled entry-value
                 # matrix.
-                partials = self._iter_shard_phase(
-                    "disaggregate",
-                    _disaggregate_shard_worker,
-                    (
-                        payload_for(spec)
-                        for spec in plan.shards
-                        if spec.n_rows
-                    ),
+                partials = self._map_shards(
+                    payload_for(spec) for spec in plan.shards if spec.n_rows
                 )
                 for sid, covered_s, touched, partial in partials:
                     spec = plan.shards[int(sid)]
@@ -842,9 +741,12 @@ class ShardedAligner(BatchAligner):
         the partial-sum reduce, so a dropped or double-counted boundary
         column surfaces here no matter which side lost it -- while peak
         memory carries a single ``(1, nnz)`` value row instead of the
-        full ``(n_attrs, nnz)`` matrix.  Also emits the merged-volume
-        Eq. 16 gauges (computed over the merged result, never per
-        shard) when tracing is active.
+        full ``(n_attrs, nnz)`` matrix.  Each attribute's error is
+        relative to its own largest re-aggregated column (absolute for
+        an attribute with no mass), so a small-valued attribute is not
+        drowned out by a large one; the worst attribute is returned.
+        Also emits the merged-volume Eq. 16 gauges (computed over the
+        merged result, never per shard) when tracing is active.
 
         ``_scaled_values`` is deliberately *not* populated here;
         :meth:`predict_dms` and serving inherit the monolithic
@@ -852,7 +754,6 @@ class ShardedAligner(BatchAligner):
         """
         stack, _, objectives = self._require_fitted()
         n_attrs = objectives.shape[0]
-        scale = float(np.abs(merged).max())
         residual = 0.0
         achieved = (
             np.zeros_like(objectives) if _tracing_active() else None
@@ -883,12 +784,13 @@ class ShardedAligner(BatchAligner):
             # scale, so the comparison must not stack fresh
             # column-length temporaries on top of the merged output.
             del blended_j, scaled_j
+            scale = max(
+                float(reaggregated_j.max()), -float(reaggregated_j.min())
+            )
             np.subtract(reaggregated_j, merged[j], out=reaggregated_j)
             np.abs(reaggregated_j, out=reaggregated_j)
-            if scale > 0.0:
-                residual = max(
-                    residual, float(reaggregated_j.max()) / scale
-                )
+            error = float(reaggregated_j.max())
+            residual = max(residual, error / scale if scale > 0.0 else error)
             del reaggregated_j
         if achieved is not None:
             _emit_volume_health_gauges(objectives, covered, achieved)

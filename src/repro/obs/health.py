@@ -374,7 +374,10 @@ register_check(
             "reassociation noise means a shard boundary dropped or "
             "double-counted a column"
         ),
-        formula="max |merged - reaggregated| / max |reaggregated|",
+        formula=(
+            "max over attributes of "
+            "max |merged - reaggregated| / max |reaggregated|"
+        ),
         direction="high",
         warn=1e-9,
         fail=1e-6,

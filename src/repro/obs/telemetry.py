@@ -164,7 +164,10 @@ def worker_capture(
         def _worker(payload):
             ..., capture_on = payload
             with worker_capture(
-                "shard.worker", enabled=capture_on, shard=3, phase="fit"
+                "shard.worker",
+                enabled=capture_on,
+                shard=3,
+                phase="disaggregate",
             ) as capture:
                 ...  # instrumented work
             return ..., capture

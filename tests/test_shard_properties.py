@@ -4,7 +4,8 @@ Three global properties on randomly generated universes with rows that
 straddle tile boundaries:
 
 * **Ownership is a partition** -- every source row and union entry is
-  owned by exactly one shard, for both strategies and any shard count.
+  owned by exactly one shard, for both strategies and any shard count;
+  a tile owner is the tile holding the row's mass majority.
 * **Global volume preservation (Eq. 16)** -- covered attribute mass is
   conserved by the *merged* sharded disaggregation, exactly as the
   monolithic engine guarantees it.
@@ -78,6 +79,28 @@ class TestOwnershipPartition:
             assert np.all(plan.owner[spec.rows] == spec.shard_id)
         assert np.all(row_owned == 1)
         assert np.all(entry_owned == 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(universes(), st.integers(1, 9))
+    def test_tile_owner_is_the_mass_majority_tile(self, universe, n_shards):
+        """Each row goes to the tile holding most of its reference mass,
+        votes summed entry by entry in CSR order (ties to the lowest
+        tile, entry-less rows to shard 0)."""
+        references, _ = universe
+        stack = ReferenceStack.build(references)
+        plan = plan_shards(stack, n_shards, strategy="tile")
+        tile_of_col = np.zeros(stack.n_targets, dtype=np.int64)
+        for tile, cols in enumerate(
+            np.array_split(np.arange(stack.n_targets), n_shards)
+        ):
+            tile_of_col[cols] = tile
+        votes = np.zeros((stack.n_sources, n_shards))
+        np.add.at(
+            votes,
+            (stack.entry_rows, tile_of_col[stack.entry_cols]),
+            stack.dm_stack.entry_mass(),
+        )
+        np.testing.assert_array_equal(plan.owner, np.argmax(votes, axis=1))
 
     @settings(max_examples=40, deadline=None)
     @given(universes(), shard_layouts())
