@@ -50,8 +50,8 @@ def _time_loop(references, objectives):
     return np.vstack(estimates), time.perf_counter() - start
 
 
-def _time_batch(references, objectives, n_jobs=1, cache=None):
-    aligner = BatchAligner(n_jobs=n_jobs, cache=cache)
+def _time_batch(references, objectives, cache=None):
+    aligner = BatchAligner(cache=cache)
     start = time.perf_counter()
     estimates = aligner.fit_predict(references, objectives)
     return aligner, estimates, time.perf_counter() - start
@@ -119,14 +119,6 @@ def test_batch_vs_loop_speedup(benchmark, ny_world, bench_scale, report):
     benchmark(
         lambda: BatchAligner().fit_predict(references, objectives)
     )
-
-
-def test_batch_thread_fanout_consistency(ny_world):
-    """n_jobs > 1 is bit-identical to the serial batch path."""
-    references, objectives = _workload(ny_world, n_attributes=8)
-    serial = BatchAligner(n_jobs=1).fit_predict(references, objectives)
-    threaded = BatchAligner(n_jobs=4).fit_predict(references, objectives)
-    assert np.array_equal(serial, threaded)
 
 
 def test_stack_cache_reuse(benchmark, ny_world, report):

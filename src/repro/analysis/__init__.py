@@ -1,50 +1,26 @@
 """``repro-lint``: the project's numerical-correctness static analysis.
 
-An AST-based linter with project-specific rules that guard the
-invariants the paper relies on -- deterministic seeding, tolerance-based
-float comparison (Eq. 16 volume preservation is a numerical check),
-error-type discipline in :mod:`repro.core`, and report/timing hygiene.
-
-Two passes are available:
-
-* the classic per-file pass (:func:`lint_paths`), cheap enough for
-  editor hooks, and
-* the whole-program ``--deep`` pass (:func:`deep_lint_paths`), which
-  builds a project symbol table, call graph and dataflow facts to run
-  the cross-module rule families (concurrency safety, alias mutation,
-  instrumentation coverage, cross-call float comparison) plus
-  stale-suppression detection.
+An AST-based, per-file linter with project-specific rules that guard
+the invariants the paper relies on -- deterministic seeding,
+tolerance-based float comparison (Eq. 16 volume preservation is a
+numerical check), error-type discipline in :mod:`repro.core`, and
+report/timing hygiene.
 
 Use from Python::
 
-    from repro.analysis import lint_paths, deep_lint_paths
+    from repro.analysis import lint_paths
     violations = lint_paths(["src/repro"])
-    report = deep_lint_paths(["src/repro"])    # .violations, .stats
 
 or from the shell::
 
     geoalign-repro lint src
-    geoalign-repro lint --deep --format sarif src
 
-See ``docs/static-analysis.md`` for the rule catalogue, suppression
-syntax (``# repro-lint: allow[rule-id] <justification>``) and the
-baseline-ratchet workflow.
+See ``docs/static-analysis.md`` for the rule catalogue and the
+suppression syntax (``# repro-lint: allow[rule-id] <justification>``).
 """
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    GateResult,
-    compare_to_baseline,
-    count_violations,
-    format_gate_report,
-    load_baseline,
-    save_baseline,
-)
 from repro.analysis.engine import (
-    STALE_SUPPRESSION_RULE,
     SYNTAX_ERROR_RULE,
-    DeepReport,
-    deep_lint_paths,
     iter_python_files,
     lint_file,
     lint_paths,
@@ -53,56 +29,31 @@ from repro.analysis.engine import (
 )
 from repro.analysis.registry import (
     FileContext,
-    ProjectRule,
     Rule,
-    all_project_rules,
     all_rules,
-    register_project_rule,
     register_rule,
-    resolve_project_rules,
     resolve_rules,
 )
-from repro.analysis.reporters import (
-    render,
-    render_json,
-    render_sarif,
-    render_text,
-)
+from repro.analysis.reporters import render, render_json, render_text
 from repro.analysis.suppressions import Suppressions, collect_suppressions
-from repro.analysis.violations import SEVERITIES, Violation
+from repro.analysis.violations import Violation
 
 __all__ = [
-    "DEFAULT_BASELINE_PATH",
-    "DeepReport",
     "FileContext",
-    "GateResult",
-    "ProjectRule",
     "Rule",
-    "SEVERITIES",
-    "STALE_SUPPRESSION_RULE",
     "SYNTAX_ERROR_RULE",
     "Suppressions",
     "Violation",
-    "all_project_rules",
     "all_rules",
     "collect_suppressions",
-    "compare_to_baseline",
-    "count_violations",
-    "deep_lint_paths",
-    "format_gate_report",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "module_name_for_path",
-    "register_project_rule",
     "register_rule",
     "render",
     "render_json",
-    "render_sarif",
     "render_text",
-    "resolve_project_rules",
     "resolve_rules",
-    "save_baseline",
 ]

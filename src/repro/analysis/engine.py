@@ -17,25 +17,14 @@ from __future__ import annotations
 import ast
 import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
 from repro.errors import ValidationError
-from repro.analysis.registry import (
-    FileContext,
-    Rule,
-    resolve_project_rules,
-    resolve_rules,
-)
-from repro.analysis.suppressions import Suppressions, collect_suppressions
+from repro.analysis.registry import FileContext, Rule, resolve_rules
+from repro.analysis.suppressions import collect_suppressions
 from repro.analysis.violations import Violation
 
 #: Rule id used for files that fail to parse.
 SYNTAX_ERROR_RULE = "syntax-error"
-
-#: Rule id for suppression comments that no longer match any violation
-#: (reported by the deep pass only, which is the only pass that sees
-#: every rule's raw findings at once).
-STALE_SUPPRESSION_RULE = "stale-suppression"
 
 
 def module_name_for_path(path: str) -> str:
@@ -161,146 +150,3 @@ def lint_paths(
     for path in iter_python_files(paths):
         violations.extend(lint_file(path, rules=rules))
     return sorted(violations)
-
-
-# ----------------------------------------------------------------------
-# Deep (whole-program) pass
-# ----------------------------------------------------------------------
-@dataclass
-class DeepReport:
-    """Result of one ``--deep`` run: violations plus run-level stats.
-
-    ``stats`` carries the numbers the reporters surface next to the
-    violation list -- file/function/fan-out counts and the
-    instrumentation-coverage summary published by the
-    ``missing-instrumentation`` rule.
-    """
-
-    violations: list[Violation] = field(default_factory=list)
-    stats: dict[str, object] = field(default_factory=dict)
-
-
-def deep_lint_paths(
-    paths: Sequence[str],
-    *,
-    select: Sequence[str] | None = None,
-) -> DeepReport:
-    """Run the per-file rules *and* the whole-program rules over ``paths``.
-
-    The deep pass parses every file once, runs the classic per-file
-    rules, builds the project model
-    (:class:`~repro.analysis.project.ProjectContext`) over all parsed
-    modules, runs the registered
-    :class:`~repro.analysis.registry.ProjectRule` subclasses, applies
-    per-line suppressions to everything, and finally reports
-    ``stale-suppression`` for allow-comments that matched nothing --
-    the deep pass is the only one that sees every rule's raw findings,
-    so only it can prove a suppression dead.
-    """
-    # Imported here, not at module top: the project model is only needed
-    # for --deep, and keeping the fast path import-light keeps plain
-    # lint startup unchanged.
-    from repro.analysis.project import ProjectContext
-
-    file_rules = resolve_rules(select)
-    project_rules = resolve_project_rules(select)
-    active_ids = {rule.id for rule in file_rules} | {
-        rule.id for rule in project_rules
-    }
-
-    report = DeepReport()
-    raw: list[Violation] = []
-    parsed: list[tuple[str, str, ast.Module, str]] = []
-    suppression_map: dict[str, Suppressions] = {}
-    skipped_files = 0
-    for path in iter_python_files(paths):
-        with open(path, encoding="utf-8") as handle:
-            source = handle.read()
-        module = module_name_for_path(path)
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            report.violations.append(
-                Violation(
-                    path=path,
-                    line=int(exc.lineno or 1),
-                    col=int(exc.offset or 0),
-                    rule_id=SYNTAX_ERROR_RULE,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
-            continue
-        suppressions = collect_suppressions(source)
-        if suppressions.skip_file:
-            skipped_files += 1
-            continue
-        suppression_map[path] = suppressions
-        parsed.append((path, module, tree, source))
-        ctx = FileContext(path=path, module=module, tree=tree, source=source)
-        for rule in file_rules:
-            if rule.applies_to(module):
-                raw.extend(rule.check(ctx))
-
-    project = ProjectContext.build(parsed)
-    for project_rule in project_rules:
-        raw.extend(project_rule.check_project(project))
-
-    matched: set[tuple[str, int, str]] = set()
-    for violation in raw:
-        matched.add((violation.path, violation.line, violation.rule_id))
-        suppressions = suppression_map.get(violation.path)
-        if suppressions is not None and suppressions.is_suppressed(
-            violation.line, violation.rule_id
-        ):
-            continue
-        report.violations.append(violation)
-
-    # Stale suppressions: an allow-comment for an active rule on a line
-    # where that rule (no longer) fires is dead weight -- and dead
-    # suppressions are how real regressions sneak back in silently.
-    for path, suppressions in suppression_map.items():
-        for line, rule_ids in suppressions.by_line.items():
-            for rule_id in sorted(rule_ids & active_ids):
-                if (path, line, rule_id) not in matched:
-                    report.violations.append(
-                        Violation(
-                            path=path,
-                            line=line,
-                            col=0,
-                            rule_id=STALE_SUPPRESSION_RULE,
-                            message=(
-                                f"suppression allow[{rule_id}] matches no "
-                                "violation on this line; remove the stale "
-                                "comment"
-                            ),
-                        )
-                    )
-
-    report.violations.sort()
-    stats = {
-        key: value
-        for key, value in project.stats.items()
-        if not key.startswith("_")
-    }
-    graph_state = project.stats.get("_analysis_state")
-    fanouts = graph_state[0].fanouts if graph_state else []
-    # Count *sites*, not fan-out entries: a parameter-valued site can
-    # resolve to several workers, one entry each, all sharing its
-    # caller/line/col.
-    thread_sites = len(
-        {(f.caller, f.line, f.col) for f in fanouts if f.kind == "thread"}
-    )
-    process_sites = len(
-        {(f.caller, f.line, f.col) for f in fanouts if f.kind == "process"}
-    )
-    report.stats = {
-        "files": len(parsed),
-        "skipped_files": skipped_files,
-        "modules": len(project.modules),
-        "functions": len(project.functions),
-        "classes": len(project.classes),
-        "thread_fanout_sites": thread_sites,
-        "process_fanout_sites": process_sites,
-        **stats,
-    }
-    return report

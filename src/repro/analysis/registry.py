@@ -53,8 +53,6 @@ class Rule:
     id: str = ""
     summary: str = ""
     rationale: str = ""
-    #: Severity attached to every violation: "error", "warning" or "note".
-    severity: str = "error"
     #: Dotted-module prefixes the rule is limited to (None = everywhere).
     scope_prefixes: tuple[str, ...] | None = None
     #: Dotted modules exempt from the rule.
@@ -85,70 +83,29 @@ class Rule:
             col=int(getattr(node, "col_offset", 0)),
             rule_id=self.id,
             message=message,
-            severity=self.severity,
         )
-
-
-class ProjectRule:
-    """Base class for whole-program (``--deep``) rules.
-
-    Unlike :class:`Rule`, a project rule sees every parsed module at
-    once through a :class:`~repro.analysis.project.ProjectContext`
-    (symbol table, call graph, dataflow facts) and may relate code in
-    one module to code in another -- a thread fan-out in
-    ``repro.core.batch`` reaching a registry write in
-    ``repro.obs.trace``, say.  Violations are still anchored at one
-    file/line, so per-line suppressions work unchanged.
-    """
-
-    id: str = ""
-    summary: str = ""
-    rationale: str = ""
-    severity: str = "error"
-
-    def check_project(self, project: "object") -> Iterable[Violation]:
-        """Yield violations over the whole project; subclasses override.
-
-        ``project`` is a :class:`repro.analysis.project.ProjectContext`
-        (typed loosely here to keep the registry import-light).
-        """
-        raise NotImplementedError
 
 
 #: The global rule registry: rule id -> rule class.
 _REGISTRY: dict[str, type[Rule]] = {}
 
-#: The project-rule registry (``--deep`` only): rule id -> rule class.
-_PROJECT_REGISTRY: dict[str, type[ProjectRule]] = {}
-
 R = TypeVar("R", bound=type[Rule])
-P = TypeVar("P", bound=type[ProjectRule])
 
 
 def register_rule(cls: R) -> R:
     """Class decorator adding a rule to the registry (ids must be unique)."""
     if not cls.id:
         raise ValidationError(f"rule {cls.__name__} has no id")
-    if cls.id in _REGISTRY or cls.id in _PROJECT_REGISTRY:
+    if cls.id in _REGISTRY:
         raise ValidationError(f"duplicate rule id {cls.id!r}")
     _REGISTRY[cls.id] = cls
     return cls
 
 
-def register_project_rule(cls: P) -> P:
-    """Class decorator adding a project rule (ids shared with file rules)."""
-    if not cls.id:
-        raise ValidationError(f"rule {cls.__name__} has no id")
-    if cls.id in _REGISTRY or cls.id in _PROJECT_REGISTRY:
-        raise ValidationError(f"duplicate rule id {cls.id!r}")
-    _PROJECT_REGISTRY[cls.id] = cls
-    return cls
-
-
 def _load_rule_modules() -> None:
     # Importing checks here (not at module top) avoids a cycle:
-    # checks.py / deep_checks.py import register_* from this module.
-    from repro.analysis import checks, deep_checks  # noqa: F401
+    # checks.py imports register_rule from this module.
+    from repro.analysis import checks  # noqa: F401
 
 
 def all_rules() -> dict[str, type[Rule]]:
@@ -157,46 +114,17 @@ def all_rules() -> dict[str, type[Rule]]:
     return dict(_REGISTRY)
 
 
-def all_project_rules() -> dict[str, type[ProjectRule]]:
-    """Copy of the project-rule registry (id -> class), import-safe."""
-    _load_rule_modules()
-    return dict(_PROJECT_REGISTRY)
-
-
 def resolve_rules(select: Iterable[str] | None = None) -> list[Rule]:
     """Instantiate the selected per-file rules (all when ``select=None``)."""
     registry = all_rules()
     if select is None:
         ids = sorted(registry)
     else:
-        ids = [rule_id for rule_id in select if rule_id in registry]
-        unknown = [
-            rule_id
-            for rule_id in select
-            if rule_id not in registry
-            and rule_id not in all_project_rules()
-        ]
+        ids = list(select)
+        unknown = [rule_id for rule_id in ids if rule_id not in registry]
         if unknown:
-            known = ", ".join(
-                sorted({**registry, **all_project_rules()})
-            )
+            known = ", ".join(sorted(registry))
             raise ValidationError(
                 f"unknown rule id(s) {unknown}; known rules: {known}"
             )
-    return [registry[rule_id]() for rule_id in ids]
-
-
-def resolve_project_rules(
-    select: Iterable[str] | None = None,
-) -> list[ProjectRule]:
-    """Instantiate the selected project rules (all when ``select=None``).
-
-    Unknown ids are validated by :func:`resolve_rules` (the engine calls
-    both with the same selection), so this resolver just filters.
-    """
-    registry = all_project_rules()
-    if select is None:
-        ids = sorted(registry)
-    else:
-        ids = [rule_id for rule_id in select if rule_id in registry]
     return [registry[rule_id]() for rule_id in ids]

@@ -1,33 +1,18 @@
-"""Render ``repro-lint`` violations as text, JSON or SARIF.
+"""Render ``repro-lint`` violations as text or JSON.
 
 Reporters are pure string producers; printing is the CLI's job (the
 ``no-print`` rule applies to this package too).
-
-The SARIF reporter emits `SARIF 2.1.0
-<https://docs.oasis-open.org/sarif/sarif/v2.1.0/sarif-v2.1.0.html>`_ so
-CI can upload the report for code-scanning annotation.  Severity maps
-directly onto SARIF levels (``error``/``warning``/``note``).
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from repro.analysis.violations import Violation
 
-#: SARIF schema constants for the version we emit.
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
-
-def render_text(
-    violations: Sequence[Violation],
-    stats: Mapping[str, object] | None = None,
-) -> str:
+def render_text(violations: Sequence[Violation]) -> str:
     """GCC-style ``path:line:col: [rule] message`` lines plus a summary."""
     lines = [violation.format() for violation in violations]
     count = len(violations)
@@ -36,122 +21,20 @@ def render_text(
     else:
         plural = "s" if count != 1 else ""
         lines.append(f"repro-lint: {count} violation{plural}")
-    if stats:
-        coverage = stats.get("instrumentation_coverage")
-        if isinstance(coverage, Mapping):
-            lines.append(
-                "repro-lint: instrumentation coverage "
-                f"{coverage.get('instrumented', 0)}/"
-                f"{coverage.get('hot_path_functions', 0)} hot-path "
-                f"functions ({coverage.get('coverage_pct', 0.0)}%)"
-            )
-        lines.append(
-            "repro-lint: analyzed "
-            f"{stats.get('files', 0)} files, "
-            f"{stats.get('functions', 0)} functions, "
-            f"{stats.get('thread_fanout_sites', 0)} thread / "
-            f"{stats.get('process_fanout_sites', 0)} process fan-out sites"
-        )
     return "\n".join(lines)
 
 
-def render_json(
-    violations: Sequence[Violation],
-    stats: Mapping[str, object] | None = None,
-) -> str:
+def render_json(violations: Sequence[Violation]) -> str:
     """Machine-readable report: ``{"violations": [...], "count": n}``."""
-    payload: dict[str, object] = {
+    payload = {
         "violations": [violation.to_dict() for violation in violations],
         "count": len(violations),
     }
-    if stats is not None:
-        payload["stats"] = dict(stats)
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _rule_metadata() -> list[dict[str, object]]:
-    """SARIF ``tool.driver.rules`` entries for every registered rule."""
-    # Imported lazily: reporters must stay importable without dragging
-    # the rule modules (and their transitive imports) into every caller.
-    from repro.analysis.registry import all_project_rules, all_rules
-
-    entries: list[dict[str, object]] = []
-    merged: dict[str, tuple[str, str]] = {}
-    for rule_id, rule_cls in {**all_rules(), **all_project_rules()}.items():
-        merged[rule_id] = (rule_cls.summary, rule_cls.rationale)
-    for rule_id in sorted(merged):
-        summary, rationale = merged[rule_id]
-        entries.append(
-            {
-                "id": rule_id,
-                "shortDescription": {"text": summary},
-                "fullDescription": {"text": rationale},
-            }
-        )
-    return entries
-
-
-def render_sarif(
-    violations: Sequence[Violation],
-    stats: Mapping[str, object] | None = None,
-) -> str:
-    """SARIF 2.1.0 report with one run and one result per violation."""
-    results = []
-    for violation in violations:
-        results.append(
-            {
-                "ruleId": violation.rule_id,
-                "level": violation.severity
-                if violation.severity in ("error", "warning", "note")
-                else "error",
-                "message": {"text": violation.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": violation.path.replace("\\", "/"),
-                            },
-                            "region": {
-                                "startLine": violation.line,
-                                # SARIF columns are 1-based; Violation
-                                # records the AST's 0-based offset.
-                                "startColumn": violation.col + 1,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    run: dict[str, object] = {
-        "tool": {
-            "driver": {
-                "name": "repro-lint",
-                "informationUri": (
-                    "https://github.com/geoalign/repro"
-                ),
-                "rules": _rule_metadata(),
-            }
-        },
-        "results": results,
-    }
-    if stats is not None:
-        run["properties"] = {"stats": dict(stats)}
-    payload = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [run],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render(
-    violations: Sequence[Violation],
-    fmt: str = "text",
-    stats: Mapping[str, object] | None = None,
-) -> str:
-    """Dispatch on ``fmt`` (``"text"``, ``"json"`` or ``"sarif"``)."""
+def render(violations: Sequence[Violation], fmt: str = "text") -> str:
+    """Dispatch on ``fmt`` (``"text"`` or ``"json"``)."""
     if fmt == "json":
-        return render_json(violations, stats)
-    if fmt == "sarif":
-        return render_sarif(violations, stats)
-    return render_text(violations, stats)
+        return render_json(violations)
+    return render_text(violations)

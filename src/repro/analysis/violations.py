@@ -7,12 +7,7 @@ them, and tests compare them structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-#: Severity levels, in decreasing order of urgency.  ``error`` gates
-#: merges, ``warning`` is ratcheted through the baseline, ``note`` is
-#: informational (SARIF uses the same three levels).
-SEVERITIES = ("error", "warning", "note")
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -29,9 +24,6 @@ class Violation:
         Identifier of the rule that fired (e.g. ``float-eq``).
     message:
         Human-readable description of what is wrong and how to fix it.
-    severity:
-        ``"error"``, ``"warning"`` or ``"note"``; compares after the
-        location/rule fields so report ordering is unchanged from v1.
     """
 
     path: str
@@ -39,7 +31,6 @@ class Violation:
     col: int
     rule_id: str
     message: str
-    severity: str = field(default="error")
 
     def format(self) -> str:
         """``path:line:col: rule-id message`` -- the text-report line."""
@@ -53,5 +44,4 @@ class Violation:
             "col": self.col,
             "rule": self.rule_id,
             "message": self.message,
-            "severity": self.severity,
         }

@@ -228,7 +228,7 @@ def build_parser():
     diff.add_argument(
         "base",
         metavar="A",
-        help="baseline: a trace JSONL path or a registry run id",
+        help="base run: a trace JSONL path or a registry run id",
     )
     diff.add_argument(
         "cand",
@@ -324,10 +324,10 @@ def build_parser():
     )
     lint.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         dest="fmt",
-        help="report format (default: text; sarif implies --deep)",
+        help="report format (default: text)",
     )
     lint.add_argument(
         "--select",
@@ -339,33 +339,6 @@ def build_parser():
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
-    )
-    lint.add_argument(
-        "--deep",
-        action="store_true",
-        help="whole-program pass: cross-module concurrency/aliasing/"
-        "instrumentation rules plus stale-suppression detection",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="compare --deep violations against this committed baseline; "
-        "exit 1 only on NEW violations (default: lint-baseline.json "
-        "when present)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current --deep violations as the new baseline "
-        "and exit 0",
-    )
-    lint.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="also write the rendered report to FILE (used by CI to "
-        "upload the SARIF artifact)",
     )
 
     store_cmd = sub.add_parser(
@@ -531,31 +504,12 @@ def _emit(name, text, out_dir, stream):
 
 
 def _run_lint(args, stream):
-    """Run ``repro-lint``; exit code 0 clean, 1 violations, 2 bad input.
+    """Run ``repro-lint``; exit code 0 clean, 1 violations, 2 bad input."""
+    from repro.analysis import all_rules, lint_paths, render
 
-    In ``--deep`` mode with a baseline, exit 1 means *new* violations
-    relative to the committed baseline, not just any violations.
-    """
-    from repro.analysis import (
-        DEFAULT_BASELINE_PATH,
-        all_project_rules,
-        all_rules,
-        compare_to_baseline,
-        deep_lint_paths,
-        format_gate_report,
-        lint_paths,
-        load_baseline,
-        render,
-        save_baseline,
-    )
-
-    deep = args.deep or args.fmt == "sarif" or args.write_baseline
     if args.list_rules:
-        catalogue = dict(all_rules())
-        catalogue.update(all_project_rules())
-        for rule_id, rule_cls in sorted(catalogue.items()):
-            marker = " (deep)" if rule_id in all_project_rules() else ""
-            print(f"{rule_id:24s} {rule_cls.summary}{marker}", file=stream)
+        for rule_id, rule_cls in sorted(all_rules().items()):
+            print(f"{rule_id:24s} {rule_cls.summary}", file=stream)
         return 0
     if not args.paths:
         print("error: no paths given (try 'lint src')", file=sys.stderr)
@@ -566,40 +520,11 @@ def _run_lint(args, stream):
         else None
     )
     try:
-        if deep:
-            report = deep_lint_paths(args.paths, select=select)
-            violations, stats = report.violations, report.stats
-        else:
-            violations, stats = lint_paths(args.paths, select=select), None
+        violations = lint_paths(args.paths, select=select)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = render(violations, args.fmt, stats)
-    print(rendered, file=stream)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered.rstrip() + "\n")
-        print(f"[written {args.output}]", file=sys.stderr)
-    if args.write_baseline:
-        path = args.baseline or DEFAULT_BASELINE_PATH
-        save_baseline(path, violations)
-        print(f"repro-lint: baseline recorded to {path}", file=sys.stderr)
-        return 0
-    baseline_path = args.baseline
-    if baseline_path is None and deep and os.path.exists(
-        DEFAULT_BASELINE_PATH
-    ):
-        baseline_path = DEFAULT_BASELINE_PATH
-    if deep and baseline_path is not None:
-        try:
-            gate = compare_to_baseline(
-                violations, load_baseline(baseline_path)
-            )
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(format_gate_report(gate), file=stream)
-        return 0 if gate.passed else 1
+    print(render(violations, args.fmt), file=stream)
     return 1 if violations else 0
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 import copy
 import threading
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -67,8 +66,6 @@ from repro.core.solver import (
 from repro.core.sparse_stack import SparseDMStack, _as_sorted_csr
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import (
-    current_trace_context as _trace_context,
-    incr as _obs_incr,
     set_gauge as _set_gauge,
     set_gauge_max as _gauge_max,
     set_gauge_min as _gauge_min,
@@ -819,12 +816,6 @@ class BatchAligner:
         Optional :class:`~repro.cache.PipelineCache` through which the
         reference stack is built (content-addressed; see
         :meth:`ReferenceStack.build`).
-    n_jobs:
-        Threads for the per-entry rescale and DM materialisation behind
-        :meth:`predict_dms`.  The default 1 keeps everything on the
-        calling thread; >1 splits the attribute axis across a thread
-        pool (NumPy/SciPy release the GIL inside the kernels doing the
-        work).  :meth:`predict` is one kernel call and does not fan out.
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -848,20 +839,16 @@ class BatchAligner:
         normalize: bool = True,
         denominator: str = "row-sums",
         cache: "PipelineCache | None" = None,
-        n_jobs: int = 1,
     ) -> None:
         if denominator not in _DENOMINATORS:
             raise ValidationError(
                 f"denominator must be one of {_DENOMINATORS}, "
                 f"got {denominator!r}"
             )
-        if n_jobs < 1:
-            raise ValidationError(f"n_jobs must be >= 1, got {n_jobs}")
         self.solver_method = solver_method
         self.normalize = normalize
         self.denominator = denominator
         self.cache = cache
-        self.n_jobs = n_jobs
         self.stack_: ReferenceStack | None = None
         self.weights_: FloatArray | None = None
         self.blend_weights_: FloatArray | None = None
@@ -1032,10 +1019,8 @@ class BatchAligner:
         """Eq. 14/16 for all attributes: blend, then per-row rescale.
 
         Copy-free: the blend kernel allocates the single ``(n_attrs,
-        nnz)`` output buffer and the Eq. 16 rescale mutates it in place
-        (the thread-pool path hands each worker a contiguous row-slice
-        *view*, not a fancy-indexed copy), so the stage allocates exactly
-        one value-sized array regardless of ``n_jobs``.
+        nnz)`` output buffer and the Eq. 16 rescale mutates it in place,
+        so the stage allocates exactly one value-sized array.
         """
         stack, _, objectives = self._require_fitted()
         if self._scaled_values is not None:
@@ -1053,42 +1038,7 @@ class BatchAligner:
                 nnz=stack.nnz,
                 mode=stack.dm_stack.mode,
             )
-            n_attrs = int(blended.shape[0])
-            if self.n_jobs > 1 and n_attrs > 1:
-                workers = min(self.n_jobs, n_attrs)
-                bounds = np.linspace(0, n_attrs, workers + 1).astype(int)
-                chunks = [
-                    (int(bounds[i]), int(bounds[i + 1]))
-                    for i in range(workers)
-                    if bounds[i + 1] > bounds[i]
-                ]
-
-                # ContextVar-based trace sessions do not propagate into
-                # pool workers on their own; each worker re-activates a
-                # snapshot of the submitting thread's tracing state so
-                # its counters land in the same (lock-guarded) sessions.
-                obs_ctx = _trace_context()
-
-                def _scale_chunk(chunk: tuple[int, int]) -> None:
-                    lo, hi = chunk
-                    with obs_ctx.activate():
-                        stack.dm_stack.scale_rows_inplace(
-                            blended[lo:hi], factors[lo:hi]
-                        )
-                        _obs_incr("batch.rows_scaled", float(hi - lo))
-
-                _obs_event(
-                    "batch.fanout",
-                    n_jobs=self.n_jobs,
-                    chunks=len(chunks),
-                )
-                with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-                    list(pool.map(_scale_chunk, chunks))
-                scaled = blended
-            else:
-                scaled = stack.dm_stack.scale_rows_inplace(
-                    blended, factors
-                )
+            scaled = stack.dm_stack.scale_rows_inplace(blended, factors)
             if _tracing_active():
                 _emit_volume_health_gauges(
                     objectives, denominators > 0.0, stack.row_sums(scaled)
@@ -1100,15 +1050,6 @@ class BatchAligner:
         """Estimated disaggregation matrices, one per attribute (Eq. 14)."""
         stack, _, _ = self._require_fitted()
         scaled = self._compute_scaled_values()
-        if self.n_jobs > 1 and scaled.shape[0] > 1:
-            obs_ctx = _trace_context()
-
-            def _dm_task(row: FloatArray) -> DisaggregationMatrix:
-                with obs_ctx.activate():
-                    return stack.dm_from_values(row)
-
-            with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
-                return list(pool.map(_dm_task, scaled))
         return [stack.dm_from_values(row) for row in scaled]
 
     def predict(self) -> FloatArray:
@@ -1180,6 +1121,5 @@ class BatchAligner:
         return (
             f"BatchAligner(solver={self.solver_method!r}, "
             f"normalize={self.normalize}, "
-            f"denominator={self.denominator!r}, n_jobs={self.n_jobs}, "
-            f"{status})"
+            f"denominator={self.denominator!r}, {status})"
         )

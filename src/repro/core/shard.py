@@ -37,8 +37,9 @@ aggregates only become correct after the merge.
 The worker is a module-level pure function on plain NumPy payloads, so
 it pickles cleanly into a :class:`~concurrent.futures.ProcessPoolExecutor`
 and never touches shared state (writes would be silently lost at the
-process boundary — the deep-lint ``thread-shared-state`` rule covers
-process pools too).  ``max_workers=1`` runs the identical code inline,
+process boundary; ``test_pooled_predictions_bitwise_equal_inline`` and
+``test_pooled_run_stitches_one_trace_with_span_parity`` pin pooled runs
+to inline ones).  ``max_workers=1`` runs the identical code inline,
 which is both the deterministic test path and the zero-overhead default.
 A worker failure is wrapped into :class:`~repro.errors.ShardError`
 carrying the shard id and phase, after draining the pool.
@@ -465,9 +466,8 @@ class ShardedAligner(BatchAligner):
         Process-pool width for the disaggregation map.  1 (default)
         runs the identical shard code inline on the calling process —
         deterministic and overhead-free for small universes.
-    solver_method, normalize, denominator, cache, n_jobs:
-        As in :class:`~repro.core.batch.BatchAligner` (``n_jobs`` only
-        affects the inherited thread-parallel ``predict_dms``).
+    solver_method, normalize, denominator, cache:
+        As in :class:`~repro.core.batch.BatchAligner`.
 
     Attributes (after :meth:`fit` / :meth:`predict`)
     ------------------------------------------------
@@ -490,14 +490,12 @@ class ShardedAligner(BatchAligner):
         denominator: str = "row-sums",
         cache: "PipelineCache | None" = None,
         max_workers: int = 1,
-        n_jobs: int = 1,
     ) -> None:
         super().__init__(
             solver_method=solver_method,
             normalize=normalize,
             denominator=denominator,
             cache=cache,
-            n_jobs=n_jobs,
         )
         if n_shards < 1:
             raise ValidationError(f"n_shards must be >= 1, got {n_shards}")

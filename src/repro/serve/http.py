@@ -209,15 +209,16 @@ def encode_response(
     A dict payload is JSON-encoded (``json.dumps`` uses
     shortest-roundtrip float repr, so numerical results survive the
     wire bit-exactly -- the concurrency suite pins served predictions
-    ``==`` offline ones, not merely close).  A string payload is sent
-    verbatim under ``content_type`` -- the Prometheus text exposition
-    path of ``/metrics``.
+    ``==`` offline ones, not merely close).  Non-finite floats raise
+    ``ValueError`` instead of emitting ``NaN``/``Infinity``, which are
+    not JSON.  A string payload is sent verbatim under ``content_type``
+    -- the Prometheus text exposition path of ``/metrics``.
     """
     if isinstance(payload, str):
         body = payload.encode("utf-8")
         media = content_type or "text/plain; charset=utf-8"
     else:
-        body = json.dumps(payload).encode()
+        body = json.dumps(payload, allow_nan=False).encode()
         media = content_type or "application/json"
     phrase = STATUS_PHRASES.get(status, "Unknown")
     connection = "keep-alive" if keep_alive else "close"

@@ -4,7 +4,7 @@ The serving loop is single-threaded asyncio, but metrics are read from
 other threads too (the CLI's signal handlers, tests polling a server
 running in a background thread), so every mutation and snapshot runs
 under one lock -- the same discipline ``repro.obs``'s trace registries
-follow, and what the deep-lint thread-shared-state rule expects.
+follow.
 
 Latencies live in fixed-bucket cumulative histograms
 (:class:`~repro.obs.promfmt.Histogram`): constant memory under

@@ -124,8 +124,18 @@ class ServingModel:
         key: str | None = None,
         health: dict[str, str] | None = None,
     ) -> "ServingModel":
+        """Register-ready slot; refuses a model with non-finite
+        predictions, which JSON cannot carry."""
         fingerprint = model_fingerprint(model)
         predictions = model.predict()
+        bad = int(np.count_nonzero(~np.isfinite(predictions)))
+        if bad:
+            raise ServeError(
+                f"model {fingerprint[:KEY_LENGTH]} predicts {bad} "
+                "non-finite target aggregate(s); refusing to serve it",
+                code="non-finite-prediction",
+                status=400,
+            )
         names = list(model.attribute_names_ or [])
         return cls(
             key=key if key is not None else fingerprint[:KEY_LENGTH],
@@ -140,6 +150,27 @@ class ServingModel:
 def _error_envelope(code: str, message: str) -> dict[str, object]:
     """The documented error body shape (see docs/serving.md)."""
     return {"error": {"code": code, "message": message}}
+
+
+def _encode(
+    status: int, payload: "dict[str, object] | _TextBody", keep_alive: bool
+) -> tuple[int, bytes]:
+    """The final status and response bytes; a payload JSON cannot
+    carry (a non-finite float) becomes the ``internal`` envelope."""
+    if isinstance(payload, _TextBody):
+        return status, encode_response(
+            status,
+            payload.text,
+            keep_alive,
+            content_type=payload.content_type,
+        )
+    try:
+        return status, encode_response(status, payload, keep_alive)
+    except ValueError as exc:
+        envelope = _error_envelope(
+            "internal", f"response is not JSON-encodable: {exc}"
+        )
+        return 500, encode_response(500, envelope, keep_alive)
 
 
 class AlignmentServer:
@@ -427,6 +458,8 @@ class AlignmentServer:
                 self._idle.set()
         elapsed = time.perf_counter() - started
         session.ended = time.perf_counter()
+        keep_alive = request.keep_alive and not self._draining
+        status, response = _encode(status, payload, keep_alive)
         # The p99 estimate is read *before* this request's latency is
         # folded in, so the tail verdict compares against prior traffic.
         p99 = self.metrics.latency_quantile(request.path, 0.99)
@@ -447,18 +480,7 @@ class AlignmentServer:
         if obs_ctx is not None:
             with obs_ctx.activate():
                 _gauge_max("serve.latency_max_seconds", elapsed)
-        keep_alive = request.keep_alive and not self._draining
-        if isinstance(payload, _TextBody):
-            writer.write(
-                encode_response(
-                    status,
-                    payload.text,
-                    keep_alive,
-                    content_type=payload.content_type,
-                )
-            )
-        else:
-            writer.write(encode_response(status, payload, keep_alive))
+        writer.write(response)
         await writer.drain()
         return keep_alive
 

@@ -8,8 +8,8 @@ source rows, N=1, masked reference subsets).  With more references than
 source units a one-row fit is GeoAlign's bit for bit, and each row of an
 N-row fit reaches the same Eq. 15 optimum.  Hypothesis drives randomised
 worlds at those invariants; the unit tests pin the API contract
-(validation, staleness, caching, thread fan-out, which work a fit and a
-predict do).
+(validation, staleness, caching, untouched caller inputs, which work a
+fit and a predict do).
 """
 
 import numpy as np
@@ -334,8 +334,6 @@ def test_validation_errors():
     references, objectives = _world(17)
     with pytest.raises(ValidationError):
         BatchAligner(denominator="nope")
-    with pytest.raises(ValidationError):
-        BatchAligner(n_jobs=0)
     with pytest.raises(NotFittedError):
         BatchAligner().predict()
     with pytest.raises(ShapeMismatchError):
@@ -357,6 +355,37 @@ def test_validation_errors():
             (len(objectives), len(references)), dtype=bool
         )
         BatchAligner().fit(references, objectives, masks=empty)
+
+
+def _input_bytes(references, objectives, masks):
+    """Every caller-owned array a fit reads, as raw bytes."""
+    arrays = [objectives, masks]
+    for ref in references:
+        matrix = ref.dm.matrix
+        arrays += [
+            ref.source_vector, matrix.data, matrix.indices, matrix.indptr
+        ]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("denominator", ["row-sums", "source-vectors"])
+def test_fit_and_predict_leave_caller_inputs_bit_identical(denominator):
+    references, objectives = _world(31, n_attrs=5)
+    masks = np.ones((len(objectives), len(references)), dtype=bool)
+    masks[np.arange(len(objectives)), np.arange(len(objectives)) % 3] = False
+    before = _input_bytes(references, objectives, masks)
+
+    ReferenceStack.build(references, cache=PipelineCache())
+    assert _input_bytes(references, objectives, masks) == before
+    aligner = BatchAligner(denominator=denominator).fit(
+        references, objectives, masks=masks
+    )
+    assert _input_bytes(references, objectives, masks) == before
+    aligner.predict()
+    aligner.predict_dms()
+    assert _input_bytes(references, objectives, masks) == before
+    GeoAlign(denominator=denominator).fit_predict(references, objectives[0])
+    assert _input_bytes(references, objectives, masks) == before
 
 
 def test_prebuilt_stack_normalize_mismatch():
@@ -387,15 +416,6 @@ def test_refit_resets_derived_state():
         aligner.blend_weights_[0], scalar.blend_weights_,
         rtol=RTOL, atol=ATOL,
     )
-
-
-def test_thread_fanout_bit_identical():
-    references, objectives = _world(31, n_attrs=7)
-    serial = BatchAligner(n_jobs=1).fit(references, objectives)
-    threaded = BatchAligner(n_jobs=3).fit(references, objectives)
-    np.testing.assert_array_equal(serial.predict(), threaded.predict())
-    for left, right in zip(serial.predict_dms(), threaded.predict_dms()):
-        assert (left.matrix != right.matrix).nnz == 0
 
 
 def test_weight_report_and_timer():

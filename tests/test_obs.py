@@ -228,26 +228,6 @@ class TestTraceThreadSafety:
         assert "invisible" not in session.counters
         assert session.counters["visible"] == 1.0
 
-    def test_batch_fanout_counters_reach_session(self, paired_references):
-        # End-to-end: BatchAligner's pool workers now deliver their
-        # per-chunk counters into the active session.  predict_dms() is
-        # the path that fans out (predict() computes by linearity).
-        objectives = np.vstack(
-            [r.source_vector for r in paired_references] * 3
-        )
-        with trace("batch") as session:
-            BatchAligner(n_jobs=4).fit(
-                paired_references * 3, objectives
-            ).predict_dms()
-        # One fan-out with >1 chunk happened, and every worker-side
-        # per-chunk counter survived the thread boundary: the row total
-        # equals the number of attributes scaled.
-        (fanout,) = session.find_events("batch.fanout")
-        assert fanout.fields["chunks"] > 1
-        assert session.counters["batch.rows_scaled"] == float(
-            objectives.shape[0]
-        )
-
 
 # ---------------------------------------------------------------------------
 # export
@@ -409,20 +389,6 @@ class TestPipelineTelemetry:
         # Per-attribute solver events still fire, one per attribute.
         converged = session.find_events("solver.converged")
         assert len(converged) == len(paired_references)
-
-    def test_batch_fanout_event_reports_jobs(
-        self, capture_trace, paired_references
-    ):
-        objectives = np.vstack(
-            [r.source_vector for r in paired_references] * 3
-        )
-        with capture_trace() as session:
-            BatchAligner(n_jobs=4).fit(
-                paired_references, objectives
-            ).predict_dms()
-        (fanout,) = session.find_events("batch.fanout")
-        assert fanout.fields["n_jobs"] == 4
-        assert 1 <= fanout.fields["chunks"] <= 4
 
     def test_second_stack_build_is_cache_hit_with_zero_construct(
         self, capture_trace, paired_references

@@ -184,6 +184,28 @@ class TestEngine:
         assert not sup.is_suppressed(2, "float-eq")
 
 
+class TestSuppressionParsing:
+    def test_multiple_rule_ids_one_comment(self):
+        sup = collect_suppressions(
+            "x = 1  # repro-lint: allow[float-eq, no-print]\n"
+        )
+        assert sup.by_line == {1: {"float-eq", "no-print"}}
+
+    def test_trailing_justification_text(self):
+        sup = collect_suppressions(
+            "x = 1  # repro-lint: allow[wallclock] timing the wall is the point\n"
+        )
+        assert sup.by_line == {1: {"wallclock"}}
+
+    def test_magic_text_in_string_literal_ignored(self):
+        sup = collect_suppressions('x = "# repro-lint: allow[float-eq]"\n')
+        assert sup.by_line == {}
+
+    def test_empty_ids_dropped(self):
+        sup = collect_suppressions("x = 1  # repro-lint: allow[float-eq, ]\n")
+        assert sup.by_line == {1: {"float-eq"}}
+
+
 class TestReporters:
     def test_text_clean(self):
         assert "clean" in render_text([])

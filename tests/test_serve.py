@@ -27,8 +27,10 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchAligner
+from repro.core.reference import Reference
 from repro.errors import ServeError, ValidationError
 from repro.obs import PROMETHEUS_CONTENT_TYPE, parse_prometheus_text
+from repro.partitions.dm import DisaggregationMatrix
 from repro.serve import (
     AlignmentServer,
     HttpRequest,
@@ -436,6 +438,67 @@ class TestFailureModes:
         status, payload = self._envelope(fitted, "POST", "/align", {})
         assert status == 400
         assert payload["error"]["code"] == "bad-request"
+
+    def test_overflowing_align_answers_strict_json_envelope(self):
+        # Weights [0, 1] on these references overflow the Eq. 16 divide
+        # at row s5: predict() returns inf, which JSON cannot carry.
+        sources = [f"s{i}" for i in range(6)]
+        targets = [f"t{j}" for j in range(3)]
+        alpha = np.zeros((6, 3))
+        alpha[:5] = 1.0
+        beta = alpha.copy()
+        beta[5, 0] = 1e-6
+        references = []
+        for name, matrix in (("alpha", alpha), ("beta", beta)):
+            dm = DisaggregationMatrix(matrix, sources, targets)
+            references.append(Reference(name, dm.row_sums(), dm))
+        model = BatchAligner().fit(references, [alpha.sum(axis=1) + 1.0])
+        request = json.dumps(
+            {"objectives": [[1e306] * 5 + [1e303]]}
+        ).encode()
+
+        async def body(server, key):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(
+                b"POST /align HTTP/1.1\r\nConnection: close\r\n"
+                + f"Content-Length: {len(request)}\r\n\r\n".encode()
+                + request
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return raw
+
+        head, _, raw_body = run_with_server(model, body).partition(
+            b"\r\n\r\n"
+        )
+        status = int(head.split()[1])
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        payload = json.loads(raw_body, parse_constant=refuse)
+        assert 400 <= status < 500
+        assert payload["error"]["code"] == "non-finite-prediction"
+        overflowing = BatchAligner().fit(references, [[1e306] * 5 + [1e303]])
+        with pytest.raises(ServeError) as err:
+            AlignmentServer().add_model(overflowing)
+        assert err.value.code == "non-finite-prediction"
+
+    def test_unencodable_payload_becomes_internal_envelope(self, fitted):
+        async def body(server, key):
+            server._healthz_payload = lambda: {"status": float("nan")}
+            async with ServeClient(server.host, server.port) as client:
+                answer = await client.request("GET", "/healthz")
+            return answer, server.metrics.counter("errors_total")
+
+        (status, payload), errors = run_with_server(fitted, body)
+        assert status == 500
+        assert payload["error"]["code"] == "internal"
+        assert errors == 1
 
     def test_disaggregate_needs_exactly_one_attribute(self, fitted):
         status, payload = self._envelope(

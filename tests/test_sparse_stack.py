@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from repro.core.batch import ReferenceStack
+from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.reference import Reference
 from repro.core.sparse_stack import (
     DENSE_DENSITY_THRESHOLD,
@@ -321,6 +321,46 @@ class TestModeSelection:
             stack.reaggregate(np.array([[4.0]])),
             np.array([[0.0, 4.0, 0.0]]),
         )
+
+
+def _refuse_densify(monkeypatch):
+    """Make every scipy ``toarray``/``todense`` and the stack's dense
+    ``values`` view raise, so a path that densifies fails loudly."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sparse path densified")
+
+    public = [getattr(sparse, name) for name in dir(sparse)]
+    classes = {
+        base
+        for cls in public
+        if isinstance(cls, type)
+        and issubclass(cls, (sparse.spmatrix, sparse.sparray))
+        for base in cls.__mro__
+    }
+    for cls in classes:
+        for name in ("toarray", "todense"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, refuse)
+    monkeypatch.setattr(SparseDMStack, "values", property(refuse))
+
+
+@pytest.mark.parametrize("denominator", ["row-sums", "source-vectors"])
+def test_sparse_mode_fit_predict_and_dms_never_densify(
+    monkeypatch, denominator
+):
+    mats = _ring_matrices(k=3, m=8, t=6)
+    references = reference_stack(mats, 8, 6).references
+    objectives = np.vstack([ref.source_vector for ref in references])
+    _refuse_densify(monkeypatch)
+    with pytest.raises(AssertionError, match="densified"):
+        mats[0].toarray()
+    aligner = BatchAligner(denominator=denominator)
+    predictions = aligner.fit_predict(references, objectives)
+    dms = aligner.predict_dms()
+    assert aligner.stack_.dm_stack.mode == "sparse"
+    assert np.all(np.isfinite(predictions))
+    assert len(dms) == len(objectives)
 
 
 class TestLinearPredictArrays:
