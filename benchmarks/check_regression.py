@@ -51,10 +51,9 @@ Payloads may also carry a ``health`` section (check name -> verdict
 from ``repro.obs.health``).  Any ``"fail"`` verdict in a *candidate*
 payload fails the gate outright, baseline or not: a violated numerical
 invariant (volume preservation, simplex feasibility, ...) is never "no
-worse than before".  Standalone health reports -- the JSON written by
-``geoalign-repro obs report --json`` or run-registry JSONL lines --
-can be added to the same gate with repeatable ``--health FILE``
-options.
+worse than before".  Standalone health reports -- the JSON lines
+written by ``geoalign-repro obs report --json`` -- can be added to the
+same gate with repeatable ``--health FILE`` options.
 
 Exit codes: 0 no regressions, 1 regressions found, 2 bad input.  CI runs
 this as a non-blocking report step: the exit code marks the step, but
@@ -112,9 +111,9 @@ def flatten_payload(payload, file_path):
 def health_failures(payload, source):
     """``(source, check)`` pairs for every fail verdict in one payload.
 
-    Understands the three shapes that carry verdicts: a BENCH payload
-    or run-registry record (``{"health": {check: status}}``) and a
-    health report (``{"checks": [{"name": ..., "status": ...}]}``).
+    Understands the two shapes that carry verdicts: a BENCH payload
+    (``{"health": {check: status}}``) and a health report
+    (``{"checks": [{"name": ..., "status": ...}]}``).
     """
     failures = []
     health = payload.get("health")
@@ -131,7 +130,7 @@ def health_failures(payload, source):
 
 
 def load_health_file(path):
-    """Fail verdicts from a standalone health JSON / registry JSONL file."""
+    """Fail verdicts from a standalone health JSON or JSON-lines file."""
     with open(path) as handle:
         text = handle.read()
     try:
@@ -355,7 +354,7 @@ def main(argv=None):
         action="append",
         default=[],
         metavar="FILE",
-        help="also gate on this health report JSON / registry JSONL "
+        help="also gate on this health report JSON or JSON-lines file "
         "(repeatable); any fail verdict counts as a regression",
     )
     args = parser.parse_args(argv)

@@ -27,17 +27,14 @@ Every figure/align subcommand also accepts observability flags (see
     geoalign-repro align --trace run.jsonl    # JSON-lines span/event trace
     geoalign-repro fig5a --profile            # text profile tree on stdout
     geoalign-repro fig5a --mem                # tracemalloc peak (opt-in)
-    geoalign-repro align --trace run.jsonl --registry runs.jsonl
 
 ``serve`` and the ``store`` family accept ``--trace``/``--profile``
 too (the server opens a recording session only when asked, so a
 long-running serve does not accumulate spans unbounded), and the
-``obs`` family analyses what any of them produced::
+``obs`` family analyses what any of them produced -- a run's durable
+record is its trace file::
 
     geoalign-repro obs report run.jsonl       # health verdicts (exit 1 on fail)
-    geoalign-repro obs diff base.jsonl cand.jsonl
-    geoalign-repro obs list --registry runs.jsonl
-    geoalign-repro obs show RUN_ID --registry runs.jsonl
     geoalign-repro obs tail 127.0.0.1:8732    # live error/slow-tail exemplars
     geoalign-repro obs prom run.jsonl         # counters/gauges as Prometheus text
 
@@ -99,21 +96,14 @@ def _add_common(parser):
         help="measure the tracemalloc allocation peak (opt-in: slows "
         "allocation-heavy runs)",
     )
-    parser.add_argument(
-        "--registry",
-        default=None,
-        metavar="FILE",
-        help="append the traced run, with its health verdicts, to this "
-        "run-registry JSONL file",
-    )
 
 
 def _add_obs_flags(parser):
     """The trace/profile pair shared by every workload subcommand.
 
     Figure/align commands get these via :func:`_add_common`; ``serve``
-    and the ``store`` family attach just this pair (no ``--mem`` or
-    ``--registry``: neither maps onto a long-running server).
+    and the ``store`` family attach just this pair (no ``--mem``: a
+    tracemalloc peak does not map onto a long-running server).
     """
     parser.add_argument(
         "--trace",
@@ -201,7 +191,8 @@ def build_parser():
 
     obs_cmd = sub.add_parser(
         "obs",
-        help="analyse recorded traces: health reports, diffs, run registry",
+        help="analyse recorded traces and live servers: health reports, "
+        "Prometheus text, request exemplars",
     )
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
@@ -219,64 +210,6 @@ def build_parser():
         dest="json_out",
         help="also write the report(s) as JSON to OUT (one object per "
         "line; feeds check_regression.py --health)",
-    )
-
-    diff = obs_sub.add_parser(
-        "diff",
-        help="per-stage timing/counter/gauge deltas between two runs",
-    )
-    diff.add_argument(
-        "base",
-        metavar="A",
-        help="base run: a trace JSONL path or a registry run id",
-    )
-    diff.add_argument(
-        "cand",
-        metavar="B",
-        help="candidate: a trace JSONL path or a registry run id",
-    )
-    diff.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="relative change above which an entry is flagged "
-        "(default: 0.5)",
-    )
-    diff.add_argument(
-        "--registry",
-        default=None,
-        metavar="FILE",
-        help="registry to resolve run ids against "
-        "(default: $REPRO_REGISTRY or .geoalign/registry.jsonl)",
-    )
-
-    listing = obs_sub.add_parser(
-        "list", help="list the most recent registered runs"
-    )
-    listing.add_argument(
-        "-n",
-        type=int,
-        default=10,
-        dest="count",
-        help="how many runs to show (default: 10)",
-    )
-    listing.add_argument(
-        "--registry", default=None, metavar="FILE",
-        help="registry file (default: $REPRO_REGISTRY or "
-        ".geoalign/registry.jsonl)",
-    )
-
-    show = obs_sub.add_parser(
-        "show", help="print one registered run in full, as JSON"
-    )
-    show.add_argument(
-        "run_id", metavar="RUN_ID", help="registry run id (prefix works)"
-    )
-    show.add_argument(
-        "--registry", default=None, metavar="FILE",
-        help="registry file (default: $REPRO_REGISTRY or "
-        ".geoalign/registry.jsonl)",
     )
 
     tail = obs_sub.add_parser(
@@ -717,19 +650,6 @@ def _run_serve(args, stream):
     return 0
 
 
-def _record_for(spec, registry_path):
-    """A ``RunRecord`` from a trace-file path or a registry run id.
-
-    Anything that exists on disk is read as a trace JSONL (its first
-    session, health-evaluated on the fly); anything else is resolved as
-    a run-id prefix against the registry.
-    """
-    if os.path.exists(spec):
-        session = obs.read_trace_jsonl(spec)[0]
-        return obs.record_from_trace(session, obs.evaluate_health(session))
-    return obs.RunRegistry(registry_path).get(spec)
-
-
 def _parse_address(address):
     """``HOST:PORT`` split with validation (exit-2 errors on bad input)."""
     host, sep, port_text = address.rpartition(":")
@@ -880,32 +800,6 @@ def _run_obs(args, stream):
                         )
                 print(f"[health json written {args.json_out}]", file=stream)
             return 1 if failed else 0
-        if args.obs_command == "diff":
-            kwargs = (
-                {}
-                if args.threshold is None
-                else {"threshold": args.threshold}
-            )
-            base = _record_for(args.base, args.registry)
-            cand = _record_for(args.cand, args.registry)
-            print(
-                obs.diff_records(base, cand, **kwargs).to_text(),
-                file=stream,
-            )
-            return 0
-        if args.obs_command == "list":
-            print(
-                obs.RunRegistry(args.registry).to_text(args.count),
-                file=stream,
-            )
-            return 0
-        if args.obs_command == "show":
-            record = obs.RunRegistry(args.registry).get(args.run_id)
-            print(
-                json.dumps(record.to_dict(), indent=2, sort_keys=True),
-                file=stream,
-            )
-            return 0
         if args.obs_command == "tail":
             host, port = _parse_address(args.address)
             status, payload = _fetch_exemplars(host, port)
@@ -965,10 +859,7 @@ def main(argv=None, stream=None):
     trace_path = getattr(args, "trace", None)
     profile = getattr(args, "profile", False)
     measure_mem = getattr(args, "mem", False)
-    registry_path = getattr(args, "registry", None)
-    # The registry stores trace-derived facts, so asking for it opens a
-    # recording session even without --trace/--profile.
-    observed = trace_path is not None or profile or registry_path is not None
+    observed = trace_path is not None or profile
     for index, name in enumerate(figures):
         start = time.perf_counter()
         session = None
@@ -992,7 +883,7 @@ def main(argv=None, stream=None):
             if measure_mem:
                 # track_memory publishes the gauge only while inside an
                 # active session; the peak is read after the session
-                # closes, so fold it into the record here instead.
+                # closes, so fold it into the trace here instead.
                 session.gauges.setdefault(
                     "mem.peak_bytes", mem.peak_bytes
                 )
@@ -1005,19 +896,6 @@ def main(argv=None, stream=None):
                 print(f"[trace written {trace_path}]", file=stream)
             if profile:
                 print(obs.format_profile(session), file=stream)
-            if registry_path:
-                report = obs.evaluate_health(session)
-                record = obs.record_from_trace(
-                    session,
-                    report,
-                    meta={"command": name, "scale": args.scale},
-                )
-                obs.RunRegistry(registry_path).append(record)
-                print(
-                    f"[registered {record.run_id} ({report.status}) "
-                    f"in {registry_path}]",
-                    file=stream,
-                )
         print(f"[{name} completed in {elapsed:.1f}s]", file=stream)
     return 0
 

@@ -101,31 +101,6 @@ def gram_condition_number(gram: ArrayLike) -> float:
     return float(np.linalg.cond(g))
 
 
-def volume_residual(
-    achieved_row_sums: ArrayLike, objective_source: ArrayLike
-) -> float:
-    """Relative L-inf volume-preservation residual (Eq. 16).
-
-    ``max_i |rowsum_i - a_i| / max_j a_j`` — how far the estimated
-    disaggregation matrix's row sums drift from the objective's source
-    aggregates, relative to the attribute's largest aggregate.  Under
-    the row-rescale this is float rounding (~1e-16); anything larger
-    means mass was created or destroyed in the crosswalk.  Accepts
-    matched vectors or ``(n_attrs, m)`` matrices (batched form).
-    """
-    achieved = np.asarray(achieved_row_sums, dtype=float)
-    target = np.asarray(objective_source, dtype=float)
-    if achieved.shape != target.shape:
-        raise ValidationError(
-            f"row sums have shape {achieved.shape} but the objective "
-            f"has shape {target.shape}"
-        )
-    scale = float(np.abs(target).max())
-    if scale <= 0.0:
-        raise ValidationError("objective carries no mass")
-    return float(np.abs(achieved - target).max()) / scale
-
-
 @dataclass
 class BootstrapResult:
     """Bootstrap distribution of GeoAlign's reference weights.

@@ -13,9 +13,9 @@ Consumers sharing the records:
 * the CLI's ``--trace FILE`` (JSON-lines export, :mod:`repro.obs.export`)
   and ``--profile`` (text summary tree, :mod:`repro.obs.profile`) flags,
 * the ``geoalign-repro obs`` analysis family — health reports over a
-  trace (:mod:`repro.obs.health`), run-to-run deltas
-  (:mod:`repro.obs.diff`) and the persistent run registry
-  (:mod:`repro.obs.registry`),
+  trace (:mod:`repro.obs.health`) and its counters/gauges as
+  Prometheus text (:mod:`repro.obs.promfmt`); a run's durable record
+  is its trace file,
 * the benchmark harness, which persists stage breakdowns, cache
   statistics and (opt-in, :mod:`repro.obs.memory`) allocation peaks
   next to its wall-time metrics for the regression gate, and
@@ -77,13 +77,6 @@ from repro.obs.health import (
     model_gauges,
     register_check,
 )
-from repro.obs.registry import (
-    RunRecord,
-    RunRegistry,
-    default_registry_path,
-    record_from_trace,
-)
-from repro.obs.diff import DiffEntry, RunDiff, diff_records
 from repro.obs.memory import MemoryHandle, track_memory
 
 __all__ = [
@@ -125,13 +118,6 @@ __all__ = [
     "evaluate_health",
     "model_gauges",
     "register_check",
-    "RunRecord",
-    "RunRegistry",
-    "default_registry_path",
-    "record_from_trace",
-    "DiffEntry",
-    "RunDiff",
-    "diff_records",
     "MemoryHandle",
     "track_memory",
 ]

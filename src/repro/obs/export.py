@@ -128,7 +128,7 @@ def write_trace_jsonl(
     Appends go through one ``os.write`` on an ``O_APPEND`` descriptor:
     POSIX makes each such write land at the (current) end of file as a
     unit, so concurrent writers -- shard workers or parallel CLI runs
-    tracing into one shared registry file -- interleave at *session*
+    tracing into one shared trace file -- interleave at *session*
     granularity.  No torn lines, no half records, every session block
     contiguous; buffered ``open(...).write`` gives none of that once
     the text outgrows the stdio buffer.

@@ -33,6 +33,7 @@ custom monitor; :func:`all_checks` lists the catalogue.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
@@ -42,7 +43,6 @@ from repro.core.diagnostics import (
     effective_references,
     gram_condition_number,
     simplex_violation,
-    volume_residual,
     weight_entropy,
 )
 from repro.errors import ValidationError
@@ -95,7 +95,8 @@ class HealthCheck:
         effective references).
     warn, fail:
         Thresholds; crossing ``warn`` (strictly) yields a warning,
-        crossing ``fail`` a failure.  ``None`` disables that level.
+        crossing ``fail`` a failure.  ``None`` disables that level.  A
+        NaN value is the worst value: it crosses every set threshold.
     extract:
         ``Trace -> float | None``; ``None`` means the trace carries no
         data for this check and the result is ``skip``.
@@ -119,6 +120,8 @@ class HealthCheck:
     def _crossed(self, value: float, threshold: float | None) -> bool:
         if threshold is None:
             return False
+        if math.isnan(value):
+            return True
         if self.direction == "high":
             return value > threshold
         return value < threshold
@@ -486,12 +489,13 @@ register_check(
     HealthCheck(
         name="stack_density",
         description=(
-            "stored fraction of the dense (k, t) design-matrix grid the "
-            "reference stack actually materialises; informational only — "
-            "high density means the dense BLAS kernels win, not that "
-            "anything is wrong"
+            "fraction of the union-pattern value grid (one row per "
+            "reference, one column per union entry) that holds a "
+            "reference's own stored entry; informational only — high "
+            "density means the dense BLAS kernels win, not that anything "
+            "is wrong"
         ),
-        formula="nnz / (n_references * n_targets)",
+        formula="stored entries / (n_references * union entries)",
         direction="high",
         warn=None,
         fail=None,
@@ -508,20 +512,22 @@ register_check(
 def model_gauges(model: object) -> dict[str, float]:
     """The ``health.*`` gauges recomputed from a fitted estimator.
 
-    Accepts a fitted :class:`~repro.core.geoalign.GeoAlign`,
-    :class:`~repro.core.batch.BatchAligner` or
-    :class:`~repro.core.shard.ShardedAligner` (duck-typed on fitted
-    attributes, so this module never imports the estimators).  Used by
-    :func:`evaluate_health`'s ``model=`` overlay when the model object
-    is still at hand, and by tests that pin gauge == recomputation.
+    Accepts a fitted :class:`~repro.core.batch.BatchAligner` or
+    :class:`~repro.core.shard.ShardedAligner`, and a fitted
+    :class:`~repro.core.geoalign.GeoAlign`, which is audited through
+    its one-row batch (duck-typed on fitted attributes, so this module
+    never imports the estimators).  Used by :func:`evaluate_health`'s
+    ``model=`` overlay when the model object is still at hand, and by
+    tests that pin gauge == recomputation.
     """
-    gauges: dict[str, float] = {}
+    model = getattr(model, "_batch", model)
     stack = getattr(model, "stack_", None)
     weights = getattr(model, "weights_", None)
-    if weights is None:
+    if stack is None or weights is None:
         raise ValidationError(
             "model_gauges needs a fitted estimator (call fit() first)"
         )
+    gauges: dict[str, float] = {}
     weight_matrix = np.atleast_2d(np.asarray(weights, dtype=float))
     gauges["health.simplex_violation_max"] = simplex_violation(weight_matrix)
     gauges["health.effective_references_min"] = min(
@@ -530,78 +536,40 @@ def model_gauges(model: object) -> dict[str, float]:
     gauges["health.weight_entropy_min"] = min(
         weight_entropy(row) for row in weight_matrix
     )
-    if stack is not None:  # BatchAligner / ShardedAligner
-        gauges["health.gram_condition_max"] = gram_condition_number(
-            stack.gram
+    gauges["health.gram_condition_max"] = gram_condition_number(stack.gram)
+    objectives = model.objectives_  # type: ignore[attr-defined]
+    # The audit needs per-entry values: this builds the stack's union
+    # pattern (and R) if nothing has yet.
+    scaled = model._compute_scaled_values()  # type: ignore[attr-defined]
+    gauges["health.stack_density"] = stack.dm_stack.density
+    gauges["health.stack_nnz"] = float(stack.nnz)
+    gauges["health.stack_resident_bytes"] = float(stack.resident_bytes)
+    # The sharded engine records its reduce-phase invariant; surface it
+    # so health reports gate the merge, not just the rescale.
+    merge_residual = getattr(model, "merge_residual_", None)
+    if merge_residual is not None:
+        gauges["health.shard_merge_residual_max"] = float(merge_residual)
+    achieved = stack.row_sums(scaled)
+    # A correct rescale leaves exactly the zero-denominator rows at zero,
+    # so uncovered rows are inferred from the output; a *tampered*
+    # rescale shows up as residual instead of coverage.
+    uncovered = (achieved <= 0.0) & (objectives > 0.0)
+    gauges["health.uncovered_mass_max"] = float(
+        (
+            np.where(uncovered, objectives, 0.0).sum(axis=1)
+            / objectives.sum(axis=1)
+        ).max()
+    )
+    masked = np.where(uncovered, 0.0, objectives)
+    scale_per_attr = masked.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_attr = np.where(
+            scale_per_attr > 0.0,
+            np.abs(np.where(uncovered, 0.0, achieved) - masked).max(axis=1)
+            / scale_per_attr,
+            0.0,
         )
-        objectives = model.objectives_  # type: ignore[attr-defined]
-        # The audit needs per-entry values: this builds the stack's union
-        # pattern (and R) if nothing has yet.
-        scaled = model._compute_scaled_values()  # type: ignore[attr-defined]
-        gauges["health.stack_density"] = stack.dm_stack.density
-        gauges["health.stack_nnz"] = float(stack.nnz)
-        gauges["health.stack_resident_bytes"] = float(stack.resident_bytes)
-        # The sharded engine records its reduce-phase invariant; surface
-        # it so health reports gate the merge, not just the rescale.
-        merge_residual = getattr(model, "merge_residual_", None)
-        if merge_residual is not None:
-            gauges["health.shard_merge_residual_max"] = float(
-                merge_residual
-            )
-        achieved = stack.row_sums(scaled)
-        # A correct rescale leaves exactly the zero-denominator rows at
-        # zero, so uncovered rows are inferred from the output; a
-        # *tampered* rescale shows up as residual instead of coverage.
-        uncovered = (achieved <= 0.0) & (objectives > 0.0)
-        gauges["health.uncovered_mass_max"] = float(
-            (
-                np.where(uncovered, objectives, 0.0).sum(axis=1)
-                / objectives.sum(axis=1)
-            ).max()
-        )
-        masked = np.where(uncovered, 0.0, objectives)
-        scale_per_attr = masked.max(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_attr = np.where(
-                scale_per_attr > 0.0,
-                np.abs(np.where(uncovered, 0.0, achieved) - masked).max(
-                    axis=1
-                )
-                / scale_per_attr,
-                0.0,
-            )
-        gauges["health.volume_residual_max"] = float(per_attr.max())
-    else:  # scalar GeoAlign
-        references = getattr(model, "references_", None)
-        if references is None:
-            raise ValidationError(
-                "model_gauges needs a fitted estimator (call fit() first)"
-            )
-        normalize = bool(getattr(model, "normalize", True))
-        design = np.column_stack(
-            [
-                ref.normalized_source() if normalize else ref.source_vector
-                for ref in references
-            ]
-        )
-        gauges["health.gram_condition_max"] = gram_condition_number(
-            design.T @ design
-        )
-        estimated = model.predict_dm()  # type: ignore[attr-defined]
-        achieved = np.asarray(estimated.row_sums(), dtype=float)
-        objective = np.asarray(
-            model.objective_source_,  # type: ignore[attr-defined]
-            dtype=float,
-        )
-        uncovered = (achieved <= 0.0) & (objective > 0.0)
-        gauges["health.uncovered_mass_max"] = float(
-            objective[uncovered].sum() / objective.sum()
-        )
-        masked = np.where(uncovered, 0.0, objective)
-        if masked.max() > 0.0:
-            gauges["health.volume_residual_max"] = volume_residual(
-                np.where(uncovered, 0.0, achieved), masked
-            )
+    gauges["health.volume_residual_max"] = float(per_attr.max())
     return gauges
 
 

@@ -33,6 +33,7 @@ report times relative to the session start.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections.abc import Iterator
@@ -156,22 +157,23 @@ class Trace:
         """Apply one gauge write under the session lock.
 
         ``mode`` is ``"set"``, ``"max"`` (high-water) or ``"min"``
-        (low-water).  Centralised here -- rather than inlined in the
-        module-level helpers -- so subclasses that ship across a process
-        boundary (:class:`repro.obs.telemetry.SpanCapture`) can record
-        the *operation*, not just the final value, and replay it with
+        (low-water).  For the water marks NaN is the worst value: it
+        replaces any finite mark and is kept once written, so a run
+        with one bad fold never reads healthy.  Centralised here --
+        rather than inlined in the module-level helpers -- so
+        subclasses that ship across a process boundary
+        (:class:`repro.obs.telemetry.SpanCapture`) can record the
+        *operation*, not just the final value, and replay it with
         identical semantics on the driver side.
         """
         with self._lock:
-            if mode == "max":
-                current = self.gauges.get(name)
-                if current is None or value > current:
-                    self.gauges[name] = float(value)
-            elif mode == "min":
-                current = self.gauges.get(name)
-                if current is None or value < current:
-                    self.gauges[name] = float(value)
-            else:
+            current = self.gauges.get(name)
+            if (
+                mode == "set"
+                or current is None
+                or math.isnan(value)
+                or (value > current if mode == "max" else value < current)
+            ):
                 self.gauges[name] = float(value)
 
     # -- queries (used by tests, export and the profile tree) -----------

@@ -35,8 +35,9 @@ class DisaggregationMatrix:
     ----------
     matrix:
         Anything ``scipy.sparse.csr_matrix`` accepts (sparse matrix or
-        dense 2-D array).  Negative entries are rejected: disaggregation
-        matrices hold aggregates of non-negative count data.
+        dense 2-D array); never modified.  Negative entries are
+        rejected: disaggregation matrices hold aggregates of
+        non-negative count data.
     source_labels, target_labels:
         Unit labels for rows and columns; lengths must match the shape.
     """
@@ -48,7 +49,13 @@ class DisaggregationMatrix:
         target_labels: Iterable[object],
     ) -> None:
         mat = sparse.csr_matrix(matrix, dtype=float)
-        mat.eliminate_zeros()
+        if not mat.data.all():
+            # A float CSR argument is adopted without a copy, and
+            # eliminate_zeros compacts in place: drop the explicit zeros
+            # from a copy so the caller's buffers (e.g. a row of a
+            # cached value matrix) are never rewritten.
+            mat = mat.copy()
+            mat.eliminate_zeros()
         source_labels = [str(s) for s in source_labels]
         target_labels = [str(t) for t in target_labels]
         if mat.shape != (len(source_labels), len(target_labels)):

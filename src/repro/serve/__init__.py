@@ -26,7 +26,7 @@ from repro.serve.http import (
     encode_response,
     read_request,
 )
-from repro.serve.metrics import LatencyWindow, ServerMetrics, percentile
+from repro.serve.metrics import ServerMetrics, percentile
 from repro.serve.sampler import Exemplar, TailSampler
 from repro.serve.server import AlignmentServer, ServingModel
 
@@ -34,7 +34,6 @@ __all__ = [
     "AlignmentServer",
     "Exemplar",
     "HttpRequest",
-    "LatencyWindow",
     "REQUEST_HEADER_LIMIT",
     "STATUS_PHRASES",
     "ServeClient",

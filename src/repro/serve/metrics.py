@@ -18,15 +18,13 @@ change: an endpoint with *no* observations reports only
 ``count: 0`` -- a fabricated ``0.0`` percentile is indistinguishable
 from a true zero-latency reading.
 
-:class:`LatencyWindow` (the sample-ring predecessor) remains for
-harness-side use -- the load benchmark aggregates its own client-side
-samples -- but the server no longer stores raw samples.
+:func:`percentile` is the nearest-rank helper for harnesses that
+aggregate their own client-side samples; the server stores none.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 
 from repro.errors import ValidationError
 from repro.obs.promfmt import (
@@ -36,10 +34,7 @@ from repro.obs.promfmt import (
     sanitize_metric_name,
 )
 
-__all__ = ["LatencyWindow", "ServerMetrics", "percentile"]
-
-#: Percentiles reported by :meth:`LatencyWindow.summary`.
-REPORTED_PERCENTILES = (50.0, 95.0, 99.0)
+__all__ = ["ServerMetrics", "percentile"]
 
 #: Prefix every exposed Prometheus metric carries.
 PROM_PREFIX = "geoalign"
@@ -53,52 +48,6 @@ def percentile(samples: list[float], q: float) -> float:
         raise ValidationError(f"percentile q must be in (0, 100], got {q}")
     rank = max(int(len(samples) * q / 100.0 + 0.5), 1)
     return samples[min(rank, len(samples)) - 1]
-
-
-class LatencyWindow:
-    """Bounded ring of raw latencies with summary percentiles.
-
-    Used by harnesses that own their samples client-side; the server's
-    own ``/metrics`` path uses histograms instead.
-    """
-
-    __slots__ = ("_samples", "count", "total_seconds", "max_seconds")
-
-    def __init__(self, capacity: int = 2048) -> None:
-        if capacity < 1:
-            raise ValidationError(
-                f"latency window capacity must be >= 1, got {capacity}"
-            )
-        self._samples: deque[float] = deque(maxlen=capacity)
-        self.count = 0
-        self.total_seconds = 0.0
-        self.max_seconds = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self._samples.append(seconds)
-        self.count += 1
-        self.total_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-
-    def summary(self) -> dict[str, float]:
-        """Count, mean, max, and p50/p95/p99 over the recent window.
-
-        An empty window reports only ``count: 0``: fabricating ``0.0``
-        for the mean/max/percentiles would be indistinguishable from a
-        genuinely instant request.
-        """
-        if self.count == 0:
-            return {"count": 0.0}
-        out: dict[str, float] = {
-            "count": float(self.count),
-            "mean_seconds": self.total_seconds / self.count,
-            "max_seconds": self.max_seconds,
-        }
-        window = sorted(self._samples)
-        for q in REPORTED_PERCENTILES:
-            out[f"p{int(q)}_seconds"] = percentile(window, q)
-        return out
 
 
 class ServerMetrics:

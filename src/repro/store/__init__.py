@@ -8,9 +8,8 @@ is serialized once and reloaded in milliseconds instead of being
 rebuilt per process.  :class:`ModelStore` owns that serialization:
 
 * artifacts are **content-addressed**: the key is a prefix of the same
-  SHA-256 content fingerprint family the run registry and
-  :class:`~repro.cache.PipelineCache` use, so refitting identical
-  inputs lands on the identical artifact;
+  SHA-256 content fingerprint family :class:`~repro.cache.PipelineCache`
+  uses, so refitting identical inputs lands on the identical artifact;
 * the format is **versioned and integrity-checked**: a JSON manifest
   records the format version and the SHA-256 of the ``.npz`` payload,
   and every load re-hashes the payload before trusting it -- a

@@ -20,8 +20,7 @@ saved -- same arrays, same blend arithmetic, predictions matching to
 the last bit (the round-trip suite pins 1e-12).
 
 Fingerprints reuse :mod:`repro.cache`'s content hashing, the same
-family the run registry keys runs with, so "the model that produced
-run X" and "the artifact serving it" share an identity.
+family the pipeline cache keys its entries with.
 """
 
 from __future__ import annotations
@@ -60,12 +59,10 @@ __all__ = [
 
 FloatArray = NDArray[np.float64]
 
-#: Default store location, relative to the working directory (sibling
-#: of the run registry's ``.geoalign/registry.jsonl``).
+#: Default store location, relative to the working directory.
 DEFAULT_STORE_DIR = os.path.join(".geoalign", "store")
 
-#: Hex characters of the fingerprint used as the artifact key -- the
-#: same prefix length the run registry uses for run ids.
+#: Hex characters of the fingerprint used as the artifact key.
 KEY_LENGTH = 12
 
 
@@ -81,8 +78,7 @@ def model_fingerprint(model: BatchAligner) -> str:
     solver configuration, the objectives, masks and attribute names --
     everything the fit is a deterministic function of.  The learned
     weights are deliberately *not* hashed: refitting identical inputs
-    must land on the identical artifact key, mirroring the run
-    registry's "same work, same id" semantics.
+    must land on the identical artifact key ("same work, same id").
     """
     from repro.cache import combine_fingerprints, fingerprint_array
 

@@ -460,6 +460,23 @@ def test_predict_dms_builds_union_stack_once(capture_trace):
         assert (left.matrix != right.matrix).nnz == 0
 
 
+def test_repeated_predict_dms_keep_the_objective(paired_references):
+    # Weights [0, 1] leave exact zeros in the one-row value cache, and a
+    # row that long is wrapped without a copy: wrapping must not compact
+    # the cache, or the second call returns extra mass.
+    objective = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 5.0]])
+    aligner = BatchAligner().fit(paired_references, objective)
+    assert aligner.weights_.tolist() == [[0.0, 1.0]]
+    (first,), (second,) = aligner.predict_dms(), aligner.predict_dms()
+    for name in ("data", "indices", "indptr"):
+        left, right = getattr(first.matrix, name), getattr(second.matrix, name)
+        assert left.tobytes() == right.tobytes(), name
+    for dm in (first, second):
+        np.testing.assert_allclose(
+            dm.row_sums(), objective[0], rtol=RTOL, atol=ATOL
+        )
+
+
 @pytest.mark.parametrize("denominator", ["row-sums", "source-vectors"])
 def test_geoalign_is_row_zero_of_one_row_batch(denominator):
     references, objectives = _world(47, k=4)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from repro.errors import ShapeMismatchError, ValidationError
 from repro.partitions.dm import DisaggregationMatrix
@@ -51,6 +52,29 @@ class TestConstruction:
         dm = DisaggregationMatrix.zeros(SRC, TGT)
         assert dm.nnz == 0
         assert dm.total() == 0.0
+
+    def test_wrapping_a_csr_with_an_explicit_zero_leaves_it_untouched(self):
+        # A float CSR is adopted without a copy; dropping its explicit
+        # zero in place would compact the caller's buffers.
+        caller = sparse.csr_matrix(
+            (
+                np.array([1.0, 0.0, 2.0, 3.0]),
+                np.array([0, 1, 1, 0]),
+                np.array([0, 2, 3, 4]),
+            ),
+            shape=(3, 2),
+        )
+        before = [
+            getattr(caller, name).copy()
+            for name in ("data", "indices", "indptr")
+        ]
+        dm = DisaggregationMatrix(caller, SRC, TGT)
+        assert dm.nnz == 3
+        np.testing.assert_array_equal(dm.to_dense(), [[1, 0], [0, 2], [3, 0]])
+        for name, original in zip(("data", "indices", "indptr"), before):
+            after = getattr(caller, name)
+            assert after.dtype == original.dtype, name
+            assert after.tobytes() == original.tobytes(), name
 
 
 class TestSums:

@@ -16,6 +16,7 @@ import pytest
 import repro.core.batch
 from repro.core.batch import BatchAligner
 from repro.core.geoalign import GeoAlign
+from repro.core.reference import Reference
 from repro.errors import ValidationError
 from repro.obs import (
     Trace,
@@ -35,6 +36,10 @@ from repro.obs.health import (
     HealthReport,
     _REGISTRY,
 )
+from repro.partitions.dm import DisaggregationMatrix
+
+SRC2 = ["s0", "s1"]
+TGT2 = ["t0", "t1"]
 
 
 def _session(gauges=None, counters=None, name="t"):
@@ -86,6 +91,27 @@ class TestHealthCheck:
             warn=2.0,
             fail=1.0,
             extract=lambda session: value,
+        )
+        assert check.evaluate(_session()).status == expected
+
+    @pytest.mark.parametrize(
+        "direction,warn,fail,expected",
+        [
+            ("high", 1.0, 10.0, FAIL),
+            ("low", 10.0, 1.0, FAIL),
+            ("high", 1.0, None, WARN),
+            ("low", 1.0, None, WARN),
+        ],
+    )
+    def test_nan_is_the_worst_value(self, direction, warn, fail, expected):
+        check = HealthCheck(
+            name="probe",
+            description="",
+            formula="",
+            direction=direction,
+            warn=warn,
+            fail=fail,
+            extract=lambda session: float("nan"),
         )
         assert check.evaluate(_session()).status == expected
 
@@ -297,6 +323,46 @@ class TestModelGauges:
         assert 1.0 <= gauges["health.effective_references_min"] <= 2.0
         assert gauges["health.gram_condition_max"] >= 1.0
 
+    def test_geoalign_is_audited_as_its_one_row_batch(
+        self, paired_references
+    ):
+        objective = np.arange(1.0, 7.0)
+        scalar = GeoAlign().fit(paired_references, objective)
+        batch = BatchAligner().fit(
+            paired_references, objective[np.newaxis, :]
+        )
+        gauges = model_gauges(scalar)
+        assert gauges == model_gauges(batch)
+        assert "health.stack_density" in gauges
+
+    @pytest.mark.parametrize("engine", ["batch", "geoalign"])
+    def test_audit_after_predict_dms_reads_ok(
+        self, paired_references, engine
+    ):
+        # Weights [0, 1]: the one-row value cache holds exact zeros, and
+        # wrapping a row as a DM must not compact the cache in place.
+        objective = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 5.0])
+        if engine == "batch":
+            model = BatchAligner().fit(
+                paired_references, objective[np.newaxis, :]
+            )
+            model.predict_dms()
+        else:
+            model = GeoAlign().fit(paired_references, objective)
+            model.predict_dm()
+        report = evaluate_health(_session(), model=model)
+        assert report.get("volume_preservation").status == OK
+        assert report.get("volume_preservation").value <= 1e-12
+
+    def test_objective_only_in_uncovered_rows(self):
+        # No reference covers s1, where all of the objective sits: the
+        # residual over covered rows is 0 and the coverage check fires.
+        dm = DisaggregationMatrix([[1.0, 0.0], [0.0, 0.0]], SRC2, TGT2)
+        model = GeoAlign().fit([Reference("only", [1.0, 0.0], dm)], [0, 3])
+        gauges = model_gauges(model)
+        assert gauges["health.volume_residual_max"] == 0.0
+        assert gauges["health.uncovered_mass_max"] == 1.0
+
     def test_batch_model_gauges(self, paired_references):
         objectives = np.vstack([np.arange(1.0, 7.0), np.ones(6)])
         model = BatchAligner()
@@ -354,6 +420,30 @@ class TestEvaluateHealth:
     def test_checks_subset(self):
         report = evaluate_health(_session(), checks=list(all_checks())[:2])
         assert len(report.checks) == 2
+
+    def test_nan_volume_residual_fails_the_run(self, capture_trace):
+        # Subnormal reference rows overflow the Eq. 16 factors: the
+        # prediction keeps 2.5 of the objective's 3.5 and the residual
+        # gauge is NaN, which must read as a failure, not as ok.
+        src = ["s0", "s1", "s2"]
+        alpha = Reference(
+            "alpha",
+            [1.0, 1.0, 1e-310],
+            DisaggregationMatrix([[1, 0], [0, 1], [0, 0]], src, TGT2),
+        )
+        beta = Reference(
+            "beta",
+            [1.0, 2.0, 1e-310],
+            DisaggregationMatrix([[1, 0], [1, 1], [0, 0]], src, TGT2),
+        )
+        with capture_trace() as session, np.errstate(all="ignore"):
+            GeoAlign(denominator="source-vectors").fit_predict(
+                [alpha, beta], [1.0, 1.5, 1.0]
+            )
+        assert np.isnan(session.gauges["health.volume_residual_max"])
+        report = evaluate_health(session)
+        assert report.get("volume_preservation").status == FAIL
+        assert not report.ok
 
 
 # ---------------------------------------------------------------------------

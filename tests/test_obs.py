@@ -100,6 +100,20 @@ class TestTraceCore:
         assert session.counters == {"hits": 3.0}
         assert session.gauges == {"size": 7.0}
 
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_water_marks_keep_a_nan_once_written(self, mode):
+        # NaN compares false with everything, so a plain high/low-water
+        # update would drop a bad fold that follows a finite one.
+        from repro.obs import set_gauge_max, set_gauge_min
+
+        update = set_gauge_max if mode == "max" else set_gauge_min
+        with trace("t") as session:
+            update("health.probe", 1.0)
+            update("health.probe", float("nan"))
+            update("health.probe", 2.0)
+            update("health.probe", 0.5)
+        assert np.isnan(session.gauges["health.probe"])
+
     def test_error_status_propagates(self):
         with pytest.raises(ValidationError):
             with trace("t") as session:

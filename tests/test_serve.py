@@ -34,7 +34,6 @@ from repro.partitions.dm import DisaggregationMatrix
 from repro.serve import (
     AlignmentServer,
     HttpRequest,
-    LatencyWindow,
     ServeClient,
     encode_response,
     percentile,
@@ -171,15 +170,6 @@ class TestMetricsPrimitives:
             percentile([], 50.0)
         with pytest.raises(ValidationError):
             percentile([1.0], 0.0)
-
-    def test_window_keeps_recent_but_counts_all(self):
-        window = LatencyWindow(capacity=4)
-        for value in (9.0, 9.0, 1.0, 1.0, 1.0, 1.0):
-            window.observe(value)
-        summary = window.summary()
-        assert summary["count"] == 6.0
-        assert summary["max_seconds"] == 9.0
-        assert summary["p99_seconds"] == 1.0  # the 9s rolled out
 
 
 # ---------------------------------------------------------------------------
