@@ -1,19 +1,21 @@
-"""Ablation: the three from-scratch simplex-LS solvers vs scipy SLSQP.
+"""Ablation: the active-set kernel vs its test oracles and scipy SLSQP.
 
-DESIGN.md calls out the weight-learning solver as a design choice.  All
-four solvers are timed on the real weight-learning problem (nine
-reference columns over every US zip unit) and their objectives compared
--- the active-set method should match the others' optimum while being
-the fastest of the exact options.
+DESIGN.md calls out the weight-learning solver as a design choice.  The
+library's active-set kernel and the iterative oracles of
+``tests/solver_oracles.py`` (projected gradient alone, Frank-Wolfe) are
+timed on the real weight-learning problem (nine reference columns over
+every US zip unit) and their objectives compared with SLSQP's -- the
+active-set method should match the others' optimum while being the
+fastest of the exact options.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.solver import (
-    scipy_reference_solution,
-    simplex_lstsq,
-)
+from repro.core.solver import simplex_lstsq
+from tests.solver_oracles import ORACLES, scipy_reference_solution
+
+SOLVERS = {"active-set": simplex_lstsq, **ORACLES}
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +29,11 @@ def weight_problem(us_world):
     return design, rhs
 
 
-@pytest.mark.parametrize(
-    "method", ["active-set", "projected-gradient", "frank-wolfe"]
-)
+@pytest.mark.parametrize("method", list(SOLVERS))
 def test_solver_variants(benchmark, weight_problem, method, report):
     design, rhs = weight_problem
-    result = benchmark(lambda: simplex_lstsq(design, rhs, method=method))
+    solve = SOLVERS[method]
+    result = benchmark(lambda: solve(design, rhs))
     reference = scipy_reference_solution(design, rhs)
     gap = result.objective - reference.objective
     report(

@@ -78,7 +78,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.partitions.dm import DisaggregationMatrix
-from repro.utils.arrays import as_nonnegative_vector
+from repro.utils.arrays import as_float_array, as_nonnegative_vector
 from repro.utils.timer import StageTimer
 
 if TYPE_CHECKING:
@@ -128,9 +128,11 @@ def _coerce_objectives_matrix(objectives: ArrayLike, n_sources: int) -> FloatArr
         ]
         if not rows:
             raise ValidationError("objectives must not be empty")
+        if len({len(row) for row in rows}) > 1:
+            raise ValidationError("objectives rows differ in length")
         matrix = np.vstack(rows)
     else:
-        matrix = np.asarray(objectives, dtype=float)
+        matrix = as_float_array(objectives, name="objectives")
         if matrix.ndim == 1:
             matrix = matrix[np.newaxis, :]
         if matrix.ndim != 2:
@@ -164,10 +166,23 @@ def _coerce_objectives_matrix(objectives: ArrayLike, n_sources: int) -> FloatArr
 def _coerce_mask_matrix(
     masks: ArrayLike | None, n_attrs: int, n_refs: int
 ) -> BoolArray:
-    """Validate per-attribute reference masks (default: all-true)."""
+    """Validate per-attribute reference masks (default: all-true).
+
+    Every entry must be a boolean or exactly 0 or 1: casting anything
+    else to ``bool`` would read ``"false"`` or ``0.5`` as "use this
+    reference".
+    """
     if masks is None:
         return np.ones((n_attrs, n_refs), dtype=bool)
-    mask_matrix = np.asarray(masks, dtype=bool)
+    try:
+        raw = np.asarray(masks)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"masks must be a matrix: {exc}") from None
+    if raw.dtype.kind not in "biuf" or not np.isin(raw, (0, 1)).all():
+        raise ValidationError(
+            "every mask entry must be a boolean or exactly 0 or 1"
+        )
+    mask_matrix = raw.astype(bool)
     if mask_matrix.shape != (n_attrs, n_refs):
         raise ShapeMismatchError(
             f"masks must have shape ({n_attrs}, {n_refs}), got "
@@ -198,7 +213,6 @@ def _solve_masked_weights(
     atb_all: FloatArray,
     btb_all: FloatArray,
     mask_matrix: BoolArray,
-    method: str,
 ) -> tuple[FloatArray, list[SimplexLstsqResult]]:
     """Per-attribute Eq. 15 simplex solves over one shared Gram matrix.
 
@@ -219,8 +233,7 @@ def _solve_masked_weights(
     n_attrs, n_refs = mask_matrix.shape
     results: list[SimplexLstsqResult] = []
     weights = np.zeros((n_attrs, n_refs))
-    factored = method == "active-set" and n_refs > 1
-    factor = GramFactor.try_build(gram) if factored else None
+    factor = GramFactor.try_build(gram) if n_refs > 1 else None
     sub_factors: dict[bytes, GramFactor | None] = {}
     for j in range(n_attrs):
         mask = mask_matrix[j]
@@ -229,7 +242,6 @@ def _solve_masked_weights(
                 gram,
                 atb_all[:, j],
                 btb=float(btb_all[j]),
-                method=method,
                 factor=factor,
             )
             weights[j] = result.weights
@@ -237,7 +249,7 @@ def _solve_masked_weights(
             idx = np.flatnonzero(mask)
             subgram = gram[np.ix_(idx, idx)]
             sub_factor: GramFactor | None = None
-            if factored and len(idx) > 1:
+            if len(idx) > 1:
                 key = mask.tobytes()
                 if key not in sub_factors:
                     sub_factors[key] = GramFactor.try_build(subgram)
@@ -246,7 +258,6 @@ def _solve_masked_weights(
                 subgram,
                 atb_all[idx, j],
                 btb=float(btb_all[j]),
-                method=method,
                 factor=sub_factor,
             )
             weights[j, idx] = result.weights
@@ -809,7 +820,7 @@ class BatchAligner:
 
     Parameters
     ----------
-    solver_method, normalize, denominator:
+    normalize, denominator:
         As in :class:`~repro.core.geoalign.GeoAlign`; applied to every
         attribute.
     cache:
@@ -835,7 +846,6 @@ class BatchAligner:
 
     def __init__(
         self,
-        solver_method: str = "active-set",
         normalize: bool = True,
         denominator: str = "row-sums",
         cache: "PipelineCache | None" = None,
@@ -845,7 +855,6 @@ class BatchAligner:
                 f"denominator must be one of {_DENOMINATORS}, "
                 f"got {denominator!r}"
             )
-        self.solver_method = solver_method
         self.normalize = normalize
         self.denominator = denominator
         self.cache = cache
@@ -898,6 +907,10 @@ class BatchAligner:
                     f"{n_attrs} objectives but {len(names)} attribute "
                     "names"
                 )
+            if len(set(names)) != n_attrs:
+                raise ValidationError(
+                    f"attribute names must be unique, got {names}"
+                )
         return stack, objective_matrix, mask_matrix, names
 
     def fit(
@@ -928,7 +941,7 @@ class BatchAligner:
         # Telemetry reset per fit: without it, repeated fits accumulate
         # stage timings and report multi-fit totals as one run's.
         self.timer_.reset()
-        with _span("batch.fit", solver=self.solver_method) as fit_span:
+        with _span("batch.fit") as fit_span:
             with self.timer_.stage("weights"):
                 stack, objective_matrix, mask_matrix, names = (
                     self._coerce_fit_inputs(
@@ -963,7 +976,7 @@ class BatchAligner:
         atb_all = stack.design.T @ rhs.T
         btb_all = np.einsum("ij,ij->i", rhs, rhs)
         weights, results = _solve_masked_weights(
-            stack.gram, atb_all, btb_all, mask_matrix, self.solver_method
+            stack.gram, atb_all, btb_all, mask_matrix
         )
         self.stack_ = stack
         self.weights_ = weights
@@ -1119,7 +1132,6 @@ class BatchAligner:
             else "unfitted"
         )
         return (
-            f"BatchAligner(solver={self.solver_method!r}, "
-            f"normalize={self.normalize}, "
+            f"BatchAligner(normalize={self.normalize}, "
             f"denominator={self.denominator!r}, {status})"
         )

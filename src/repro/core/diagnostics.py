@@ -148,7 +148,6 @@ def bootstrap_weights(
     objective_source: ArrayLike,
     n_boot: int = 200,
     seed: RngLike = None,
-    solver_method: str = "active-set",
 ) -> BootstrapResult:
     """Bootstrap the Eq. 15 weights over source units.
 
@@ -186,16 +185,14 @@ def bootstrap_weights(
         raise ValidationError("objective_source is identically zero")
     rhs = objective / float(objective.max())
 
-    point = simplex_lstsq(design, rhs, method=solver_method).weights
+    point = simplex_lstsq(design, rhs).weights
     rng = as_rng(seed)
     m = design.shape[0]
     draws = np.empty((n_boot, design.shape[1]))
     fitted = np.empty((n_boot, m))
     for b in range(n_boot):
         rows = rng.integers(0, m, size=m)
-        result = simplex_lstsq(
-            design[rows], rhs[rows], method=solver_method
-        )
+        result = simplex_lstsq(design[rows], rhs[rows])
         draws[b] = result.weights
         fitted[b] = design @ result.weights
     dispersion = float(fitted.std(axis=0).mean())

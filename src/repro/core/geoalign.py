@@ -46,10 +46,6 @@ class GeoAlign:
 
     Parameters
     ----------
-    solver_method:
-        Which simplex least-squares solver to use for weight learning:
-        ``"active-set"`` (default), ``"projected-gradient"`` or
-        ``"frank-wolfe"``.
     normalize:
         Max-normalise the objective and reference source vectors before
         weight learning (paper §3.4).  Turning this off is an ablation,
@@ -85,14 +81,11 @@ class GeoAlign:
 
     def __init__(
         self,
-        solver_method: str = "active-set",
         normalize: bool = True,
         denominator: str = "row-sums",
     ) -> None:
         self._batch = BatchAligner(
-            solver_method=solver_method,
-            normalize=normalize,
-            denominator=denominator,
+            normalize=normalize, denominator=denominator
         )
         self.weights_: FloatArray | None = None
         self.references_: list[Reference] | None = None
@@ -101,10 +94,6 @@ class GeoAlign:
         self.timer_ = self._batch.timer_
         self._estimated_dm: DisaggregationMatrix | None = None
         self._estimates: FloatArray | None = None
-
-    @property
-    def solver_method(self) -> str:
-        return self._batch.solver_method
 
     @property
     def normalize(self) -> bool:
@@ -142,11 +131,7 @@ class GeoAlign:
         """
         references = list(references)
         objective = as_float_vector(objective_source, name="objective_source")
-        with _span(
-            "geoalign.fit",
-            solver=self.solver_method,
-            n_references=len(references),
-        ):
+        with _span("geoalign.fit", n_references=len(references)):
             batch = self._batch.fit(references, objective[np.newaxis, :])
         assert batch.stack_ is not None and batch.weights_ is not None
         assert batch.solver_results_ is not None
@@ -214,7 +199,6 @@ class GeoAlign:
     def __repr__(self) -> str:
         status = "fitted" if self.weights_ is not None else "unfitted"
         return (
-            f"GeoAlign(solver={self.solver_method!r}, "
-            f"normalize={self.normalize}, denominator={self.denominator!r}, "
-            f"{status})"
+            f"GeoAlign(normalize={self.normalize}, "
+            f"denominator={self.denominator!r}, {status})"
         )

@@ -466,7 +466,7 @@ class ShardedAligner(BatchAligner):
         Process-pool width for the disaggregation map.  1 (default)
         runs the identical shard code inline on the calling process —
         deterministic and overhead-free for small universes.
-    solver_method, normalize, denominator, cache:
+    normalize, denominator, cache:
         As in :class:`~repro.core.batch.BatchAligner`.
 
     Attributes (after :meth:`fit` / :meth:`predict`)
@@ -485,17 +485,13 @@ class ShardedAligner(BatchAligner):
         self,
         n_shards: int = 2,
         strategy: str = "tile",
-        solver_method: str = "active-set",
         normalize: bool = True,
         denominator: str = "row-sums",
         cache: "PipelineCache | None" = None,
         max_workers: int = 1,
     ) -> None:
         super().__init__(
-            solver_method=solver_method,
-            normalize=normalize,
-            denominator=denominator,
-            cache=cache,
+            normalize=normalize, denominator=denominator, cache=cache
         )
         if n_shards < 1:
             raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
@@ -623,7 +619,6 @@ class ShardedAligner(BatchAligner):
         self.timer_.reset()
         with _span(
             "shard.fit",
-            solver=self.solver_method,
             n_shards=self.n_shards,
             strategy=self.strategy,
         ) as fit_span:
@@ -804,6 +799,5 @@ class ShardedAligner(BatchAligner):
             f"ShardedAligner(n_shards={self.n_shards}, "
             f"strategy={self.strategy!r}, "
             f"max_workers={self.max_workers}, "
-            f"solver={self.solver_method!r}, "
             f"denominator={self.denominator!r}, {status})"
         )

@@ -5,24 +5,20 @@ GeoAlign's weight-learning step solves
     minimise    0.5 * || A beta - b ||^2
     subject to  sum(beta) = 1,  beta >= 0
 
-i.e. least squares over the probability simplex.  This module provides
-three independent solvers (so the test suite can cross-validate them
-against each other and against ``scipy.optimize``):
+i.e. least squares over the probability simplex.  One kernel solves it:
+an exact, finite-termination active-set iteration (NNLS-style, with the
+single equality constraint folded into the KKT system).  On the rare
+degenerate problem where that loop cycles, finds no blocking variable
+or reaches its ``50 k`` iteration cap, it hands over to a private
+accelerated projected-gradient kernel (FISTA with the Duchi et al. 2008
+simplex projection); the result's ``method`` then reads
+``"projected-gradient"`` and its ``solver.converged`` event carries
+``fallback=True``.  The independent oracles the test suite and the
+solver ablation bench check the kernel against -- projected gradient on
+its own, Frank-Wolfe and scipy's SLSQP -- live in
+``tests/solver_oracles.py``.
 
-``active-set``
-    Exact finite-termination method: an NNLS-style active-set iteration
-    with the single equality constraint folded into the KKT system.  The
-    default.
-``projected-gradient``
-    Accelerated projected gradient with exact Euclidean projection onto
-    the simplex (Duchi et al. 2008).  Robust, iterative.
-``frank-wolfe``
-    Classic conditional-gradient with exact line search, whose iterates
-    are always feasible.  Slowest to converge but entirely division-free.
-
-All three accept the same inputs and return a :class:`SimplexLstsqResult`.
-
-Internally every solver operates on the *normal equations* -- the Gram
+Internally the kernel operates on the *normal equations* -- the Gram
 matrix ``A^T A``, the projected right-hand side ``A^T b``, and the
 constant ``b^T b`` -- never on ``A`` itself.  That factoring is what the
 batch alignment engine (:mod:`repro.core.batch`) exploits: when N
@@ -44,7 +40,7 @@ loop gates every candidate either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -59,7 +55,8 @@ from repro.obs.trace import incr as _obs_incr
 
 FloatArray = NDArray[np.float64]
 
-_METHODS = ("active-set", "projected-gradient", "frank-wolfe")
+#: Convergence and KKT tolerance of every Eq. 15 solve.
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,13 @@ class SimplexLstsqResult:
     iterations:
         Solver iterations used.
     method:
-        Which solver produced the result.
+        The kernel that produced the result: ``"active-set"``, or
+        ``"projected-gradient"`` when the active-set loop fell back.
     converged:
-        ``False`` when an iterative kernel exhausted its iteration cap
-        without meeting its convergence certificate; the returned
-        weights are still feasible, just not certified optimal.  The
-        health monitors count these per run.
+        ``False`` when the projected-gradient fallback exhausted its
+        iteration cap without meeting its convergence certificate; the
+        returned weights are still feasible, just not certified optimal.
+        The health monitors count these per run.
     """
 
     weights: FloatArray
@@ -117,24 +115,21 @@ def _objective(A: FloatArray, b: FloatArray, w: FloatArray) -> float:
     return 0.5 * float(r @ r)
 
 
-def _emit_solver_event(
-    requested: str, result: SimplexLstsqResult, n: int
-) -> None:
+def _emit_solver_event(result: SimplexLstsqResult, n: int) -> None:
     """Record one ``solver.converged`` event on any active trace.
 
-    ``backend`` is the kernel that actually produced the result; it
-    differs from ``method`` exactly when the active-set solver fell back
-    to projected gradient (degenerate cycling / numerical corners), so
-    ``fallback`` makes silent fallbacks observable.  The companion
-    counters (``solver.solves`` / ``solver.fallbacks`` /
+    ``backend`` is the kernel that actually produced the result; it is
+    ``"projected-gradient"`` exactly when the active-set solver fell
+    back (degenerate cycling / numerical corners), so ``fallback``
+    makes silent fallbacks observable.  The companion counters
+    (``solver.solves`` / ``solver.fallbacks`` /
     ``solver.nonconverged``) give any active trace the per-run rates
     the health monitors check; with tracing off every call here is a
     no-op costing one context-variable read.
     """
-    fallback = result.method != requested
+    fallback = result.method != "active-set"
     _obs_event(
         "solver.converged",
-        method=requested,
         backend=result.method,
         iterations=result.iterations,
         objective=result.objective,
@@ -442,13 +437,7 @@ class _FreeSetFactor:
         self.order = idx.tolist()
 
 
-def simplex_lstsq(
-    A: ArrayLike,
-    b: ArrayLike,
-    method: str = "active-set",
-    max_iter: int | None = None,
-    tol: float = 1e-12,
-) -> SimplexLstsqResult:
+def simplex_lstsq(A: ArrayLike, b: ArrayLike) -> SimplexLstsqResult:
     """Solve ``min 0.5||A w - b||^2  s.t.  sum(w)=1, w>=0``.
 
     Parameters
@@ -459,41 +448,17 @@ def simplex_lstsq(
     b:
         ``(m,)`` right-hand side; the (normalised) objective attribute at
         the source level.
-    method:
-        One of ``"active-set"`` (default, exact), ``"projected-gradient"``
-        or ``"frank-wolfe"``.
-    max_iter:
-        Iteration cap; defaults per method.
-    tol:
-        Convergence / KKT tolerance.
 
     Returns
     -------
     SimplexLstsqResult
     """
     A, b = _validate_inputs(A, b)
-    if method not in _METHODS:
-        raise ValidationError(
-            f"unknown method {method!r}; choose from {_METHODS}"
-        )
-    if A.shape[1] == 1:
-        # One reference: the constraint pins the answer.
-        pinned = SimplexLstsqResult(
-            np.ones(1), _objective(A, b, np.ones(1)), 0, method
-        )
-        _emit_solver_event(method, pinned, 1)
-        return pinned
-    result = _dispatch(_normal_equations(A, b), method, max_iter, tol)
+    result = _active_set(_normal_equations(A, b))
     # Report the objective from the actual residual (numerically cleaner
     # than the expanded quadratic form when the fit is near-exact).
-    result = SimplexLstsqResult(
-        result.weights,
-        _objective(A, b, result.weights),
-        result.iterations,
-        result.method,
-        result.converged,
-    )
-    _emit_solver_event(method, result, A.shape[1])
+    result = replace(result, objective=_objective(A, b, result.weights))
+    _emit_solver_event(result, A.shape[1])
     return result
 
 
@@ -501,9 +466,6 @@ def simplex_lstsq_from_gram(
     gram: ArrayLike,
     atb: ArrayLike,
     btb: float = 0.0,
-    method: str = "active-set",
-    max_iter: int | None = None,
-    tol: float = 1e-12,
     factor: GramFactor | None = None,
 ) -> SimplexLstsqResult:
     """Solve Eq. 15 given precomputed normal equations.
@@ -521,15 +483,13 @@ def simplex_lstsq_from_gram(
         ``(k,)`` projected right-hand side ``A^T b``.
     btb:
         ``b^T b``; only used to report the objective value.
-    method, max_iter, tol:
-        As in :func:`simplex_lstsq`.
     factor:
         Optional pre-built :class:`GramFactor` of the *same* ``gram``
         (``GramFactor.try_build(gram)``).  Lets the active-set kernel
         reuse one Cholesky factorization across the N per-attribute
-        solves; other methods ignore it.  Every candidate is still
-        verified against the exact KKT conditions, so a stale or
-        ill-conditioned factor degrades speed, never correctness.
+        solves.  Every candidate is still verified against the exact
+        KKT conditions, so a stale or ill-conditioned factor degrades
+        speed, never correctness.
 
     Returns
     -------
@@ -539,37 +499,14 @@ def simplex_lstsq_from_gram(
         gram, atb, btb,
         gram_checked=factor is not None and factor.gram is gram,
     )
-    if method not in _METHODS:
-        raise ValidationError(
-            f"unknown method {method!r}; choose from {_METHODS}"
-        )
     if factor is not None and factor.n != eqs.n:
         raise ValidationError(
             f"factor is {factor.n}x{factor.n} but gram is "
             f"{eqs.n}x{eqs.n}"
         )
-    if eqs.n == 1:
-        w = np.ones(1)
-        pinned = SimplexLstsqResult(w, eqs.objective(w), 0, method)
-        _emit_solver_event(method, pinned, 1)
-        return pinned
-    result = _dispatch(eqs, method, max_iter, tol, factor)
-    _emit_solver_event(method, result, eqs.n)
+    result = _active_set(eqs, factor)
+    _emit_solver_event(result, eqs.n)
     return result
-
-
-def _dispatch(
-    eqs: _NormalEqs,
-    method: str,
-    max_iter: int | None,
-    tol: float,
-    factor: GramFactor | None = None,
-) -> SimplexLstsqResult:
-    if method == "active-set":
-        return _active_set(eqs, max_iter or 50 * eqs.n, tol, factor)
-    if method == "projected-gradient":
-        return _projected_gradient(eqs, max_iter or 5000, tol)
-    return _frank_wolfe(eqs, max_iter or 20000, tol)
 
 
 # ----------------------------------------------------------------------
@@ -581,6 +518,10 @@ def project_to_simplex(v: ArrayLike) -> FloatArray:
     if v.ndim != 1:
         raise ValidationError(f"can only project vectors, got shape {v.shape}")
     n = len(v)
+    if n == 0:
+        raise ValidationError("cannot project an empty vector")
+    if not np.isfinite(v).all():
+        raise ValidationError("cannot project non-finite entries")
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     rho_candidates = u - css / np.arange(1, n + 1) > 0
@@ -615,16 +556,17 @@ def _equality_solve(
 
 
 def _active_set(
-    eqs: _NormalEqs,
-    max_iter: int,
-    tol: float,
-    factor: GramFactor | None = None,
+    eqs: _NormalEqs, factor: GramFactor | None = None
 ) -> SimplexLstsqResult:
     n = eqs.n
+    if n == 1:
+        # One reference: the constraint pins the answer.
+        w = np.ones(1)
+        return SimplexLstsqResult(w, eqs.objective(w), 0, "active-set")
     gram = eqs.gram
     atb = eqs.atb
     scale = max(float(np.abs(gram).max()), 1.0)
-    kkt_tol = tol * scale + 1e-12
+    kkt_tol = _TOL * scale + 1e-12
 
     # Start from the uniform feasible point with all variables free.
     # ``state`` mirrors ``free`` as an updatable Cholesky factor of the
@@ -637,7 +579,7 @@ def _active_set(
     state = _FreeSetFactor(factor) if factor is not None else None
     iterations = 0
     stalls = 0
-    while iterations < max_iter:
+    while iterations < 50 * n:
         iterations += 1
         w_free = lam = None
         if state is not None:
@@ -649,7 +591,7 @@ def _active_set(
         if w_free is None or lam is None:
             w_free, lam = _equality_solve(gram, atb, free)
         idx = free.nonzero()[0]
-        if (w_free >= -tol).all():
+        if (w_free >= -_TOL).all():
             candidate = np.zeros(n)
             candidate[idx] = np.maximum(w_free, 0.0)
             total = candidate.sum()
@@ -690,7 +632,7 @@ def _active_set(
             if stalls > 2 * n:
                 # Degenerate cycling (ties in a rank-deficient Gram matrix):
                 # hand off to the always-convergent iterative solver.
-                return _projected_gradient(eqs, 5000, tol)
+                return _projected_gradient(eqs)
         else:
             if state is not None:
                 # Speculative block pin (the Bro & de Jong FNNLS move):
@@ -703,7 +645,7 @@ def _active_set(
                 # the exact optimality check -- so this only changes
                 # how fast the optimum is reached, not which point is
                 # accepted.
-                negative = w_free < -tol
+                negative = w_free < -_TOL
                 keep = idx[~negative]
                 if len(keep):
                     free[idx[negative]] = False
@@ -729,7 +671,7 @@ def _active_set(
             w = w + alpha * (direction - w)
             hit = (moving & (alphas <= alpha + 1e-15)).nonzero()[0]
             if len(hit) == 0:
-                return _projected_gradient(eqs, 5000, tol)
+                return _projected_gradient(eqs)
             for j in hit:
                 free[j] = False
                 w[j] = 0.0
@@ -754,7 +696,7 @@ def _active_set(
                     except _FactorBreakdown:
                         _obs_incr("solver.factor_breakdowns")
                         state = None
-    return _projected_gradient(eqs, 5000, tol)
+    return _projected_gradient(eqs)
 
 
 def _unit(n: int, j: int) -> FloatArray:
@@ -767,8 +709,14 @@ def _unit(n: int, j: int) -> FloatArray:
 # Projected gradient (FISTA-style acceleration)
 # ----------------------------------------------------------------------
 def _projected_gradient(
-    eqs: _NormalEqs, max_iter: int, tol: float
+    eqs: _NormalEqs, max_iter: int = 5000, tol: float = _TOL
 ) -> SimplexLstsqResult:
+    """The active-set kernel's fallback for degenerate problems.
+
+    Always feasible and always convergent, but iterative: it stops when
+    the objective moves by at most ``tol`` (relative) over ten steps, or
+    after ``max_iter`` steps with ``converged=False``.
+    """
     n = eqs.n
     # Lipschitz constant of the gradient = largest eigenvalue of Gram.
     lipschitz = float(np.linalg.eigvalsh(eqs.gram)[-1])
@@ -799,65 +747,3 @@ def _projected_gradient(
     return SimplexLstsqResult(
         w, eqs.objective(w), max_iter, "projected-gradient", converged=False
     )
-
-
-# ----------------------------------------------------------------------
-# Frank-Wolfe
-# ----------------------------------------------------------------------
-def _frank_wolfe(
-    eqs: _NormalEqs, max_iter: int, tol: float
-) -> SimplexLstsqResult:
-    n = eqs.n
-    w = np.full(n, 1.0 / n)
-    for iteration in range(1, max_iter + 1):
-        gradient = eqs.gradient(w)
-        target = int(np.argmin(gradient))
-        direction = _unit(n, target) - w
-        # Duality gap <= -gradient . direction; standard FW certificate.
-        gap = float(-gradient @ direction)
-        if gap <= tol * max(1.0, eqs.objective(w)):
-            return SimplexLstsqResult(
-                w, eqs.objective(w), iteration, "frank-wolfe"
-            )
-        # Exact line search for the quadratic objective; the curvature
-        # ||A d||^2 is the Gram quadratic form d' (A'A) d.
-        denom = float(direction @ eqs.gram @ direction)
-        if denom <= 0.0:
-            gamma = 0.0
-        else:
-            gamma = min(max(gap / denom, 0.0), 1.0)
-        if gamma <= 0.0:
-            return SimplexLstsqResult(
-                w, eqs.objective(w), iteration, "frank-wolfe"
-            )
-        w = w + gamma * direction
-    return SimplexLstsqResult(
-        w, eqs.objective(w), max_iter, "frank-wolfe", converged=False
-    )
-
-
-def scipy_reference_solution(
-    A: ArrayLike, b: ArrayLike
-) -> SimplexLstsqResult:
-    """Cross-check solver built on ``scipy.optimize.minimize`` (SLSQP).
-
-    Used by tests and the solver ablation benchmark to validate the
-    from-scratch solvers; not on the GeoAlign hot path.
-    """
-    from scipy import optimize
-
-    A, b = _validate_inputs(A, b)
-    n = A.shape[1]
-    result = optimize.minimize(
-        lambda w: _objective(A, b, w),
-        np.full(n, 1.0 / n),
-        jac=lambda w: (A.T @ (A @ w - b)),
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * n,
-        constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0}],
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    if not result.success and result.status != 8:
-        raise SolverError(f"SLSQP reference failed: {result.message}")
-    w = project_to_simplex(result.x)
-    return SimplexLstsqResult(w, _objective(A, b, w), result.nit, "slsqp")

@@ -151,7 +151,6 @@ def _batch_geoalign_scores(
             aligner = ShardedAligner(
                 n_shards=n_shards,
                 strategy=shard_strategy,
-                solver_method=probe.solver_method,
                 normalize=probe.normalize,
                 denominator=probe.denominator,
                 cache=cache,
@@ -159,7 +158,6 @@ def _batch_geoalign_scores(
             )
         else:
             aligner = BatchAligner(
-                solver_method=probe.solver_method,
                 normalize=probe.normalize,
                 denominator=probe.denominator,
                 cache=cache,

@@ -81,6 +81,12 @@ class HttpRequest:
                 code="bad-request",
                 status=400,
             ) from exc
+        except RecursionError:
+            raise ServeError(
+                "request body nests JSON arrays/objects too deeply",
+                code="bad-request",
+                status=400,
+            ) from None
         if not isinstance(parsed, dict):
             raise ServeError(
                 "request body must be a JSON object, got "

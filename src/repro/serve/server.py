@@ -724,9 +724,7 @@ class AlignmentServer:
         assert stack is not None
         with _span("serve.align", base=serving.key):
             fitted = BatchAligner(
-                solver_method=base.solver_method,
-                normalize=base.normalize,
-                denominator=base.denominator,
+                normalize=base.normalize, denominator=base.denominator
             ).fit(
                 stack,
                 objectives,  # type: ignore[arg-type]

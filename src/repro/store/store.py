@@ -75,10 +75,13 @@ def model_fingerprint(model: BatchAligner) -> str:
     """Content fingerprint of one fitted aligner.
 
     Covers the reference stack (references + normalize flag), the
-    solver configuration, the objectives, masks and attribute names --
+    ``denominator`` option, the objectives, masks and attribute names --
     everything the fit is a deterministic function of.  The learned
     weights are deliberately *not* hashed: refitting identical inputs
     must land on the identical artifact key ("same work, same id").
+    The literal ``"active-set"`` stands where a selectable solver's
+    name once did, so keys computed before the option was retired
+    still match.
     """
     from repro.cache import combine_fingerprints, fingerprint_array
 
@@ -94,13 +97,7 @@ def model_fingerprint(model: BatchAligner) -> str:
     return combine_fingerprints(
         "fitted-model",
         model.stack_.fingerprint(),
-        repr(
-            (
-                model.solver_method,
-                bool(model.normalize),
-                model.denominator,
-            )
-        ),
+        repr(("active-set", bool(model.normalize), model.denominator)),
         fingerprint_array(model.objectives_),
         fingerprint_array(model.masks_),
         repr(list(model.attribute_names_ or [])),
@@ -402,7 +399,6 @@ class ModelStore:
                     "created_at": _utc_now(),
                     "stack_mode": stack.dm_stack.mode,
                     "config": {
-                        "solver_method": model.solver_method,
                         "normalize": bool(model.normalize),
                         "denominator": model.denominator,
                     },
@@ -475,8 +471,9 @@ class ModelStore:
             entry = StoreEntry.from_manifest(manifest)
             _check_shapes(arrays, manifest_path(self.root, key))
             config = entry.config
+            # Older manifests also name the solver that fitted them; the
+            # stored weights are adopted as they are, so it is not read.
             model = BatchAligner(
-                solver_method=str(config.get("solver_method", "active-set")),
                 normalize=bool(config.get("normalize", True)),
                 denominator=str(config.get("denominator", "row-sums")),
             )

@@ -29,9 +29,21 @@ BoolArray = NDArray[np.bool_]
 ZERO_ATOL = 1e-12
 
 
+def as_float_array(values: ArrayLike, name: str = "values") -> FloatArray:
+    """Coerce to a float64 array; ``ValidationError`` if it is not numeric.
+
+    numpy rejects strings, mappings and ragged nesting with a bare
+    ``ValueError`` or ``TypeError``; this names the argument instead.
+    """
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be numeric: {exc}") from None
+
+
 def as_float_vector(values: ArrayLike, name: str = "values") -> FloatArray:
     """Coerce to a 1-D float64 array; raise ``ValidationError`` otherwise."""
-    arr = np.asarray(values, dtype=float)
+    arr = as_float_array(values, name=name)
     if arr.ndim == 0:
         raise ValidationError(f"{name} must be a vector, got a scalar")
     if arr.ndim != 1:

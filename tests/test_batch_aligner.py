@@ -357,6 +357,16 @@ def test_validation_errors():
         BatchAligner().fit(references, objectives, masks=empty)
 
 
+def test_duplicate_attribute_names_rejected():
+    # Repeated names would collapse the weight report and leave the
+    # first row unreachable by name in the served model.
+    references, objectives = _world(17, n_attrs=2)
+    with pytest.raises(ValidationError, match="unique"):
+        BatchAligner().fit(
+            references, objectives, attribute_names=["a", "a"]
+        )
+
+
 def _input_bytes(references, objectives, masks):
     """Every caller-owned array a fit reads, as raw bytes."""
     arrays = [objectives, masks]

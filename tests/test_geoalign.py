@@ -171,12 +171,6 @@ class TestAlgorithm:
         # source-vectors denominator, shrinking every estimate by 1.5.
         assert np.allclose(a, b * 1.5, rtol=1e-9)
 
-    def test_solver_method_propagates(self, refs):
-        ga = GeoAlign(solver_method="frank-wolfe").fit(
-            refs, refs[0].source_vector
-        )
-        assert ga.solver_result_.method == "frank-wolfe"
-
     def test_unnormalized_mode_runs(self, refs):
         objective = refs[0].source_vector
         estimate = GeoAlign(normalize=False).fit_predict(refs, objective)

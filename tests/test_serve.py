@@ -148,6 +148,13 @@ class TestHttpFraming:
             HttpRequest("POST", "/p", {}, b"{nope").json_body()
         with pytest.raises(ServeError, match="empty"):
             HttpRequest("POST", "/p", {}, b"").json_body()
+        # Deep nesting exhausts the decoder's recursion, well under the
+        # body size limit.
+        nested = b"[" * 200_000 + b"]" * 200_000
+        with pytest.raises(ServeError, match="too deeply") as err:
+            HttpRequest("POST", "/p", {}, nested).json_body()
+        assert err.value.code == "bad-request"
+        assert err.value.status == 400
 
     def test_encode_response_round_trips_floats(self):
         value = 0.1 + 0.2  # not exactly representable in decimal
@@ -421,6 +428,39 @@ class TestFailureModes:
             "/align",
             {"objectives": [[1.0, 2.0]]},  # wrong width for the stack
         )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid-input"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"objectives": [["a", 1.0, 2.0, 3.0, 4.0, 5.0]]},
+            {"objectives": "abc"},
+            {"objectives": {"a": 1}},
+            {"objectives": [[1.0] * 6, [1.0] * 5]},
+            {"objectives": [[1.0] * 6], "masks": [["false", "true"]]},
+            {"objectives": [[1.0] * 6], "masks": [[0.5, 1]]},
+            {"objectives": [[1.0] * 6], "masks": [[None, 1]]},
+            {"objectives": [[1.0] * 6] * 2, "masks": [[True], [True, True]]},
+            {
+                "objectives": [[1.0] * 6, [2.0] * 6],
+                "attribute_names": ["a", "a"],
+            },
+        ],
+        ids=[
+            "non-numeric-entry",
+            "string",
+            "object",
+            "ragged-rows",
+            "string-masks",
+            "fractional-mask",
+            "null-mask",
+            "ragged-masks",
+            "duplicate-names",
+        ],
+    )
+    def test_malformed_align_body_becomes_invalid_input(self, fitted, body):
+        status, payload = self._envelope(fitted, "POST", "/align", body)
         assert status == 400
         assert payload["error"]["code"] == "invalid-input"
 

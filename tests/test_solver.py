@@ -1,4 +1,9 @@
-"""Unit and property tests for the simplex-constrained LS solvers."""
+"""Unit and property tests for the simplex-constrained LS solver.
+
+Tests parametrized over ``METHODS`` run the library's active-set kernel
+and the two iterative oracles of ``tests/solver_oracles.py`` on the same
+problem; SLSQP is the fourth, independent reference.
+"""
 
 import numpy as np
 import pytest
@@ -7,13 +12,24 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.solver import (
     GramFactor,
     project_to_simplex,
-    scipy_reference_solution,
     simplex_lstsq,
     simplex_lstsq_from_gram,
 )
 from repro.errors import ValidationError
+from tests.solver_oracles import (
+    ORACLES,
+    projected_gradient,
+    scipy_reference_solution,
+)
 
 METHODS = ("active-set", "projected-gradient", "frank-wolfe")
+
+
+def _solve(method, A, b, **oracle_options):
+    """The library kernel, or the named oracle with its options."""
+    if method == "active-set":
+        return simplex_lstsq(A, b)
+    return ORACLES[method](A, b, **oracle_options)
 
 
 def _random_problem(seed, m=None, k=None):
@@ -52,6 +68,14 @@ class TestProjection:
         with pytest.raises(ValidationError):
             project_to_simplex(np.ones((2, 2)))
 
+    @pytest.mark.parametrize(
+        "values", [[], [np.nan, 1.0], [np.inf, 1.0]],
+        ids=["empty", "nan", "inf"],
+    )
+    def test_rejects_empty_or_non_finite(self, values):
+        with pytest.raises(ValidationError):
+            project_to_simplex(np.array(values))
+
     @given(
         st.lists(
             st.floats(-100, 100, allow_nan=False), min_size=1, max_size=20
@@ -80,7 +104,7 @@ class TestSimplexLstsq:
     @pytest.mark.parametrize("method", METHODS)
     def test_feasibility(self, method):
         A, b = _random_problem(0)
-        result = simplex_lstsq(A, b, method=method)
+        result = _solve(method, A, b)
         assert _feasible(result.weights)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -90,7 +114,7 @@ class TestSimplexLstsq:
         A = rng.random((40, 3))
         w_true = np.array([0.2, 0.5, 0.3])
         b = A @ w_true
-        result = simplex_lstsq(A, b, method=method, tol=1e-14)
+        result = _solve(method, A, b, tol=1e-14)
         assert np.allclose(result.weights, w_true, atol=2e-4)
         assert result.objective < 1e-6
 
@@ -100,7 +124,7 @@ class TestSimplexLstsq:
         rng = np.random.default_rng(2)
         A = rng.random((30, 4))
         b = A[:, 2].copy()
-        result = simplex_lstsq(A, b, method=method, tol=1e-14)
+        result = _solve(method, A, b, tol=1e-14)
         assert result.weights[2] > 0.99
 
     def test_single_reference_is_pinned(self):
@@ -111,7 +135,7 @@ class TestSimplexLstsq:
     @pytest.mark.parametrize("seed", range(20))
     def test_active_set_matches_scipy(self, seed):
         A, b = _random_problem(seed)
-        ours = simplex_lstsq(A, b, method="active-set")
+        ours = simplex_lstsq(A, b)
         ref = scipy_reference_solution(A, b)
         assert ours.objective <= ref.objective * (1 + 1e-6) + 1e-9
 
@@ -119,8 +143,7 @@ class TestSimplexLstsq:
     def test_methods_agree_on_objective(self, seed):
         A, b = _random_problem(seed + 100)
         objectives = [
-            simplex_lstsq(A, b, method=m, tol=1e-12).objective
-            for m in METHODS
+            _solve(m, A, b, tol=1e-12).objective for m in METHODS
         ]
         best = min(objectives)
         scale = max(best, 1e-12)
@@ -135,18 +158,14 @@ class TestSimplexLstsq:
 
     def test_zero_matrix(self):
         A = np.zeros((5, 3))
-        result = simplex_lstsq(A, np.ones(5), method="projected-gradient")
-        assert _feasible(result.weights)
+        for method in ("active-set", "projected-gradient"):
+            result = _solve(method, A, np.ones(5))
+            assert _feasible(result.weights), method
 
     def test_zero_rhs(self):
         A, _ = _random_problem(4)
         result = simplex_lstsq(A, np.zeros(A.shape[0]))
         assert _feasible(result.weights)
-
-    def test_rejects_bad_method(self):
-        A, b = _random_problem(5)
-        with pytest.raises(ValidationError, match="unknown method"):
-            simplex_lstsq(A, b, method="magic")
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError):
@@ -171,7 +190,7 @@ class TestSimplexLstsq:
     def test_active_set_never_beaten_by_random_feasible_point(self, seed):
         """Optimality spot-check against random simplex points."""
         A, b = _random_problem(seed)
-        result = simplex_lstsq(A, b, method="active-set")
+        result = simplex_lstsq(A, b)
         rng = np.random.default_rng(seed + 1)
         for _ in range(20):
             w = rng.dirichlet(np.ones(A.shape[1]))
@@ -206,14 +225,14 @@ def well_conditioned_problems(draw):
 
 
 class TestSolverProperties:
-    """Hypothesis property suite over all three solver backends."""
+    """Hypothesis property suite over the kernel and both oracles."""
 
     @settings(max_examples=30, deadline=None)
     @given(well_conditioned_problems())
     def test_every_backend_returns_feasible_simplex_point(self, problem):
         A, b = problem
         for method in METHODS:
-            result = simplex_lstsq(A, b, method=method)
+            result = _solve(method, A, b)
             assert _feasible(result.weights), method
 
     @settings(max_examples=30, deadline=None)
@@ -221,7 +240,7 @@ class TestSolverProperties:
     def test_backends_agree_on_objective(self, problem):
         A, b = problem
         objectives = {
-            method: simplex_lstsq(A, b, method=method, tol=1e-12).objective
+            method: _solve(method, A, b, tol=1e-12).objective
             for method in METHODS
         }
         best = min(objectives.values())
@@ -236,7 +255,7 @@ class TestSolverProperties:
     def test_iterations_positive_and_capped(self, problem):
         A, b = problem
         for method in METHODS:
-            result = simplex_lstsq(A, b, method=method)
+            result = _solve(method, A, b)
             # 20000 is the largest per-method default cap (frank-wolfe);
             # a solver falling back still reports the fallback's count.
             assert 1 <= result.iterations <= 20_000, method
@@ -245,9 +264,7 @@ class TestSolverProperties:
     @given(well_conditioned_problems(), st.integers(1, 40))
     def test_explicit_max_iter_is_respected(self, problem, cap):
         A, b = problem
-        result = simplex_lstsq(
-            A, b, method="projected-gradient", max_iter=cap
-        )
+        result = projected_gradient(A, b, max_iter=cap)
         assert 1 <= result.iterations <= cap
         assert _feasible(result.weights)
 
@@ -328,15 +345,6 @@ class TestGramFactor:
         assert factor is not None
         with pytest.raises(ValidationError):
             simplex_lstsq_from_gram(A.T @ A, A.T @ b, factor=factor)
-
-    def test_other_methods_ignore_factor(self):
-        A, b = _random_problem(3, m=25, k=4)
-        gram, atb = A.T @ A, A.T @ b
-        factor = GramFactor.try_build(gram)
-        result = simplex_lstsq_from_gram(
-            gram, atb, method="projected-gradient", factor=factor
-        )
-        assert _feasible(result.weights)
 
     def test_near_singular_gram_still_correct(self):
         # Two nearly collinear columns: if the factor breaks down mid-

@@ -168,6 +168,48 @@ class TestFingerprint:
         with pytest.raises(NotFittedError):
             model_fingerprint(BatchAligner())
 
+    def test_fingerprint_of_a_fixed_fit_is_pinned(self):
+        # Keys are content addresses shared across releases: this digest
+        # was computed when the solver was still a selectable option, so
+        # retiring the option must leave every artifact key in place.
+        from repro.core.reference import Reference
+        from repro.partitions.dm import DisaggregationMatrix
+
+        src, tgt = ["s0", "s1", "s2"], ["t0", "t1"]
+        references = [
+            Reference.from_dm(name, DisaggregationMatrix(dense, src, tgt))
+            for name, dense in (
+                ("alpha", np.array([[1.0, 2.0], [0.0, 3.0], [4.0, 0.0]])),
+                ("beta", np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 5.0]])),
+            )
+        ]
+        model = BatchAligner().fit(
+            references, [[3.0, 2.0, 4.0]], attribute_names=["pop"]
+        )
+        assert model_fingerprint(model) == (
+            "ff3db586a836415abc96b2127269c294"
+            "ecb5563a244bb79de3ebfe6b816e70ca"
+        )
+
+    def test_manifest_naming_a_retired_solver_loads_bit_exact(
+        self, store, fitted
+    ):
+        # Manifests written while the solver was selectable carry its
+        # name in ``config``; a model fitted by any of them is served
+        # from its stored weights, unchanged.
+        entry = store.save(fitted)
+        path = manifest_path(store.root, entry.key)
+        with open(path) as handle:
+            manifest = json.load(handle)
+        assert set(manifest["config"]) == {"normalize", "denominator"}
+        manifest["config"]["solver_method"] = "frank-wolfe"
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        loaded, loaded_entry = store.load(entry.key)
+        assert loaded_entry.config["solver_method"] == "frank-wolfe"
+        assert (loaded.weights_ == fitted.weights_).all()
+        assert (loaded.predict() == fitted.predict()).all()
+
 
 class TestListingAndResolve:
     def test_empty_store_lists_nothing(self, store):
