@@ -1,51 +1,48 @@
 #!/usr/bin/env python
 """Benchmark regression gate: compare two directories of BENCH_*.json.
 
-Benchmarks persist machine-readable metrics via
-``repro.experiments.reporting.save_bench_json`` as
-``BENCH_<name>.json`` files holding wall times, error metrics and
-speedup ratios.  This script compares a candidate directory (the current
-run) against a baseline directory (e.g. an artefact from the main
-branch) under per-kind tolerances::
+Benchmarks persist claim records via
+``repro.experiments.reporting.save_bench_json`` as ``BENCH_<name>.json``
+files.  A record holds only numbers that do not depend on the host:
+error metrics, ratios, bytes, cache counts and health verdicts.  Wall
+time is perfbench's (``perfbench/``, declared in ``BENCHMARK.json``),
+which runs the parent and the change on one machine; a wall time
+compared against a baseline taken on another machine measures the
+machine.  This script compares a candidate directory (the current run)
+against a baseline directory (the committed ``benchmarks/baselines``)::
 
     python benchmarks/check_regression.py BASELINE_DIR CANDIDATE_DIR
-    python benchmarks/check_regression.py base/ cand/ --time-tolerance 1.5
 
 Metric kinds are inferred from the key name:
 
-* ``*seconds*`` -- wall time; regressed when candidate exceeds
-  baseline * ``--time-tolerance`` (timing noise is real, default 1.5x).
-* ``*speedup*`` / ``*hit_rate*`` -- higher is better; regressed when
-  candidate falls below baseline / ``--time-tolerance``.
-* ``mem_*`` / ``*bytes*`` -- allocation peaks; regressed when candidate
-  exceeds baseline * ``--mem-tolerance`` (defaults to the time
-  tolerance; tracemalloc peaks are far less noisy than wall times).
+* ``*hit_rate*`` -- higher is better; regressed when the candidate
+  falls below the baseline.
+* ``mem_*`` / ``*bytes*`` -- allocation peaks and resident sizes;
+  regressed when the candidate exceeds baseline * :data:`MEM_TOLERANCE`.
 * ``*overhead_ratio*`` -- instrumentation overhead (BENCH_obs.json);
-  regressed when candidate exceeds ``--overhead-tolerance`` as an
-  *absolute* ceiling (default 1.01, i.e. instrumentation must stay
-  within 1% of the untraced hot path).  Unlike every other kind the
-  baseline value only appears in the report: "tracing is effectively
-  free" is a contract against unity, not against last release.
+  regressed when the candidate exceeds :data:`OVERHEAD_CEILING` as an
+  *absolute* ceiling: "tracing is effectively free" is a contract
+  against unity, not against the last release, so the baseline value
+  only appears in the report.
 * anything else -- an error metric (rmse, nrmse, max_abs_diff, ...);
-  regressed when candidate exceeds baseline * ``--error-tolerance``
+  regressed when the candidate exceeds baseline * :data:`ERROR_TOLERANCE`
   plus a tiny absolute floor.
 
-Beyond the flat ``metrics`` section, payloads may carry a ``stages``
-section (stage name -> seconds, from the estimators' stage timers), a
-``cache`` section (pipeline-cache hit/miss/eviction counts) and a
-``memory`` section (tracemalloc peaks from the opt-in ``--mem``
-instrumentation).  All are folded into the comparison: each stage
-becomes a ``stage_<name>_seconds`` wall-time metric, the cache
-counters become a derived ``cache_hit_rate`` (higher is better), and
-each memory entry becomes ``mem_<name>``, so a per-stage slowdown, a
-cache-efficiency drop or an allocation blow-up is flagged even when
-the total wall time stays inside tolerance.
+Beyond the flat ``metrics`` section, payloads may carry a ``cache``
+section (pipeline-cache hit/miss/eviction counts), folded into a
+derived ``cache_hit_rate``, and a ``memory`` section (tracemalloc peaks
+and resident bytes), whose entries become ``mem_<name>``.
 
-A payload's ``meta`` section (unit counts, worker counts, scale, ...)
-is not compared, but every bench whose ``meta`` differs from its
-baseline's gets a ``meta differs: <key> <baseline> -> <candidate>``
-line in the report: the numbers below it were not measured like for
-like.  It never changes pass/fail.
+Three inputs are refused outright (exit 2), in either directory:
+
+* a file that is not a strict-JSON object (``NaN`` or ``Infinity``
+  tokens, or a top-level list);
+* a key that names a duration (``*seconds*``, ``*_s``, ``*speedup*``),
+  or a section the gate does not know (such as the retired ``stages``);
+* a bench whose ``meta`` (its inputs: scale, unit counts, ...) differs
+  from its baseline's.  Its numbers were not measured like for like;
+  the report shows a ``meta differs: <key> <baseline> -> <candidate>``
+  line under the bench.
 
 Payloads may also carry a ``health`` section (check name -> verdict
 from ``repro.obs.health``).  Any ``"fail"`` verdict in a *candidate*
@@ -56,9 +53,7 @@ written by ``geoalign-repro obs report --json`` -- can be added to the
 same gate with repeatable ``--health FILE`` options.
 
 Exit codes: 0 no regressions, 1 regressions found, 2 bad input.  CI runs
-this as a non-blocking report step: the exit code marks the step, but
-the job is allowed to continue (benchmark noise must never gate merges
-on its own -- humans read the uploaded report).
+this as a blocking step.
 """
 
 from __future__ import annotations
@@ -69,42 +64,75 @@ import json
 import os
 import sys
 
+#: Allowed ratio for error metrics.
+ERROR_TOLERANCE = 1.05
+
+#: Allowed ratio for allocation peaks and resident sizes.
+MEM_TOLERANCE = 1.5
+
+#: Absolute ceiling for ``*overhead_ratio*`` metrics: instrumentation
+#: must stay within 1 % of the untraced hot path.
+OVERHEAD_CEILING = 1.01
+
 #: Absolute slack added to error-metric comparisons so exact-zero
 #: baselines do not make any nonzero candidate a regression.
 ERROR_ATOL = 1e-9
+
+#: Top-level payload sections the gate understands.
+SECTIONS = frozenset({"name", "metrics", "meta", "cache", "memory", "health"})
+
+
+def names_duration(key):
+    """Whether ``key`` names a wall time or a ratio of wall times."""
+    lowered = key.lower()
+    return (
+        "seconds" in lowered or lowered.endswith("_s") or "speedup" in lowered
+    )
+
+
+def _mapping(payload, section, file_path):
+    value = payload.get(section)
+    if value is not None and not isinstance(value, dict):
+        raise ValueError(f"{file_path}: '{section}' is not a mapping")
+    return value
 
 
 def flatten_payload(payload, file_path):
     """One payload's compared metrics, sections folded in.
 
-    ``stages`` entries become ``stage_<name>_seconds`` (compared under
-    the wall-time tolerance); a ``cache`` section with lookups becomes
-    a single derived ``cache_hit_rate`` metric (higher is better);
-    ``memory`` entries become ``mem_<name>`` (memory tolerance).
+    A ``cache`` section with lookups becomes a single derived
+    ``cache_hit_rate`` metric (higher is better); ``memory`` entries
+    become ``mem_<name>`` (memory tolerance).  Raises ``ValueError`` on
+    an unknown section or a duration-named key, in ``meta`` too.
     """
-    metrics = payload.get("metrics")
-    if not isinstance(metrics, dict):
+    unknown = sorted(set(payload) - SECTIONS)
+    if unknown:
+        raise ValueError(
+            f"{file_path}: unknown section(s) {', '.join(unknown)}; a BENCH "
+            f"record holds only {', '.join(sorted(SECTIONS))} (no stage "
+            "timings: wall time is perfbench's)"
+        )
+    metrics = _mapping(payload, "metrics", file_path)
+    if metrics is None:
         raise ValueError(f"{file_path}: no 'metrics' mapping")
     flat = {key: float(value) for key, value in metrics.items()}
-    stages = payload.get("stages")
-    if stages is not None:
-        if not isinstance(stages, dict):
-            raise ValueError(f"{file_path}: 'stages' is not a mapping")
-        for stage, seconds in stages.items():
-            flat[f"stage_{stage}_seconds"] = float(seconds)
-    cache = payload.get("cache")
+    cache = _mapping(payload, "cache", file_path)
     if cache is not None:
-        if not isinstance(cache, dict):
-            raise ValueError(f"{file_path}: 'cache' is not a mapping")
         lookups = float(cache.get("hits", 0)) + float(cache.get("misses", 0))
         if lookups > 0:
             flat["cache_hit_rate"] = float(cache.get("hits", 0)) / lookups
-    memory = payload.get("memory")
+    memory = _mapping(payload, "memory", file_path)
     if memory is not None:
-        if not isinstance(memory, dict):
-            raise ValueError(f"{file_path}: 'memory' is not a mapping")
         for key, value in memory.items():
             flat[f"mem_{key}"] = float(value)
+    meta = _mapping(payload, "meta", file_path) or {}
+    durations = sorted(key for key in [*flat, *meta] if names_duration(key))
+    if durations:
+        raise ValueError(
+            f"{file_path}: duration key(s) {', '.join(durations)}; wall "
+            "time is compared by perfbench, not against a baseline from "
+            "another host"
+        )
     return flat
 
 
@@ -148,39 +176,33 @@ def load_health_file(path):
     return failures
 
 
-def iter_bench_payloads(path):
-    """``(bench name, payload, file path)`` per BENCH_*.json in ``path``."""
-    for file_path in sorted(glob.glob(os.path.join(path, "BENCH_*.json"))):
-        with open(file_path) as handle:
-            payload = json.load(handle)
-        yield payload.get("name") or os.path.basename(file_path), payload, file_path
+def _refuse_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
 
 
 def load_bench_dir(path):
-    """Mapping of bench name -> metrics dict from one directory."""
+    """``(metrics, metas, fail verdicts)`` of one directory's BENCH files.
+
+    ``metrics`` and ``metas`` map bench name -> its flattened metrics and
+    its ``meta`` mapping.  Files are parsed as strict JSON: a ``NaN`` or
+    ``Infinity`` token is bad input.
+    """
     if not os.path.isdir(path):
         raise NotADirectoryError(path)
-    return {
-        name: flatten_payload(payload, file_path)
-        for name, payload, file_path in iter_bench_payloads(path)
-    }
-
-
-def load_bench_meta(path):
-    """Mapping of bench name -> its ``meta`` mapping (``{}`` if none)."""
-    metas = {}
-    for name, payload, _file_path in iter_bench_payloads(path):
-        meta = payload.get("meta")
-        metas[name] = meta if isinstance(meta, dict) else {}
-    return metas
-
-
-def load_dir_health(path):
-    """Fail verdicts from the ``health`` sections of a bench directory."""
-    failures = []
-    for name, payload, _file_path in iter_bench_payloads(path):
+    metrics, metas, failures = {}, {}, []
+    for file_path in sorted(glob.glob(os.path.join(path, "BENCH_*.json"))):
+        with open(file_path) as handle:
+            try:
+                payload = json.load(handle, parse_constant=_refuse_constant)
+            except ValueError as exc:
+                raise ValueError(f"{file_path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError(f"{file_path}: expected a JSON object")
+        name = payload.get("name") or os.path.basename(file_path)
+        metrics[name] = flatten_payload(payload, file_path)
+        metas[name] = payload.get("meta") or {}
         failures.extend(health_failures(payload, str(name)))
-    return failures
+    return metrics, metas, failures
 
 
 def meta_changes(baseline, candidate):
@@ -195,61 +217,42 @@ def meta_changes(baseline, candidate):
 
 
 def metric_kind(key):
-    """Classify a metric key: 'time', 'speedup', 'memory', 'overhead'
-    or 'error'.
-
-    'speedup' doubles as the higher-is-better kind generally: cache
-    hit rates are classified with it so a hit-rate drop regresses.
-    """
+    """Classify a metric key: 'hit_rate', 'memory', 'overhead' or 'error'."""
     lowered = key.lower()
     if "overhead_ratio" in lowered:
         return "overhead"
-    if "speedup" in lowered or "hit_rate" in lowered:
-        return "speedup"
+    if "hit_rate" in lowered:
+        return "hit_rate"
     if lowered.startswith("mem_") or "bytes" in lowered:
         return "memory"
-    if "seconds" in lowered or lowered.endswith("_s"):
-        return "time"
     return "error"
 
 
-def compare_metric(
-    key,
-    baseline,
-    candidate,
-    time_tol,
-    error_tol,
-    mem_tol=None,
-    overhead_tol=1.01,
-):
+def compare_metric(key, baseline, candidate):
     """(regressed, detail line) for one metric pair."""
     kind = metric_kind(key)
     if kind == "overhead":
-        # Absolute ceiling: instrumentation overhead is gated against
-        # unity, not against the baseline run.
-        limit = overhead_tol
+        limit = OVERHEAD_CEILING
         regressed = candidate > limit
         relation = (
             f"<= {limit:.6g} absolute (baseline {baseline:.6g} shown "
             "for reference)"
         )
-    elif kind == "time":
-        limit = baseline * time_tol
-        regressed = candidate > limit
-        relation = f"<= {limit:.6g}s (baseline {baseline:.6g}s x {time_tol})"
-    elif kind == "speedup":
-        limit = baseline / time_tol
-        regressed = candidate < limit
-        relation = f">= {limit:.6g} (baseline {baseline:.6g} / {time_tol})"
+    elif kind == "hit_rate":
+        regressed = candidate < baseline
+        relation = f">= {baseline:.6g} (baseline)"
     elif kind == "memory":
-        tol = time_tol if mem_tol is None else mem_tol
-        limit = baseline * tol
+        limit = baseline * MEM_TOLERANCE
         regressed = candidate > limit
-        relation = f"<= {limit:.6g}B (baseline {baseline:.6g}B x {tol})"
+        relation = (
+            f"<= {limit:.6g}B (baseline {baseline:.6g}B x {MEM_TOLERANCE})"
+        )
     else:
-        limit = baseline * error_tol + ERROR_ATOL
+        limit = baseline * ERROR_TOLERANCE + ERROR_ATOL
         regressed = candidate > limit
-        relation = f"<= {limit:.6g} (baseline {baseline:.6g} x {error_tol})"
+        relation = (
+            f"<= {limit:.6g} (baseline {baseline:.6g} x {ERROR_TOLERANCE})"
+        )
     marker = "REGRESSED" if regressed else "ok"
     detail = (
         f"    {key:24s} {candidate:>12.6g}  must be {relation}  [{marker}]"
@@ -257,23 +260,16 @@ def compare_metric(
     return regressed, detail
 
 
-def compare(
-    baselines,
-    candidates,
-    time_tol,
-    error_tol,
-    mem_tol=None,
-    overhead_tol=1.01,
-    baseline_meta=None,
-    candidate_meta=None,
-):
-    """(regressions, report lines) over two bench-dir mappings.
+def compare(baselines, candidates, baseline_meta=None, candidate_meta=None):
+    """(regressions, meta mismatches, report lines) over two bench dirs.
 
-    ``baseline_meta`` / ``candidate_meta`` (bench name -> ``meta``) only
-    add a ``meta differs`` line under a bench; they never regress it.
+    ``baseline_meta`` / ``candidate_meta`` map bench name -> ``meta``; a
+    bench in both runs whose ``meta`` differ adds a ``meta differs``
+    line under it and its name to the mismatches.
     """
     lines = []
     regressions = []
+    mismatches = []
     for name in sorted(set(baselines) | set(candidates)):
         if name not in candidates:
             lines.append(f"{name}: MISSING from candidate run")
@@ -289,6 +285,7 @@ def compare(
         )
         if changes:
             lines.append("    meta differs: " + ", ".join(changes))
+            mismatches.append(name)
         base_metrics = baselines[name]
         cand_metrics = candidates[name]
         for key in sorted(set(base_metrics) | set(cand_metrics)):
@@ -302,53 +299,20 @@ def compare(
                 )
                 continue
             regressed, detail = compare_metric(
-                key,
-                base_metrics[key],
-                cand_metrics[key],
-                time_tol,
-                error_tol,
-                mem_tol,
-                overhead_tol,
+                key, base_metrics[key], cand_metrics[key]
             )
             lines.append(detail)
             if regressed:
                 regressions.append((name, key))
-    return regressions, lines
+    return regressions, mismatches, lines
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Compare BENCH_*.json metric files against tolerances."
+        description="Compare BENCH_*.json claim records against tolerances."
     )
     parser.add_argument("baseline", help="directory of baseline BENCH files")
     parser.add_argument("candidate", help="directory of candidate BENCH files")
-    parser.add_argument(
-        "--time-tolerance",
-        type=float,
-        default=1.5,
-        help="allowed wall-time ratio (default 1.5x; also bounds speedup)",
-    )
-    parser.add_argument(
-        "--error-tolerance",
-        type=float,
-        default=1.05,
-        help="allowed error-metric ratio (default 1.05x)",
-    )
-    parser.add_argument(
-        "--mem-tolerance",
-        type=float,
-        default=None,
-        help="allowed allocation-peak ratio "
-        "(default: the time tolerance)",
-    )
-    parser.add_argument(
-        "--overhead-tolerance",
-        type=float,
-        default=1.01,
-        help="absolute ceiling for *overhead_ratio* metrics "
-        "(default 1.01: instrumentation within 1%% of the untraced "
-        "hot path)",
-    )
     parser.add_argument(
         "--health",
         action="append",
@@ -358,21 +322,9 @@ def main(argv=None):
         "(repeatable); any fail verdict counts as a regression",
     )
     args = parser.parse_args(argv)
-    if args.time_tolerance < 1.0 or args.error_tolerance < 1.0:
-        print("error: tolerances must be >= 1.0", file=sys.stderr)
-        return 2
-    if args.mem_tolerance is not None and args.mem_tolerance < 1.0:
-        print("error: tolerances must be >= 1.0", file=sys.stderr)
-        return 2
-    if args.overhead_tolerance < 1.0:
-        print("error: tolerances must be >= 1.0", file=sys.stderr)
-        return 2
     try:
-        baselines = load_bench_dir(args.baseline)
-        candidates = load_bench_dir(args.candidate)
-        baseline_meta = load_bench_meta(args.baseline)
-        candidate_meta = load_bench_meta(args.candidate)
-        verdicts = load_dir_health(args.candidate)
+        baselines, baseline_meta, _ = load_bench_dir(args.baseline)
+        candidates, candidate_meta, verdicts = load_bench_dir(args.candidate)
         for health_file in args.health:
             verdicts.extend(load_health_file(health_file))
     except (OSError, ValueError) as exc:
@@ -381,17 +333,18 @@ def main(argv=None):
     if not baselines and not candidates and not verdicts:
         print("no BENCH_*.json files found in either directory")
         return 0
-    regressions, lines = compare(
-        baselines,
-        candidates,
-        args.time_tolerance,
-        args.error_tolerance,
-        args.mem_tolerance,
-        args.overhead_tolerance,
-        baseline_meta,
-        candidate_meta,
+    regressions, mismatches, lines = compare(
+        baselines, candidates, baseline_meta, candidate_meta
     )
     print("\n".join(lines))
+    if mismatches:
+        print(
+            "error: meta differs from the baseline for "
+            + ", ".join(mismatches)
+            + "; regenerate the baselines at the candidate's inputs",
+            file=sys.stderr,
+        )
+        return 2
     for source, check in verdicts:
         print(f"{source}: health check {check} FAILED")
         regressions.append((source, f"health:{check}"))

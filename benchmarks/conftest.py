@@ -6,17 +6,13 @@ rung).  Set ``REPRO_BENCH_SCALE`` (0 < s <= 1) to shrink everything for
 a quick pass.
 
 Figure benches report their tables through ``capsys.disabled()`` so the
-paper-style rows appear in the run log without ``-s``.
-
-At session end the fresh ``BENCH_*.json`` metric snapshots are mirrored
-from the results directory to the repository root, so the committed
-root-level copies (the regression gate's in-repo baseline) are always
-one ``git diff`` away from the latest run.
+paper-style rows appear in the run log without ``-s``.  Reports and
+``BENCH_*.json`` claim records land in ``REPRO_RESULTS_DIR`` (default
+``benchmarks/results/``, git-ignored); the committed copies are the
+regression gate's ``benchmarks/baselines/``.
 """
 
-import glob
 import os
-import shutil
 
 import pytest
 
@@ -43,22 +39,6 @@ def ny_world():
 def us_world():
     """Paper-scale United States world (30,238 zips / 3,142 counties)."""
     return build_united_states_world(scale=BENCH_SCALE)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Mirror the run's ``BENCH_*.json`` snapshots to the repo root.
-
-    Root-level copies are the committed baseline the regression gate
-    (and a reviewer) diffs against; the authoritative files stay in the
-    results directory.  Mirroring also happens after partial runs --
-    whatever benches did run refresh their snapshots, the rest keep the
-    previous ones.
-    """
-    from repro.experiments.reporting import results_dir
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    for path in glob.glob(os.path.join(results_dir(), "BENCH_*.json")):
-        shutil.copy(path, os.path.join(root, os.path.basename(path)))
 
 
 @pytest.fixture

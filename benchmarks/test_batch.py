@@ -4,9 +4,11 @@ The tentpole claim of the batching engine: aligning N attributes against
 one shared reference set should cost far less than N scalar GeoAlign
 runs, because the design/Gram build and the union-DM stack are shared.
 This bench times both engines on a 32-attribute workload over the New
-York world's reference pool, checks the engines agree numerically, and
-records wall times + speedup in ``BENCH_batch.json`` for the regression
-gate (``benchmarks/check_regression.py``).
+York world's reference pool, asserts the speedup floor, checks the
+engines agree numerically, and records the agreement, cache counts,
+allocation peak and health verdicts in ``BENCH_batch.json`` for the
+regression gate (``benchmarks/check_regression.py``).  The wall times
+and the speedup stay in the printed report: perfbench owns wall time.
 """
 
 import time
@@ -91,21 +93,14 @@ def test_batch_vs_loop_speedup(benchmark, ny_world, bench_scale, report):
     assert "fail" not in health.values()
     save_bench_json(
         "batch",
-        {
-            "loop_seconds": loop_seconds,
-            "batch_seconds": batch_seconds,
-            "speedup": speedup,
-            "max_abs_diff": max_abs_diff,
-        },
+        {"max_abs_diff": max_abs_diff},
         meta={
             "n_attributes": N_ATTRIBUTES,
             "universe": ny_world.name,
             "scale": bench_scale,
         },
-        # Stage decomposition + cache counters of the timed batch run:
-        # the regression gate compares each stage under the wall-time
-        # tolerance and the derived hit rate as higher-is-better.
-        stages=aligner.timer_.totals,
+        # Cache counters of the timed batch run: the regression gate
+        # compares the derived hit rate as higher-is-better.
         cache_stats=cache.stats.as_dict(),
         memory={"batch_peak_bytes": mem.peak_bytes},
         health=health,

@@ -31,18 +31,12 @@ def _bench_one_fold(benchmark, world):
 
 
 def _save_bench(name, result, bench_scale):
-    """Persist the figure's wall-time + error metrics for the gate."""
+    """Persist the figure's error metrics for the gate."""
     table = result.nrmse_table()
     geoalign = [row["GeoAlign"] for row in table.values()]
-    seconds = sum(
-        score.runtime_seconds
-        for score in result.crossval.scores
-        if score.method == "GeoAlign"
-    )
     save_bench_json(
         name,
         {
-            "geoalign_seconds": seconds,
             "geoalign_mean_nrmse": float(np.mean(geoalign)),
             "geoalign_max_nrmse": float(np.max(geoalign)),
         },

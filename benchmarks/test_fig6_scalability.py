@@ -13,12 +13,21 @@ import numpy as np
 import pytest
 
 from repro.core.geoalign import GeoAlign
-from repro.experiments.scalability import run_scalability
+from repro.experiments.scalability import (
+    STAGES,
+    run_scalability,
+    stage_fraction,
+    traced_stage_seconds,
+)
 from repro.synth.universes import build_united_states_world
 
 #: The tier-1 suite's figure-shape scale (``SHAPE_SCALE`` in
 #: ``tests/test_experiments.py``), where one fold takes ~1-3 ms.
 SHAPE_SCALE = max(float(os.environ.get("REPRO_TEST_SCALE", "0.06")), 0.12)
+
+#: Traced folds behind the §4.3 decomposition; its bounds hold on their
+#: median, as a single ~10 ms fold is at the mercy of the scheduler.
+DECOMPOSITION_FOLDS = 5
 
 
 @pytest.fixture(scope="module")
@@ -67,29 +76,38 @@ def test_runtime_decomposition(benchmark, us_world, report):
 
     The paper attributes >90 % of runtime to disaggregation-matrix
     construction.  We report our measured decomposition (weights /
-    disaggregation / re-aggregation) -- see EXPERIMENTS.md for the
-    comparison discussion.
+    disaggregation / re-aggregation), read from the ``stage.*`` spans
+    of traced folds -- see EXPERIMENTS.md for the comparison
+    discussion.
     """
     references = us_world.references()
     test, pool = references[0], references[1:]
 
-    def fold_with_timer():
-        estimator = GeoAlign()
-        estimator.fit_predict(pool, test.source_vector)
-        return estimator.timer_
-
-    timer = benchmark(fold_with_timer)
-    lines = ["Runtime decomposition (one US-scale fold):"]
-    for stage, seconds in timer.totals.items():
+    splits = [
+        traced_stage_seconds(pool, test.source_vector)
+        for _ in range(DECOMPOSITION_FOLDS)
+    ]
+    lines = [
+        f"Runtime decomposition (median of {DECOMPOSITION_FOLDS} "
+        "US-scale folds):"
+    ]
+    fractions = {}
+    for stage in STAGES:
+        fractions[stage] = float(
+            np.median([stage_fraction(split, stage) for split in splits])
+        )
+        seconds = float(np.median([split[stage] for split in splits]))
         lines.append(
             f"  {stage:16s} {seconds * 1e3:8.2f} ms "
-            f"({100 * timer.fraction(stage):5.1f} %)"
+            f"({100 * fractions[stage]:5.1f} %)"
         )
     report("\n".join(lines))
     # Disaggregation dominates weight learning and re-aggregation is
     # negligible; the DM stage carries the bulk of the work.
-    assert timer.fraction("disaggregation") > 0.3
-    assert timer.fraction("reaggregation") < 0.2
+    assert fractions["disaggregation"] > 0.3
+    assert fractions["reaggregation"] < 0.2
+
+    benchmark(lambda: GeoAlign().fit_predict(pool, test.source_vector))
 
 
 def test_runtime_stable_across_datasets(benchmark, us_world, report):

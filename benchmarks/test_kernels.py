@@ -4,10 +4,11 @@ The batch engine's per-fit cost is dominated by four entry-level
 kernels -- blend, row_sums, rescale, reaggregate -- so this bench times
 each one in isolation at 10x the batch bench's attribute count, on both
 a sparse-mode stack (unaligned banded references) and the same data
-forced dense, and records the results in ``BENCH_kernels.json`` for the
-regression gate.  Correctness is pinned against the dense oracle at
-1e-12 inside the same run, so a kernel can never get faster by getting
-wrong.
+forced dense, and prints the timings.  ``BENCH_kernels.json`` records
+the resident sizes of both stacks for the regression gate; the timings
+stay in the report, as perfbench owns wall time.  Correctness is pinned
+against the dense oracle at 1e-12 inside the same run, so a kernel can
+never get faster by getting wrong.
 """
 
 import time
@@ -100,13 +101,7 @@ def test_kernel_suite(bench_scale, report):
     )
     save_bench_json(
         "kernels",
-        {
-            "blend_seconds": blend_seconds,
-            "dense_blend_seconds": dense_blend_seconds,
-            "row_sums_seconds": row_sums_seconds,
-            "rescale_seconds": rescale_seconds,
-            "reaggregate_seconds": reaggregate_seconds,
-        },
+        {},
         meta={
             "n_attributes": n_attrs,
             "n_sources": m,

@@ -516,13 +516,13 @@ class DunderAllRule(Rule):
 # ----------------------------------------------------------------------
 @register_rule
 class WallclockRule(Rule):
-    """No direct ``time.time()`` -- benchmarked paths use StageTimer."""
+    """No direct ``time.time()`` -- measured paths use perf_counter."""
 
     id = "wallclock"
-    summary = "use repro.utils.timer (perf_counter), never time.time()"
+    summary = "use time.perf_counter or timed_span, never time.time()"
     rationale = (
         "The §4.3 runtime-decomposition claim ('>90% of time in DM "
-        "construction') is verified with monotonic perf_counter stage "
+        "construction') is verified with monotonic perf_counter span "
         "timing; time.time() is wall-clock, jumps with NTP, and would "
         "corrupt the scalability figures."
     )
@@ -546,7 +546,6 @@ class WallclockRule(Rule):
                 yield self.violation(
                     ctx,
                     node,
-                    f"{name}() is non-monotonic wall clock; time stages "
-                    "with repro.utils.timer.StageTimer "
-                    "(time.perf_counter)",
+                    f"{name}() is non-monotonic wall clock; time with "
+                    "time.perf_counter or repro.obs.timed_span",
                 )

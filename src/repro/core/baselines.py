@@ -25,7 +25,6 @@ from scipy import optimize
 from repro.errors import NotFittedError, ShapeMismatchError, ValidationError
 from repro.core.reference import Reference
 from repro.utils.arrays import as_nonnegative_vector
-from repro.utils.timer import StageTimer
 
 if TYPE_CHECKING:
     from repro.partitions.dm import DisaggregationMatrix
@@ -56,7 +55,6 @@ class Dasymetric:
             )
         self.reference = reference
         self.objective_source_: FloatArray | None = None
-        self.timer_ = StageTimer()
         self._estimated_dm: "DisaggregationMatrix | None" = None
 
     @property
@@ -75,7 +73,6 @@ class Dasymetric:
             )
         self.objective_source_ = objective
         self._estimated_dm = None
-        self.timer_.reset()
         return self
 
     def _require_fitted(self) -> None:
@@ -86,18 +83,15 @@ class Dasymetric:
         """Estimated objective DM under the single-reference split."""
         self._require_fitted()
         if self._estimated_dm is None:
-            with self.timer_.stage("disaggregation"):
-                self._estimated_dm = self.reference.dm.rescale_rows(
-                    self.objective_source_,
-                    denominators=self.reference.source_vector,
-                )
+            self._estimated_dm = self.reference.dm.rescale_rows(
+                self.objective_source_,
+                denominators=self.reference.source_vector,
+            )
         return self._estimated_dm
 
     def predict(self) -> FloatArray:
         """Estimated target aggregates."""
-        dm = self.predict_dm()
-        with self.timer_.stage("reaggregation"):
-            return dm.col_sums()
+        return self.predict_dm().col_sums()
 
     def fit_predict(self, objective_source: ArrayLike) -> FloatArray:
         return self.fit(objective_source).predict()

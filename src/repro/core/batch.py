@@ -79,7 +79,6 @@ from repro.errors import (
 )
 from repro.partitions.dm import DisaggregationMatrix
 from repro.utils.arrays import as_float_array, as_nonnegative_vector
-from repro.utils.timer import StageTimer
 
 if TYPE_CHECKING:
     from repro.cache import PipelineCache
@@ -837,11 +836,12 @@ class BatchAligner:
         references.
     solver_results_:
         Per-attribute :class:`~repro.core.solver.SimplexLstsqResult`.
-    timer_:
-        Stage totals over the whole batch: "weights" (the stack build and
-        the solves), "disaggregation" (the ``R`` and operator builds, the
-        Eq. 16 denominators and factors) and "reaggregation" (the Eq. 17
-        operator products).
+
+    A traced run splits the work into the paper's §4.3 stages as
+    ``stage.*`` spans: ``stage.weights`` (the stack build and the
+    solves), ``stage.disaggregation`` (the ``R`` and operator builds,
+    the Eq. 16 denominators and factors) and ``stage.reaggregation``
+    (the Eq. 17 operator products).
     """
 
     def __init__(
@@ -865,7 +865,6 @@ class BatchAligner:
         self.attribute_names_: list[str] | None = None
         self.objectives_: FloatArray | None = None
         self.solver_results_: list[SimplexLstsqResult] | None = None
-        self.timer_ = StageTimer()
         self._scaled_values: FloatArray | None = None
         self._predictions: FloatArray | None = None
 
@@ -938,11 +937,8 @@ class BatchAligner:
             references each attribute may use (row of the full stack).
             Masked-out references get weight exactly 0.0.
         """
-        # Telemetry reset per fit: without it, repeated fits accumulate
-        # stage timings and report multi-fit totals as one run's.
-        self.timer_.reset()
         with _span("batch.fit") as fit_span:
-            with self.timer_.stage("weights"):
+            with _span("stage.weights"):
                 stack, objective_matrix, mask_matrix, names = (
                     self._coerce_fit_inputs(
                         references, objectives, attribute_names, masks
@@ -1038,9 +1034,7 @@ class BatchAligner:
         stack, _, objectives = self._require_fitted()
         if self._scaled_values is not None:
             return self._scaled_values
-        with _span("batch.disaggregate"), self.timer_.stage(
-            "disaggregation"
-        ):
+        with _span("batch.disaggregate"), _span("stage.disaggregation"):
             blend_weights, denominators, factors = (
                 self._denominators_and_factors()
             )
@@ -1078,11 +1072,11 @@ class BatchAligner:
         if self._predictions is not None:
             return self._predictions
         with _span("batch.predict"):
-            with self.timer_.stage("disaggregation"):
+            with _span("stage.disaggregation"):
                 blend_weights, denominators, factors = (
                     self._denominators_and_factors()
                 )
-            with self.timer_.stage("reaggregation"):
+            with _span("stage.reaggregation"):
                 self._predictions = stack.rescaled_totals(
                     blend_weights, factors
                 )

@@ -73,10 +73,10 @@ class GeoAlign:
         The objective's source aggregate vector.
     solver_result_:
         Full :class:`~repro.core.solver.SimplexLstsqResult`.
-    timer_:
-        :class:`~repro.utils.timer.StageTimer` with per-stage runtime
-        ("weights", "disaggregation", "reaggregation"); reproduces the
-        paper's §4.3 claim that DM construction dominates.
+
+    A traced fit and predict emit the batch engine's ``stage.weights``,
+    ``stage.disaggregation`` and ``stage.reaggregation`` spans, the
+    split behind the paper's §4.3 claim that DM construction dominates.
     """
 
     def __init__(
@@ -91,7 +91,6 @@ class GeoAlign:
         self.references_: list[Reference] | None = None
         self.objective_source_: FloatArray | None = None
         self.solver_result_: SimplexLstsqResult | None = None
-        self.timer_ = self._batch.timer_
         self._estimated_dm: DisaggregationMatrix | None = None
         self._estimates: FloatArray | None = None
 
@@ -168,8 +167,7 @@ class GeoAlign:
         """Estimated target-unit aggregates ``â^t_o`` (Eq. 17).
 
         Cached after the first call: repeated predicts on one fit reuse
-        the result and do not re-accumulate the timer's stages, so
-        ``timer_`` always reports single-run timings.
+        the result and emit no further ``stage.*`` spans.
         """
         self._require_fitted()
         with _span("geoalign.predict"):

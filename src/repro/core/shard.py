@@ -616,7 +616,6 @@ class ShardedAligner(BatchAligner):
         from the same solve on the stack's own Gram matrix, so they do
         not depend on the plan; only :meth:`predict` is mapped.
         """
-        self.timer_.reset()
         with _span(
             "shard.fit",
             n_shards=self.n_shards,
@@ -627,8 +626,7 @@ class ShardedAligner(BatchAligner):
                     references, objectives, attribute_names, masks
                 )
             )
-            with self.timer_.stage("plan"):
-                plan = plan_shards(stack, self.n_shards, self.strategy)
+            plan = plan_shards(stack, self.n_shards, self.strategy)
             _set_gauge("shard.count", float(plan.n_shards))
             _set_gauge(
                 "shard.boundary_rows", float(plan.n_boundary_rows)
@@ -637,10 +635,9 @@ class ShardedAligner(BatchAligner):
                 fit_span.attrs["n_attrs"] = objective_matrix.shape[0]
                 fit_span.attrs["n_references"] = stack.n_references
                 fit_span.attrs["boundary_rows"] = plan.n_boundary_rows
-            with self.timer_.stage("weights"):
-                weights = self._solve_weights(
-                    stack, objective_matrix, mask_matrix, names
-                )
+            weights = self._solve_weights(
+                stack, objective_matrix, mask_matrix, names
+            )
             _emit_weight_health_gauges(weights, stack.gram)
         self.plan_ = plan
         self.merge_residual_ = None
@@ -690,32 +687,25 @@ class ShardedAligner(BatchAligner):
             )
 
         with _span("shard.predict", n_shards=plan.n_shards):
-            with self.timer_.stage("disaggregation"):
-                blend_weights = weights / stack.scales[np.newaxis, :]
-                self.blend_weights_ = blend_weights
-                covered = np.zeros(
-                    (n_attrs, stack.n_sources), dtype=bool
-                )
-                merged = np.zeros((n_attrs, stack.n_targets))
-                # Lazy payloads + streaming fold: each shard's value
-                # slice and partials exist only while that shard is in
-                # flight (on the inline path), so peak memory carries
-                # the merged output plus one shard's transient state --
-                # never all shards, and never an assembled entry-value
-                # matrix.
-                partials = self._map_shards(
-                    payload_for(spec) for spec in plan.shards if spec.n_rows
-                )
-                for sid, covered_s, touched, partial in partials:
-                    spec = plan.shards[int(sid)]
-                    covered[:, spec.rows] = covered_s
-                    merged[:, touched] += partial
-            with self.timer_.stage("reaggregation"):
-                residual = self._verify_merge(
-                    merged, blend_weights, covered
-                )
-                self.merge_residual_ = residual
-                _gauge_max("health.shard_merge_residual_max", residual)
+            blend_weights = weights / stack.scales[np.newaxis, :]
+            self.blend_weights_ = blend_weights
+            covered = np.zeros((n_attrs, stack.n_sources), dtype=bool)
+            merged = np.zeros((n_attrs, stack.n_targets))
+            # Lazy payloads + streaming fold: each shard's value slice
+            # and partials exist only while that shard is in flight (on
+            # the inline path), so peak memory carries the merged output
+            # plus one shard's transient state -- never all shards, and
+            # never an assembled entry-value matrix.
+            partials = self._map_shards(
+                payload_for(spec) for spec in plan.shards if spec.n_rows
+            )
+            for sid, covered_s, touched, partial in partials:
+                spec = plan.shards[int(sid)]
+                covered[:, spec.rows] = covered_s
+                merged[:, touched] += partial
+            residual = self._verify_merge(merged, blend_weights, covered)
+            self.merge_residual_ = residual
+            _gauge_max("health.shard_merge_residual_max", residual)
             self._predictions = merged
         return merged
 

@@ -4,11 +4,12 @@ Each figure benchmark both prints its paper-style table and saves it
 under ``benchmarks/results/`` so EXPERIMENTS.md can reference stable
 artefacts.  File names are slugified report titles; reruns overwrite.
 
-Benchmarks additionally persist machine-readable metrics as
-``BENCH_<name>.json`` files (wall-time plus whatever error metrics the
-bench measures) via :func:`save_bench_json`; the regression gate
-(``benchmarks/check_regression.py``) compares two directories of these
-against tolerances.
+Benchmarks additionally persist machine-readable claim records as
+``BENCH_<name>.json`` files via :func:`save_bench_json`: error metrics,
+ratios, bytes, cache counts and health verdicts -- numbers that do not
+depend on the host.  Wall time stays in the printed reports; perfbench
+owns it.  The regression gate (``benchmarks/check_regression.py``)
+compares two directories of these records against tolerances.
 """
 
 from __future__ import annotations
@@ -61,13 +62,14 @@ def bench_json_path(name):
 
 
 def _clean_numbers(name, section, mapping):
-    """Validate one section's values as JSON-safe (non-NaN) floats."""
+    """Validate one section's values as finite (JSON-safe) floats."""
     clean = {}
     for key, value in mapping.items():
         number = float(value)
-        if math.isnan(number):
+        if not math.isfinite(number):
+            shown = "NaN" if math.isnan(number) else str(number)
             raise ValidationError(
-                f"bench {name!r} {section} {key!r} is NaN; "
+                f"bench {name!r} {section} {key!r} is {shown}; "
                 "refusing to save"
             )
         clean[str(key)] = number
@@ -78,7 +80,6 @@ def save_bench_json(
     name,
     metrics,
     meta=None,
-    stages=None,
     cache_stats=None,
     memory=None,
     health=None,
@@ -90,19 +91,16 @@ def save_bench_json(
     name:
         Benchmark name (slugified into the file name).
     metrics:
-        Flat mapping of metric name to float -- wall times in seconds,
-        error metrics, speedup ratios.  Values must be finite-or-inf
-        floats (JSON has no NaN; reject it loudly rather than emit an
-        unparseable file).
+        Flat mapping of metric name to float -- error metrics and
+        ratios that do not depend on the host; no wall times (the gate
+        refuses duration-named keys).  Every value in every section
+        must be finite: JSON has no NaN or infinity, so they are
+        rejected loudly rather than written as non-JSON tokens.
     meta:
-        Optional mapping of non-compared context (scale, attribute
-        counts, ...) stored alongside under ``"meta"``.
-    stages:
-        Optional mapping of stage name to seconds (typically a
-        :class:`~repro.utils.timer.StageTimer`'s ``totals``), stored
-        under ``"stages"``.  The regression gate compares each entry
-        as ``stage_<name>_seconds`` against the wall-time tolerance,
-        so a per-stage slowdown fails even when the total hides it.
+        Optional mapping of the bench's inputs (scale, unit and
+        attribute counts, ...) stored under ``"meta"``.  The gate
+        refuses to compare two records whose ``meta`` differ, so it
+        holds nothing measured.
     cache_stats:
         Optional mapping of cache counter name to value (typically
         :meth:`~repro.cache.CacheStats.as_dict`), stored under
@@ -132,18 +130,21 @@ def save_bench_json(
     }
     if meta:
         payload["meta"] = {str(k): v for k, v in meta.items()}
-    if stages:
-        payload["stages"] = _clean_numbers(name, "stage", stages)
     if cache_stats:
         payload["cache"] = _clean_numbers(name, "cache stat", cache_stats)
     if memory:
         payload["memory"] = _clean_numbers(name, "memory metric", memory)
     if health:
         payload["health"] = {str(k): str(v) for k, v in health.items()}
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(
+            f"bench {name!r}: {exc}; refusing to save"
+        ) from exc
     path = bench_json_path(name)
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
     return path
 
 

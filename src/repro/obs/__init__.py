@@ -16,9 +16,10 @@ Consumers sharing the records:
   trace (:mod:`repro.obs.health`) and its counters/gauges as
   Prometheus text (:mod:`repro.obs.promfmt`); a run's durable record
   is its trace file,
-* the benchmark harness, which persists stage breakdowns, cache
-  statistics and (opt-in, :mod:`repro.obs.memory`) allocation peaks
-  next to its wall-time metrics for the regression gate, and
+* the benchmark harness, which reads the §4.3 stage split from
+  ``stage.*`` spans and persists cache statistics and (opt-in,
+  :mod:`repro.obs.memory`) allocation peaks for the regression gate,
+  and
 * the test suite's ``capture_trace`` fixture, which turns emitted
   spans/events into executable documentation of the engine's promised
   behaviour ("one blend matmul per batch", "second build is a cache

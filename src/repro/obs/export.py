@@ -17,10 +17,12 @@ in three record types:
     One event: ``id``, ``span`` (the owning span id), ``name``, ``t``
     and ``fields``.
 
-Every value is JSON-safe: numpy scalars are unwrapped to their Python
+Every value is strict JSON: numpy scalars are unwrapped to their Python
 equivalents via ``.item()`` (so an ``np.int64`` span attribute stays a
-number, not a repr string); non-scalar span attributes and event fields
-are serialised via ``repr``.
+number, not a repr string); non-finite floats become the strings
+``"nan"``, ``"inf"`` and ``"-inf"`` (which ``float()`` reads back);
+non-scalar span attributes and event fields are serialised via
+``repr``.
 
 :func:`read_trace_jsonl` is the inverse of :func:`write_trace_jsonl`:
 it reconstructs the recorded sessions (one :class:`Trace` per header
@@ -32,6 +34,7 @@ registered — by another.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -55,8 +58,13 @@ def _json_safe(value: object) -> object:
     are *not* instances of ``int``/``float``/``bool``, so without the
     ``.item()`` unwrap they would fall through to ``repr`` and a count
     of 12 would serialise as the string ``"12"`` — silently de-typing
-    every numpy-valued attribute in the trace.
+    every numpy-valued attribute in the trace.  A non-finite float (a
+    NaN or infinite health gauge) becomes its ``str``: ``json.dumps``
+    would write the non-JSON tokens ``NaN`` and ``Infinity``, which the
+    server's ``allow_nan=False`` encoder refuses.
     """
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, np.generic):

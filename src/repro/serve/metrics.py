@@ -1,4 +1,4 @@
-"""Server-side request metrics: counters, gauges, latency histograms.
+"""Server-side request metrics: counters and latency histograms.
 
 The serving loop is single-threaded asyncio, but metrics are read from
 other threads too (the CLI's signal handlers, tests polling a server
@@ -51,14 +51,13 @@ def percentile(samples: list[float], q: float) -> float:
 
 
 class ServerMetrics:
-    """Lock-guarded counters, gauges and per-endpoint latency histograms."""
+    """Lock-guarded counters and per-endpoint latency histograms."""
 
     def __init__(
         self, buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
     ) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
         self._buckets = buckets
 
@@ -69,10 +68,6 @@ class ServerMetrics:
     def counter(self, name: str) -> float:
         with self._lock:
             return self._counters.get(name, 0.0)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self._gauges[name] = float(value)
 
     def observe_latency(self, endpoint: str, seconds: float) -> None:
         with self._lock:
@@ -95,9 +90,9 @@ class ServerMetrics:
             return histogram.quantile(q)
 
     def snapshot(self) -> dict[str, object]:
-        """Point-in-time copy: counters, gauges, latency summaries."""
+        """Point-in-time copy: counters and latency summaries."""
         with self._lock:
-            snap: dict[str, object] = {
+            return {
                 "counters": dict(self._counters),
                 "latency": {
                     endpoint: histogram.summary()
@@ -106,31 +101,23 @@ class ServerMetrics:
                     )
                 },
             }
-            if self._gauges:
-                snap["gauges"] = dict(self._gauges)
-            return snap
 
-    def prometheus_families(
-        self, extra_gauges: dict[str, float] | None = None
-    ) -> list[MetricFamily]:
-        """The exposition-format view of everything this object holds.
+    def prometheus_families(self, gauges: dict[str, float]) -> list[MetricFamily]:
+        """The exposition-format view: counters, histograms, ``gauges``.
 
         * counters named ``responses_<code>`` fold into one
           ``geoalign_responses_total`` family with a ``status`` label;
         * other counters become ``geoalign_<name>`` counter families
           (a ``_total`` suffix is preserved, not doubled);
-        * gauges (stored + ``extra_gauges``, e.g. the server's live
-          ``stack_*``/``health.*`` values) become gauge families;
+        * ``gauges`` (the server's live ``models``/``in_flight``/
+          ``stack_*`` values) become gauge families;
         * per-endpoint latency histograms fold into one
           ``geoalign_request_seconds`` family with an ``endpoint``
           label.
         """
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
-        if extra_gauges:
-            gauges.update(extra_gauges)
         families: list[MetricFamily] = []
 
         responses = MetricFamily(

@@ -602,15 +602,12 @@ class AlignmentServer:
     def _metrics_prometheus(self) -> str:
         """The Prometheus 0.0.4 text rendering of ``/metrics``.
 
-        Counters and latency histograms come from
-        :meth:`ServerMetrics.prometheus_families`; the live ``stack_*``
-        gauges, per-model ``health.*`` verdicts and tail-sampler stats
-        are appended here because they are server state, not request
-        metrics.
+        Counters, latency histograms and the live gauges come from
+        :meth:`ServerMetrics.prometheus_families`; per-model
+        ``health.*`` verdicts and tail-sampler stats are appended here
+        because they are server state, not request metrics.
         """
-        families = self.metrics.prometheus_families(
-            extra_gauges=self._live_gauges()
-        )
+        families = self.metrics.prometheus_families(self._live_gauges())
         health = MetricFamily(
             name="geoalign_health_status",
             kind="gauge",

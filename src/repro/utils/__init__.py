@@ -1,4 +1,4 @@
-"""Shared low-level helpers: RNG handling, array checks, timers, caching."""
+"""Shared low-level helpers: RNG handling and array checks."""
 
 from repro.utils.rng import RngLike, as_generator, as_rng, spawn_rngs
 from repro.utils.arrays import (
@@ -9,7 +9,6 @@ from repro.utils.arrays import (
     check_finite,
     is_zero,
 )
-from repro.utils.timer import StageTimer
 
 __all__ = [
     "RngLike",
@@ -22,5 +21,4 @@ __all__ = [
     "check_finite",
     "is_zero",
     "spawn_rngs",
-    "StageTimer",
 ]

@@ -428,20 +428,20 @@ def test_refit_resets_derived_state():
     )
 
 
-def test_weight_report_and_timer():
+def test_weight_report_and_stage_spans(capture_trace):
     references, objectives = _world(37, n_attrs=2)
-    aligner = BatchAligner().fit(
-        references, objectives, attribute_names=["alpha", "beta"]
-    )
-    aligner.predict()
+    with capture_trace() as session:
+        aligner = BatchAligner().fit(
+            references, objectives, attribute_names=["alpha", "beta"]
+        )
+        aligner.predict()
     report = aligner.weight_report()
     assert set(report) == {"alpha", "beta"}
     for weights in report.values():
         assert set(weights) == {ref.name for ref in references}
         assert sum(weights.values()) == pytest.approx(1.0)
-    assert {"weights", "disaggregation", "reaggregation"} <= set(
-        aligner.timer_.totals
-    )
+    for stage in ("weights", "disaggregation", "reaggregation"):
+        assert session.find_spans(f"stage.{stage}")
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,8 @@ import pathlib
 
 import pytest
 
-_SCRIPT = (
-    pathlib.Path(__file__).resolve().parent.parent
-    / "benchmarks"
-    / "check_regression.py"
-)
+_BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+_SCRIPT = _BENCHMARKS / "check_regression.py"
 
 
 def _load():
@@ -28,12 +25,8 @@ def _load():
 cr = _load()
 
 
-def _write_bench(
-    directory, name, metrics, stages=None, cache=None, meta=None
-):
+def _write_bench(directory, name, metrics, cache=None, meta=None):
     payload = {"name": name, "metrics": metrics}
-    if stages is not None:
-        payload["stages"] = stages
     if cache is not None:
         payload["cache"] = cache
     if meta is not None:
@@ -47,11 +40,8 @@ class TestMetricKind:
     @pytest.mark.parametrize(
         "key,kind",
         [
-            ("loop_seconds", "time"),
-            ("stage_weights_seconds", "time"),
-            ("elapsed_s", "time"),
-            ("speedup", "speedup"),
-            ("cache_hit_rate", "speedup"),
+            ("cache_hit_rate", "hit_rate"),
+            ("obs_overhead_ratio", "overhead"),
             ("nrmse", "error"),
             ("max_abs_diff", "error"),
         ],
@@ -60,18 +50,52 @@ class TestMetricKind:
         assert cr.metric_kind(key) == kind
 
 
+class TestDurationKeys:
+    """Wall time is perfbench's: a duration-named key is bad input."""
+
+    @pytest.mark.parametrize(
+        "key,named",
+        [
+            ("loop_seconds", True),
+            ("stage_weights_seconds", True),
+            ("elapsed_s", True),
+            ("speedup", True),
+            ("rps_speedup", True),
+            ("nrmse", False),
+            ("n_sources", False),
+            ("obs_overhead_ratio", False),
+        ],
+    )
+    def test_names_duration(self, key, named):
+        assert cr.names_duration(key) == named
+
+    @pytest.mark.parametrize("side", ["base", "cand"])
+    @pytest.mark.parametrize("section", ["metrics", "meta", "memory"])
+    def test_duration_key_exits_2(self, tmp_path, capsys, side, section):
+        for directory in ("base", "cand"):
+            (tmp_path / directory).mkdir()
+            payload = {
+                "name": "b",
+                "metrics": {"nrmse": 0.1},
+                "meta": {"scale": 0.1},
+                "memory": {"peak": 1.0},
+            }
+            if directory == side:
+                payload[section]["build_s"] = 1.0
+            path = tmp_path / directory / "BENCH_b.json"
+            path.write_text(json.dumps(payload))
+        assert cr.main([str(tmp_path / "base"), str(tmp_path / "cand")]) == 2
+        err = capsys.readouterr().err
+        assert "duration key(s)" in err and "build_s" in err
+        assert f"{side}/BENCH_b.json" in err
+
+
 class TestFlattenPayload:
-    def test_stages_become_time_metrics(self):
-        flat = cr.flatten_payload(
-            {
-                "metrics": {"total_seconds": 2.0},
-                "stages": {"weights": 1.5, "disaggregation": 0.4},
-            },
-            "f.json",
-        )
-        assert flat["stage_weights_seconds"] == 1.5
-        assert flat["stage_disaggregation_seconds"] == 0.4
-        assert cr.metric_kind("stage_weights_seconds") == "time"
+    def test_stages_section_refused(self):
+        with pytest.raises(ValueError, match="unknown section"):
+            cr.flatten_payload(
+                {"metrics": {}, "stages": {"weights": 1.5}}, "f.json"
+            )
 
     def test_cache_becomes_hit_rate(self):
         flat = cr.flatten_payload(
@@ -89,73 +113,79 @@ class TestFlattenPayload:
 
     def test_missing_metrics_mapping_rejected(self):
         with pytest.raises(ValueError, match="no 'metrics' mapping"):
-            cr.flatten_payload({"stages": {}}, "f.json")
+            cr.flatten_payload({"cache": {}}, "f.json")
 
     def test_malformed_sections_rejected(self):
-        with pytest.raises(ValueError, match="'stages' is not a mapping"):
-            cr.flatten_payload({"metrics": {}, "stages": [1]}, "f.json")
+        with pytest.raises(ValueError, match="'metrics' is not a mapping"):
+            cr.flatten_payload({"metrics": [1]}, "f.json")
         with pytest.raises(ValueError, match="'cache' is not a mapping"):
             cr.flatten_payload({"metrics": {}, "cache": 3}, "f.json")
+        with pytest.raises(ValueError, match="'meta' is not a mapping"):
+            cr.flatten_payload({"metrics": {}, "meta": "x"}, "f.json")
 
 
 class TestCompareMetric:
-    def test_time_exact_tolerance_boundary(self):
-        # candidate == baseline * tolerance is NOT a regression (strict >).
-        regressed, _ = cr.compare_metric("t_seconds", 1.0, 1.5, 1.5, 1.05)
-        assert not regressed
-        regressed, _ = cr.compare_metric(
-            "t_seconds", 1.0, 1.5 + 1e-9, 1.5, 1.05
-        )
-        assert regressed
+    def test_tolerances_are_the_documented_constants(self):
+        assert cr.ERROR_TOLERANCE == 1.05
+        assert cr.MEM_TOLERANCE == 1.5
+        assert cr.OVERHEAD_CEILING == 1.01
 
     def test_error_boundary_includes_atol(self):
         # A zero baseline tolerates candidates up to the absolute floor.
-        regressed, _ = cr.compare_metric("nrmse", 0.0, 1e-10, 1.5, 1.05)
+        regressed, _ = cr.compare_metric("nrmse", 0.0, 1e-10)
         assert not regressed
-        regressed, _ = cr.compare_metric("nrmse", 0.0, 1e-8, 1.5, 1.05)
+        regressed, _ = cr.compare_metric("nrmse", 0.0, 1e-8)
         assert regressed
 
-    def test_speedup_lower_is_regression(self):
-        regressed, _ = cr.compare_metric("speedup", 3.0, 1.9, 1.5, 1.05)
+    def test_error_exact_tolerance_boundary(self):
+        # baseline * tolerance (+ atol) is NOT a regression (strict >).
+        regressed, _ = cr.compare_metric("nrmse", 1.0, 1.05)
+        assert not regressed
+        regressed, _ = cr.compare_metric("nrmse", 1.0, 1.05 + 1e-8)
         assert regressed
-        regressed, detail = cr.compare_metric("speedup", 3.0, 2.0, 1.5, 1.05)
+
+    def test_hit_rate_lower_is_regression(self):
+        regressed, _ = cr.compare_metric("cache_hit_rate", 0.5, 0.49)
+        assert regressed
+        regressed, detail = cr.compare_metric("cache_hit_rate", 0.5, 0.5)
         assert not regressed
         assert "[ok]" in detail
 
-    def test_report_formatting(self):
+    def test_overhead_is_an_absolute_ceiling(self):
         regressed, detail = cr.compare_metric(
-            "loop_seconds", 1.0, 2.0, 1.5, 1.05
+            "obs_overhead_ratio", 1.0001, 1.009
         )
+        assert not regressed
+        assert "absolute" in detail
+        regressed, _ = cr.compare_metric("obs_overhead_ratio", 1.2, 1.011)
         assert regressed
-        assert "loop_seconds" in detail
+
+    def test_report_formatting(self):
+        regressed, detail = cr.compare_metric("max_abs_diff", 1.0, 2.0)
+        assert regressed
+        assert "max_abs_diff" in detail
         assert "[REGRESSED]" in detail
         assert "baseline 1" in detail
 
 
 class TestCompare:
     def test_bench_missing_from_candidate_is_regression(self):
-        regressions, lines = cr.compare(
-            {"b": {"x_seconds": 1.0}}, {}, 1.5, 1.05
-        )
+        regressions, mismatches, lines = cr.compare({"b": {"x": 1.0}}, {})
         assert regressions == [("b", "<missing>")]
+        assert mismatches == []
         assert any("MISSING from candidate" in line for line in lines)
 
     def test_metric_missing_from_candidate_is_regression(self):
-        regressions, lines = cr.compare(
-            {"b": {"x_seconds": 1.0, "y_seconds": 1.0}},
-            {"b": {"x_seconds": 1.0}},
-            1.5,
-            1.05,
+        regressions, _, lines = cr.compare(
+            {"b": {"x": 1.0, "y": 1.0}}, {"b": {"x": 1.0}}
         )
-        assert regressions == [("b", "y_seconds")]
+        assert regressions == [("b", "y")]
         assert any("missing from candidate" in line for line in lines)
 
     def test_new_bench_and_new_metric_are_skipped(self):
-        regressions, lines = cr.compare(
-            {"b": {"x_seconds": 1.0}},
-            {"b": {"x_seconds": 1.0, "z": 9.0}, "new": {"q": 1.0}},
-            1.5,
-            1.05,
+        regressions, _, lines = cr.compare(
+            {"b": {"x": 1.0}},
+            {"b": {"x": 1.0, "z": 9.0}, "new": {"q": 1.0}},
         )
         assert regressions == []
         assert any("new bench" in line for line in lines)
@@ -171,14 +201,14 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_tolerance_exits_2(self, tmp_path):
+        # Tolerances are module constants: a blocking gate cannot be
+        # loosened from the command line, so any tolerance flag is a
+        # usage error.
         base = tmp_path / "base"
-        cand = tmp_path / "cand"
         base.mkdir()
-        cand.mkdir()
-        code = cr.main(
-            [str(base), str(cand), "--time-tolerance", "0.5"]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cr.main([str(base), str(base), "--error-tolerance", "2.0"])
+        assert exc.value.code == 2
 
     def test_empty_dirs_exit_0(self, tmp_path, capsys):
         base = tmp_path / "base"
@@ -196,23 +226,19 @@ class TestMain:
         _write_bench(
             base,
             "batch",
-            {"batch_seconds": 1.0},
-            stages={"weights": 0.5},
+            {"max_abs_diff": 1e-12},
             cache={"hits": 1, "misses": 1},
         )
-        # Candidate: same wall time, but one stage regressed 3x and the
-        # cache hit rate collapsed.
+        # Candidate: same agreement, but the cache hit rate collapsed.
         _write_bench(
             cand,
             "batch",
-            {"batch_seconds": 1.0},
-            stages={"weights": 1.5},
+            {"max_abs_diff": 1e-12},
             cache={"hits": 0, "misses": 2},
         )
         assert cr.main([str(base), str(cand)]) == 1
         out = capsys.readouterr().out
-        assert "batch/stage_weights_seconds" in out
-        assert "batch/cache_hit_rate" in out
+        assert "1 regression(s): batch/cache_hit_rate" in out
 
     def test_end_to_end_clean_exits_0(self, tmp_path, capsys):
         base = tmp_path / "base"
@@ -223,16 +249,42 @@ class TestMain:
             _write_bench(
                 directory,
                 "batch",
-                {"batch_seconds": 1.0, "nrmse": 0.1},
-                stages={"weights": 0.5},
+                {"nrmse": 0.1},
                 cache={"hits": 1, "misses": 1},
             )
         assert cr.main([str(base), str(cand)]) == 0
         assert "no benchmark regressions" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"name": "b", "metrics": {"nrmse": Infinity}}', "Infinity"),
+            ('[{"name": "b", "metrics": {}}]', "expected a JSON object"),
+        ],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, text, message):
+        base = tmp_path / "base"
+        base.mkdir()
+        (base / "BENCH_b.json").write_text(text)
+        assert cr.main([str(base), str(base)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_committed_baselines_pass_against_themselves(self):
+        """The committed records are strict JSON with no duration key,
+        and the gate accepts them as their own candidate."""
+        baselines = _BENCHMARKS / "baselines"
+        paths = sorted(baselines.glob("BENCH_*.json"))
+        assert paths
+        for path in paths:
+            payload = json.loads(
+                path.read_text(), parse_constant=cr._refuse_constant
+            )
+            cr.flatten_payload(payload, str(path))
+        assert cr.main([str(baselines), str(baselines)]) == 0
+
 
 class TestMeta:
-    """``meta`` differences are reported, never gated."""
+    """A ``meta`` that differs from its baseline is refused (exit 2)."""
 
     def test_changes_name_key_and_both_values(self):
         changes = cr.meta_changes(
@@ -256,34 +308,36 @@ class TestMeta:
         base.mkdir()
         cand.mkdir()
         _write_bench(
-            base, "shard", {"sharded_seconds": 1.0},
+            base, "shard", {"max_rel_diff": 1e-15},
             meta={"max_workers": 1, "n_shards": 8},
         )
         _write_bench(
-            cand, "shard", {"sharded_seconds": 1.0},
+            cand, "shard", {"max_rel_diff": 1e-15},
             meta={"max_workers": 4, "n_shards": 8},
         )
-        _write_bench(base, "batch", {"batch_seconds": 1.0}, meta={"k": 3})
-        _write_bench(cand, "batch", {"batch_seconds": 1.0}, meta={"k": 3})
-        assert cr.main([str(base), str(cand)]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        _write_bench(base, "batch", {"nrmse": 0.1}, meta={"k": 3})
+        _write_bench(cand, "batch", {"nrmse": 0.1}, meta={"k": 3})
+        assert cr.main([str(base), str(cand)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
         flagged = [line for line in lines if "meta differs" in line]
         assert flagged == ["    meta differs: max_workers 1 -> 4"]
         assert lines[lines.index(flagged[0]) - 1] == "shard:"
+        assert "meta differs from the baseline for shard" in captured.err
 
-    def test_meta_difference_does_not_change_a_regression(
-        self, tmp_path, capsys
-    ):
+    def test_meta_difference_outranks_a_regression(self, tmp_path, capsys):
+        # A baseline taken at another scale (the old kernels record) is
+        # refused, not compared: its regressions would be meaningless.
         base = tmp_path / "base"
         cand = tmp_path / "cand"
         base.mkdir()
         cand.mkdir()
-        _write_bench(base, "shard", {"t_seconds": 1.0}, meta={"w": 1})
-        _write_bench(cand, "shard", {"t_seconds": 3.0}, meta={"w": 4})
-        assert cr.main([str(base), str(cand)]) == 1
+        _write_bench(base, "kernels", {"nrmse": 1.0}, meta={"scale": 1.0})
+        _write_bench(cand, "kernels", {"nrmse": 3.0}, meta={"scale": 0.1})
+        assert cr.main([str(base), str(cand)]) == 2
         out = capsys.readouterr().out
-        assert "meta differs: w 1 -> 4" in out
-        assert "shard/t_seconds" in out
+        assert "meta differs: scale 1.0 -> 0.1" in out
+        assert "regression(s)" not in out
 
 
 class TestMemoryKind:
@@ -307,39 +361,26 @@ class TestMemoryKind:
                 {"metrics": {}, "memory": [1, 2]}, "f.json"
             )
 
-    def test_memory_defaults_to_time_tolerance(self):
-        regressed, _ = cr.compare_metric(
-            "mem_peak_bytes", 100.0, 150.0, 1.5, 1.05
-        )
+    def test_memory_exact_tolerance_boundary(self):
+        # baseline * 1.5 is NOT a regression (strict >).
+        regressed, detail = cr.compare_metric("mem_peak_bytes", 100.0, 150.0)
         assert not regressed
-        regressed, _ = cr.compare_metric(
-            "mem_peak_bytes", 100.0, 151.0, 1.5, 1.05
-        )
+        assert "x 1.5" in detail
+        regressed, _ = cr.compare_metric("mem_peak_bytes", 100.0, 151.0)
         assert regressed
-
-    def test_explicit_mem_tolerance_wins(self):
-        regressed, detail = cr.compare_metric(
-            "mem_peak_bytes", 100.0, 120.0, 1.5, 1.05, 1.1
-        )
-        assert regressed
-        assert "x 1.1" in detail
-        regressed, _ = cr.compare_metric(
-            "mem_peak_bytes", 100.0, 109.0, 1.5, 1.05, 1.1
-        )
-        assert not regressed
 
     def test_main_rejects_bad_mem_tolerance(self, tmp_path):
         (tmp_path / "a").mkdir()
-        (tmp_path / "b").mkdir()
-        code = cr.main(
-            [
-                str(tmp_path / "a"),
-                str(tmp_path / "b"),
-                "--mem-tolerance",
-                "0.5",
-            ]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cr.main(
+                [
+                    str(tmp_path / "a"),
+                    str(tmp_path / "a"),
+                    "--mem-tolerance",
+                    "3.0",
+                ]
+            )
+        assert exc.value.code == 2
 
     def test_memory_regression_end_to_end(self, tmp_path, capsys):
         base = tmp_path / "base"
@@ -350,11 +391,8 @@ class TestMemoryKind:
         (base / "BENCH_b.json").write_text(json.dumps(payload))
         payload["memory"] = {"peak": 300.0}
         (cand / "BENCH_b.json").write_text(json.dumps(payload))
-        code = cr.main(
-            [str(base), str(cand), "--mem-tolerance", "2.0"]
-        )
-        assert code == 1
-        assert "mem_peak" in capsys.readouterr().out
+        assert cr.main([str(base), str(cand)]) == 1
+        assert "b/mem_peak" in capsys.readouterr().out
 
 
 class TestHealthGate:

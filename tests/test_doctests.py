@@ -10,9 +10,8 @@ import pytest
 
 import repro
 import repro.tabular.table
-import repro.utils.timer
 
-MODULES = [repro, repro.tabular.table, repro.utils.timer]
+MODULES = [repro, repro.tabular.table]
 
 
 @pytest.mark.parametrize(

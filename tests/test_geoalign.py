@@ -176,13 +176,17 @@ class TestAlgorithm:
         estimate = GeoAlign(normalize=False).fit_predict(refs, objective)
         assert estimate.shape == (4,)
 
-    def test_timer_records_stages(self, refs):
-        ga = GeoAlign().fit(refs, refs[0].source_vector)
-        ga.predict()
-        assert set(ga.timer_.totals) == {
-            "weights",
-            "disaggregation",
-            "reaggregation",
+    def test_fit_predict_emits_stage_spans(self, refs, capture_trace):
+        with capture_trace() as session:
+            ga = GeoAlign().fit(refs, refs[0].source_vector)
+            ga.predict()
+        stages = {
+            name for name in session.span_names() if name.startswith("stage.")
+        }
+        assert stages == {
+            "stage.weights",
+            "stage.disaggregation",
+            "stage.reaggregation",
         }
 
     def test_predict_dm_is_cached(self, refs):

@@ -58,49 +58,63 @@ class TestBenchJson:
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         path = save_bench_json(
             "My Bench",
-            {"loop_seconds": 1.25, "speedup": 4},
+            {"max_abs_diff": 1.25e-13, "nrmse": 2},
             meta={"scale": 0.1, "universe": "NY"},
-            stages={"weights": 0.5, "disaggregation": 0.7},
             cache_stats={"hits": 3, "misses": 1, "evictions": 0},
+            memory={"peak_bytes": 1024},
+            health={"volume_preservation": "ok"},
         )
         assert path == bench_json_path("My Bench")
         payload = load_bench_json("My Bench")
         assert payload["name"] == "My Bench"
-        assert payload["metrics"] == {"loop_seconds": 1.25, "speedup": 4.0}
+        assert payload["metrics"] == {"max_abs_diff": 1.25e-13, "nrmse": 2.0}
         assert payload["meta"] == {"scale": 0.1, "universe": "NY"}
-        assert payload["stages"] == {"weights": 0.5, "disaggregation": 0.7}
         assert payload["cache"] == {
             "hits": 3.0,
             "misses": 1.0,
             "evictions": 0.0,
         }
+        assert payload["memory"] == {"peak_bytes": 1024.0}
+        assert payload["health"] == {"volume_preservation": "ok"}
 
     def test_sections_omitted_when_absent(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         save_bench_json("minimal", {"x": 1.0})
         payload = load_bench_json("minimal")
-        assert "stages" not in payload
-        assert "cache" not in payload
-        assert "meta" not in payload
+        assert set(payload) == {"name", "metrics"}
 
     def test_file_is_valid_sorted_json(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        save_bench_json("b", {"x": 1.0}, stages={"weights": 0.5})
+        save_bench_json("b", {"x": 1.0}, memory={"peak": 0.5})
         text = open(bench_json_path("b")).read()
         assert text.endswith("\n")
-        assert json.loads(text)["stages"]["weights"] == 0.5
+        assert json.loads(text)["memory"]["peak"] == 0.5
+        assert list(json.loads(text)) == ["memory", "metrics", "name"]
 
     @pytest.mark.parametrize(
         "kwargs,match",
         [
             ({"metrics": {"bad": float("nan")}}, "metric 'bad' is NaN"),
             (
-                {"metrics": {}, "stages": {"w": float("nan")}},
-                "stage 'w' is NaN",
+                {"metrics": {}, "memory": {"peak": float("nan")}},
+                "memory metric 'peak' is NaN",
             ),
             (
                 {"metrics": {}, "cache_stats": {"hits": float("nan")}},
                 "cache stat 'hits' is NaN",
+            ),
+            ({"metrics": {"bad": float("inf")}}, "metric 'bad' is inf"),
+            (
+                {"metrics": {}, "memory": {"peak": float("-inf")}},
+                "memory metric 'peak' is -inf",
+            ),
+            (
+                {"metrics": {}, "cache_stats": {"hits": float("inf")}},
+                "cache stat 'hits' is inf",
+            ),
+            (
+                {"metrics": {}, "meta": {"scale": float("-inf")}},
+                "not JSON compliant",
             ),
         ],
     )
@@ -110,6 +124,7 @@ class TestBenchJson:
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         with pytest.raises(ValidationError, match=match):
             save_bench_json("bad", **kwargs)
+        assert not (tmp_path / "BENCH_bad.json").exists()
 
     def test_missing_bench_raises(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))

@@ -52,6 +52,34 @@ def fitted(paired_references):
     )
 
 
+#: A finite ``/align`` payload whose predictions overflow on
+#: :func:`_overflow_world`'s references.
+OVERFLOWING_OBJECTIVES = [[1e306] * 5 + [1e303]]
+
+
+def _overflow_world():
+    """References on which weights [0, 1] overflow the Eq. 16 divide at
+    row s5 (``predict()`` returns inf, which JSON cannot carry), and a
+    finite model fitted on them."""
+    sources = [f"s{i}" for i in range(6)]
+    targets = [f"t{j}" for j in range(3)]
+    alpha = np.zeros((6, 3))
+    alpha[:5] = 1.0
+    beta = alpha.copy()
+    beta[5, 0] = 1e-6
+    references = []
+    for name, matrix in (("alpha", alpha), ("beta", beta)):
+        dm = DisaggregationMatrix(matrix, sources, targets)
+        references.append(Reference(name, dm.row_sums(), dm))
+    return references, BatchAligner().fit(
+        references, [alpha.sum(axis=1) + 1.0]
+    )
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
 def run_with_server(fitted, body, **server_kwargs):
     """Start a server with one model, run ``body(server, key)``, drain.
 
@@ -470,22 +498,8 @@ class TestFailureModes:
         assert payload["error"]["code"] == "bad-request"
 
     def test_overflowing_align_answers_strict_json_envelope(self):
-        # Weights [0, 1] on these references overflow the Eq. 16 divide
-        # at row s5: predict() returns inf, which JSON cannot carry.
-        sources = [f"s{i}" for i in range(6)]
-        targets = [f"t{j}" for j in range(3)]
-        alpha = np.zeros((6, 3))
-        alpha[:5] = 1.0
-        beta = alpha.copy()
-        beta[5, 0] = 1e-6
-        references = []
-        for name, matrix in (("alpha", alpha), ("beta", beta)):
-            dm = DisaggregationMatrix(matrix, sources, targets)
-            references.append(Reference(name, dm.row_sums(), dm))
-        model = BatchAligner().fit(references, [alpha.sum(axis=1) + 1.0])
-        request = json.dumps(
-            {"objectives": [[1e306] * 5 + [1e303]]}
-        ).encode()
+        references, model = _overflow_world()
+        request = json.dumps({"objectives": OVERFLOWING_OBJECTIVES}).encode()
 
         async def body(server, key):
             reader, writer = await asyncio.open_connection(
@@ -507,13 +521,10 @@ class TestFailureModes:
         )
         status = int(head.split()[1])
 
-        def refuse(token):
-            raise ValueError(f"non-JSON constant {token}")
-
-        payload = json.loads(raw_body, parse_constant=refuse)
+        payload = json.loads(raw_body, parse_constant=_refuse_constant)
         assert 400 <= status < 500
         assert payload["error"]["code"] == "non-finite-prediction"
-        overflowing = BatchAligner().fit(references, [[1e306] * 5 + [1e303]])
+        overflowing = BatchAligner().fit(references, OVERFLOWING_OBJECTIVES)
         with pytest.raises(ServeError) as err:
             AlignmentServer().add_model(overflowing)
         assert err.value.code == "non-finite-prediction"
@@ -919,6 +930,31 @@ class TestTailExemplars:
         # response was clean: deterministically dropped.
         assert payload["exemplars"] == []
         assert payload["stats"]["sampled_total"] >= 1.0
+
+    def test_non_finite_exemplar_gauge_keeps_debug_json(self):
+        _, model = _overflow_world()
+
+        async def body(server, key):
+            async with ServeClient(server.host, server.port) as client:
+                status, payload = await client.request(
+                    "POST", "/align", {"objectives": OVERFLOWING_OBJECTIVES}
+                )
+                assert status == 400
+                assert payload["error"]["code"] == "non-finite-prediction"
+            # Read raw bodies: the retained error exemplar carries an
+            # infinite volume residual, which must not break a later GET.
+            return [
+                await _raw_get(server.host, server.port, "/debug/exemplars")
+                for _ in range(2)
+            ]
+
+        for status, _, text in run_with_server(model, body):
+            assert status == 200
+            payload = json.loads(text, parse_constant=_refuse_constant)
+        (exemplar,) = payload["exemplars"]
+        assert exemplar["reason"] == "error"
+        gauges = exemplar["records"][0]["gauges"]
+        assert gauges["health.volume_residual_max"] == "inf"
 
     def test_ring_buffer_bounds_retention(self, fitted):
         async def body(server, key):

@@ -1,6 +1,4 @@
-"""Tests for utils (rng, arrays, timer), errors and Reference."""
-
-import time
+"""Tests for utils (rng, arrays), errors and Reference."""
 
 import numpy as np
 import pytest
@@ -23,7 +21,6 @@ from repro.errors import (
     ValidationError,
 )
 from repro.utils import (
-    StageTimer,
     as_float_vector,
     as_nonnegative_vector,
     as_rng,
@@ -103,37 +100,6 @@ class TestArrays:
         with pytest.raises(ValidationError, match="non-negative"):
             as_nonnegative_vector([1.0, -0.5])
         assert (as_nonnegative_vector([0.0, 1.0]) >= 0).all()
-
-
-class TestStageTimer:
-    def test_accumulates(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            time.sleep(0.002)
-        with timer.stage("a"):
-            time.sleep(0.002)
-        with timer.stage("b"):
-            pass
-        assert timer.totals["a"] >= 0.004
-        assert timer.total >= timer.totals["a"]
-        assert 0 < timer.fraction("a") <= 1.0
-
-    def test_fraction_of_empty_timer(self):
-        assert StageTimer().fraction("x") == 0.0
-
-    def test_reset(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            pass
-        timer.reset()
-        assert timer.totals == {}
-
-    def test_records_on_exception(self):
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("failing"):
-                raise RuntimeError("boom")
-        assert "failing" in timer.totals
 
 
 class TestReference:
