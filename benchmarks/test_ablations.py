@@ -12,8 +12,8 @@ import numpy as np
 from repro.core.geoalign import GeoAlign
 from repro.experiments.noise import perturb_reference
 from repro.metrics.errors import nrmse, rmse
-from repro.partitions.dm import DisaggregationMatrix
 from repro.utils.rng import as_rng
+from tests.dm_oracles import blend
 
 
 def _mean_nrmse(world, factory):
@@ -146,7 +146,7 @@ def test_ablation_volume_rescaling(benchmark, ny_world, report):
         volume_scores.append(nrmse(estimator.predict(), truth))
 
         estimator.predict_dm()  # materialises blend_weights_
-        blended = DisaggregationMatrix.blend(
+        blended = blend(
             [r.dm for r in pool], estimator.blend_weights_
         )
         naive = blended.col_sums() * (

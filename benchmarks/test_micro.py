@@ -15,10 +15,10 @@ from repro.geometry.primitives import BoundingBox
 from repro.geometry.region import Region
 from repro.geometry.voronoi import voronoi_partition
 from repro.metrics.errors import nrmse
-from repro.partitions.dm import DisaggregationMatrix
 from repro.partitions.intersection import build_intersection
 from repro.partitions.system import VectorUnitSystem
 from repro.utils.rng import as_generator
+from tests.dm_oracles import blend
 
 
 def test_dm_blend_and_rescale_sparse(benchmark, us_world):
@@ -29,7 +29,7 @@ def test_dm_blend_and_rescale_sparse(benchmark, us_world):
     totals = references[0].source_vector
 
     def kernel():
-        blended = DisaggregationMatrix.blend(dms, weights)
+        blended = blend(dms, weights)
         return blended.rescale_rows(totals)
 
     result = benchmark(kernel)

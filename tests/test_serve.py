@@ -21,6 +21,7 @@ numpy/scipy only.
 """
 
 import asyncio
+import dataclasses
 import json
 
 import numpy as np
@@ -34,12 +35,15 @@ from repro.partitions.dm import DisaggregationMatrix
 from repro.serve import (
     AlignmentServer,
     HttpRequest,
+    RawJSON,
     ServeClient,
+    ServingModel,
     encode_response,
     percentile,
     read_request,
 )
-from repro.store import ModelStore
+from repro.store import ModelStore, model_fingerprint
+from repro.store.store import KEY_LENGTH
 
 
 @pytest.fixture
@@ -78,6 +82,34 @@ def _overflow_world():
 
 def _refuse_constant(token):
     raise ValueError(f"non-JSON constant {token}")
+
+
+def _holds_float(value):
+    """Whether ``value`` is or contains (in lists/dicts) a float."""
+    if isinstance(value, float):
+        return True
+    if isinstance(value, dict):
+        return any(_holds_float(item) for item in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_holds_float(item) for item in value)
+    return False
+
+
+async def _raw_post(server, path, payload):
+    """One POST on its own connection; ``(status, raw body bytes)``."""
+    request = json.dumps(payload).encode()
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(
+        f"POST {path} HTTP/1.1\r\nConnection: close\r\n".encode()
+        + f"Content-Length: {len(request)}\r\n\r\n".encode()
+        + request
+    )
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
 
 
 def run_with_server(fitted, body, **server_kwargs):
@@ -190,6 +222,28 @@ class TestHttpFraming:
         head, _, body = raw.partition(b"\r\n\r\n")
         assert b"HTTP/1.1 200 OK" in head
         assert json.loads(body)["x"] == value
+
+    def test_encode_response_bodies_equal_json_dumps(self):
+        payload = {
+            "k": "v\u00e9",
+            "rows": [[0.1 + 0.2, 1e-300]],
+            "nested": {"n": 2, "ok": True, "none": None},
+        }
+        spliced = dict(
+            payload, rows=RawJSON.array([RawJSON.dumps(payload["rows"][0])])
+        )
+        expected = json.dumps(payload, allow_nan=False).encode()
+        for sent in (payload, spliced):
+            raw = encode_response(200, sent, keep_alive=True)
+            assert raw.partition(b"\r\n\r\n")[2] == expected
+
+    def test_non_finite_values_refused_beside_raw_json(self):
+        with pytest.raises(ValueError):
+            RawJSON.dumps([float("inf")])
+        with pytest.raises(ValueError):
+            encode_response(
+                200, {"rows": RawJSON(b"[]"), "x": float("nan")}, True
+            )
 
 
 class TestMetricsPrimitives:
@@ -383,6 +437,114 @@ class TestEndpoints:
 
 
 # ---------------------------------------------------------------------------
+# rows encoded once
+
+
+class TestEncodedRows:
+    """Registration encodes each prediction row once; ``/predict`` and
+    ``/align`` splice those bytes, and the bodies stay byte-identical
+    to ``json.dumps`` of the float rows."""
+
+    @pytest.mark.parametrize(
+        "selector, names",
+        [
+            ({"attribute": "b"}, ["b"]),
+            ({"attributes": ["b", "a"]}, ["b", "a"]),
+            ({}, ["a", "b"]),
+        ],
+        ids=["attribute", "attributes", "all-rows"],
+    )
+    def test_predict_body_is_json_dumps_of_float_rows(
+        self, fitted, selector, names
+    ):
+        async def body(server, key):
+            return key, await _raw_post(
+                server, "/predict", {"model": key, **selector}
+            )
+
+        key, (status, raw) = run_with_server(fitted, body)
+        offline = fitted.predict()
+        expected = {
+            "model": key,
+            "attributes": names,
+            "n_targets": offline.shape[1],
+            "predictions": [
+                offline[["a", "b"].index(name)].tolist() for name in names
+            ],
+        }
+        assert status == 200
+        assert raw == json.dumps(expected, allow_nan=False).encode()
+
+    def test_align_body_is_json_dumps_of_float_rows(self, fitted):
+        new_objectives = (fitted.objectives_ * 1.5).tolist()
+
+        async def body(server, key):
+            return await _raw_post(
+                server,
+                "/align",
+                {
+                    "model": key,
+                    "objectives": new_objectives,
+                    "attribute_names": ["a2", "b2"],
+                },
+            )
+
+        status, raw = run_with_server(fitted, body)
+        offline = BatchAligner().fit(
+            fitted.stack_, new_objectives, ["a2", "b2"]
+        )
+        fingerprint = model_fingerprint(offline)
+        expected = {
+            "model": fingerprint[:KEY_LENGTH],
+            "fingerprint": fingerprint,
+            "attributes": ["a2", "b2"],
+            "n_targets": offline.predict().shape[1],
+            "predictions": offline.predict().tolist(),
+            "stored": False,
+        }
+        assert status == 200
+        assert raw == json.dumps(expected, allow_nan=False).encode()
+
+    def test_predict_encodes_no_prediction_row(self, fitted, monkeypatch):
+        encoded = []
+        real_dumps = json.dumps
+
+        def spy(value, *args, **kwargs):
+            encoded.append(value)
+            return real_dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", spy)
+
+        async def body(server, key):
+            at_registration = list(encoded)
+            encoded.clear()
+            async with ServeClient(server.host, server.port) as client:
+                answer = await client.request(
+                    "POST", "/predict", {"model": key}
+                )
+            return at_registration, answer
+
+        at_registration, (status, payload) = run_with_server(fitted, body)
+        rows = fitted.predict().tolist()
+        assert status == 200
+        assert payload["predictions"] == rows
+        # Each row went through the encoder once, at registration ...
+        assert [value for value in at_registration if value in rows] == rows
+        # ... and serving it encoded no float at all.
+        assert encoded
+        assert not any(_holds_float(value) for value in encoded)
+
+    def test_serving_model_is_frozen(self, fitted):
+        serving = ServingModel.from_model(fitted, health={"x": "ok"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            serving.rows = ()
+        with pytest.raises(TypeError):
+            serving.attribute_index["c"] = 2
+        with pytest.raises(TypeError):
+            serving.health["x"] = "fail"
+
+
+# ---------------------------------------------------------------------------
 # failure modes
 
 
@@ -492,6 +654,83 @@ class TestFailureModes:
         assert status == 400
         assert payload["error"]["code"] == "invalid-input"
 
+    def test_align_store_refusal_registers_nothing(self, fitted):
+        """``"store": true`` on a server without a store is refused
+        before the fit, so the one-model server still answers a
+        ``/predict`` that names no model."""
+        objectives = (fitted.objectives_ * 1.5).tolist()
+
+        async def body(server, key):
+            async with ServeClient(server.host, server.port) as client:
+                refused = await client.request(
+                    "POST",
+                    "/align",
+                    {"objectives": objectives, "store": True},
+                )
+                follow_up = await client.request("POST", "/predict", {})
+            return refused, follow_up, list(server.models)
+
+        (status, payload), (follow_status, _), keys = run_with_server(
+            fitted, body
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad-request"
+        assert follow_status == 200
+        assert len(keys) == 1
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["false", "true", 0, 1, None, []],
+        ids=["string-false", "string-true", "zero", "one", "null", "list"],
+    )
+    def test_align_store_must_be_a_json_boolean(
+        self, fitted, tmp_path, flag
+    ):
+        store = ModelStore(str(tmp_path / "store"))
+        objectives = (fitted.objectives_ * 1.5).tolist()
+
+        async def body(server, key):
+            async with ServeClient(server.host, server.port) as client:
+                answer = await client.request(
+                    "POST",
+                    "/align",
+                    {"objectives": objectives, "store": flag},
+                )
+            return answer, list(server.models)
+
+        (status, payload), keys = run_with_server(
+            fitted, body, store=store
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad-request"
+        assert store.keys() == []
+        assert len(keys) == 1
+
+    def test_align_failed_save_registers_nothing(self, fitted, tmp_path):
+        store = ModelStore(str(tmp_path / "store"))
+
+        def failing_save(model):
+            raise OSError("no space left on device")
+
+        store.save = failing_save
+        objectives = (fitted.objectives_ * 1.5).tolist()
+
+        async def body(server, key):
+            async with ServeClient(server.host, server.port) as client:
+                answer = await client.request(
+                    "POST",
+                    "/align",
+                    {"objectives": objectives, "store": True},
+                )
+            return answer, list(server.models)
+
+        (status, payload), keys = run_with_server(
+            fitted, body, store=store
+        )
+        assert status == 500
+        assert "no space left" in payload["error"]["message"]
+        assert len(keys) == 1
+
     def test_align_without_objectives(self, fitted):
         status, payload = self._envelope(fitted, "POST", "/align", {})
         assert status == 400
@@ -499,28 +738,13 @@ class TestFailureModes:
 
     def test_overflowing_align_answers_strict_json_envelope(self):
         references, model = _overflow_world()
-        request = json.dumps({"objectives": OVERFLOWING_OBJECTIVES}).encode()
 
         async def body(server, key):
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port
+            return await _raw_post(
+                server, "/align", {"objectives": OVERFLOWING_OBJECTIVES}
             )
-            writer.write(
-                b"POST /align HTTP/1.1\r\nConnection: close\r\n"
-                + f"Content-Length: {len(request)}\r\n\r\n".encode()
-                + request
-            )
-            await writer.drain()
-            raw = await reader.read()
-            writer.close()
-            await writer.wait_closed()
-            return raw
 
-        head, _, raw_body = run_with_server(model, body).partition(
-            b"\r\n\r\n"
-        )
-        status = int(head.split()[1])
-
+        status, raw_body = run_with_server(model, body)
         payload = json.loads(raw_body, parse_constant=_refuse_constant)
         assert 400 <= status < 500
         assert payload["error"]["code"] == "non-finite-prediction"
