@@ -1,8 +1,10 @@
 """End-to-end tests of the four figure experiments at test scale.
 
 These assert the paper's qualitative *shapes* (who wins, what fails,
-what stays flat), not absolute numbers; EXPERIMENTS.md records the
-paper-scale measurements from the benchmark harness.
+what stays flat); :class:`TestFigurePins` then holds every cell of the
+same Fig. 5a, 5b, 7 and 8 runs to ``fixtures/figures/`` (written by
+``tests/figures_gen.py``).  EXPERIMENTS.md records the paper-scale
+measurements from the benchmark harness.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.experiments.reference_selection import (
     subset_for_series,
 )
 from repro.errors import ValidationError
+from tests import figures_gen
 from tests.conftest import TEST_SCALE
 
 
@@ -45,6 +48,26 @@ def us_world_module():
     from repro.synth.universes import build_united_states_world
 
     return build_united_states_world(scale=SHAPE_SCALE)
+
+
+@pytest.fixture(scope="module")
+def fig5b(us_world_module):
+    return run_effectiveness(us_world_module)
+
+
+@pytest.fixture(scope="module")
+def fig7(us_world_module):
+    return run_noise_robustness(
+        levels=figures_gen.NOISE_LEVELS,
+        replicates=figures_gen.NOISE_REPLICATES,
+        noise_seed=figures_gen.NOISE_SEED,
+        world=us_world_module,
+    )
+
+
+@pytest.fixture(scope="module")
+def fig8(us_world_module):
+    return run_reference_selection(world=us_world_module)
 
 
 class TestFigure5:
@@ -74,11 +97,8 @@ class TestFigure5:
         text = fig5a.to_text()
         assert "GeoAlign" in text and "areal weighting" in text.lower()
 
-    def test_us_pool_dasymetric_fails_on_area_and_uninhabited(
-        self, us_world_module
-    ):
-        result = run_effectiveness(us_world_module)
-        table = result.nrmse_table()
+    def test_us_pool_dasymetric_fails_on_area_and_uninhabited(self, fig5b):
+        table = fig5b.nrmse_table()
         for dataset in ("Area (Sq. Miles)", "USA Uninhabited Places"):
             row = table[dataset]
             dasy = [
@@ -137,19 +157,14 @@ class TestFigure7:
         with pytest.raises(ValidationError):
             perturb_reference(us_world_module.references()[0], -1, rng)
 
-    def test_ratios_near_one(self, us_world_module):
-        result = run_noise_robustness(
-            levels=(5, 20),
-            replicates=3,
-            world=us_world_module,
-        )
-        summary = result.summary()
+    def test_ratios_near_one(self, fig7):
+        summary = fig7.summary()
         # At 5 % noise the median deviation is small for every dataset.
         for dataset, by_level in summary.items():
             _, _, median, _ = by_level[5]
             assert 0.7 < median < 1.3, (dataset, median)
-        assert result.replicates == 3
-        assert "Figure 7" in result.to_text()
+        assert fig7.replicates == 3
+        assert "Figure 7" in fig7.to_text()
 
 
 class TestFigure8:
@@ -175,17 +190,59 @@ class TestFigure8:
         with pytest.raises(ValidationError):
             subset_for_series(refs[:1], "leave 1 most related out")
 
-    def test_leave_least_out_is_harmless(self, us_world_module):
-        result = run_reference_selection(world=us_world_module)
-        for dataset in result.nrmse:
-            assert result.degradation(
+    def test_leave_least_out_is_harmless(self, fig8):
+        for dataset in fig8.nrmse:
+            assert fig8.degradation(
                 dataset, "leave 1 least related out"
             ) == pytest.approx(1.0, abs=0.25)
 
-    def test_leave_most_out_hurts_somewhere(self, us_world_module):
-        result = run_reference_selection(world=us_world_module)
+    def test_leave_most_out_hurts_somewhere(self, fig8):
         worst = max(
-            result.degradation(d, "leave 2 most related out")
-            for d in result.nrmse
+            fig8.degradation(d, "leave 2 most related out")
+            for d in fig8.nrmse
         )
         assert worst > 1.5
+
+
+class TestFigurePins:
+    """Every figure cell replays its pinned value at rtol 1e-9.
+
+    The results are the module fixtures the shape tests above already
+    use, so the pins build no world of their own.  A failure lists every
+    moved cell, and every cell missing in the fixture or in the run.
+    """
+
+    RTOL = 1e-9
+
+    @pytest.mark.parametrize("figure", figures_gen.FIGURES)
+    def test_cells_match_fixture(self, figure, request):
+        if SHAPE_SCALE != figures_gen.SCALE:
+            pytest.skip(
+                f"REPRO_TEST_SCALE={TEST_SCALE} moves the figure scale to "
+                f"{SHAPE_SCALE}; the pins hold scale {figures_gen.SCALE}"
+            )
+        fixture = figures_gen.load(figure)
+        assert fixture["scale"] == SHAPE_SCALE
+        result = request.getfixturevalue(figure)
+        report = figures_gen.compare_cells(
+            figure,
+            fixture["cells"],
+            figures_gen.figure_cells(figure, result),
+            rtol=self.RTOL,
+        )
+        assert not report, (
+            f"{len(report)} {figure} cell(s) moved:\n" + "\n".join(report)
+        )
+
+    def test_report_names_each_moved_and_missing_cell(self):
+        expected = {"A": {"GeoAlign": 0.1, "areal": 0.5}, "B": {"x": 1.0}}
+        actual = {"A": {"GeoAlign": 0.1 * (1 + 1e-7), "dasy": 0.2}}
+        report = figures_gen.compare_cells("fig", expected, actual, 1e-9)
+        assert report == [
+            "fig | A | GeoAlign: fixture 0.1, run 0.10000001000000001 "
+            "(relative change 1e-07)",
+            "fig | A | areal: missing in run",
+            "fig | A | dasy: missing in fixture",
+            "fig | B | x: missing in run",
+        ]
+        assert figures_gen.compare_cells("fig", expected, expected, 0) == []
