@@ -4,7 +4,7 @@
 Benchmarks persist claim records via
 ``repro.experiments.reporting.save_bench_json`` as ``BENCH_<name>.json``
 files.  A record holds only numbers that do not depend on the host:
-error metrics, ratios, bytes, cache counts and health verdicts.  Wall
+error metrics, ratios, bytes and health verdicts.  Wall
 time is perfbench's (``perfbench/``, declared in ``BENCHMARK.json``),
 which runs the parent and the change on one machine; a wall time
 compared against a baseline taken on another machine measures the
@@ -15,8 +15,6 @@ against a baseline directory (the committed ``benchmarks/baselines``)::
 
 Metric kinds are inferred from the key name:
 
-* ``*hit_rate*`` -- higher is better; regressed when the candidate
-  falls below the baseline.
 * ``mem_*`` / ``*bytes*`` -- allocation peaks and resident sizes;
   regressed when the candidate exceeds baseline * :data:`MEM_TOLERANCE`.
 * ``*overhead_ratio*`` -- instrumentation overhead (BENCH_obs.json);
@@ -28,10 +26,9 @@ Metric kinds are inferred from the key name:
   regressed when the candidate exceeds baseline * :data:`ERROR_TOLERANCE`
   plus a tiny absolute floor.
 
-Beyond the flat ``metrics`` section, payloads may carry a ``cache``
-section (pipeline-cache hit/miss/eviction counts), folded into a
-derived ``cache_hit_rate``, and a ``memory`` section (tracemalloc peaks
-and resident bytes), whose entries become ``mem_<name>``.
+Beyond the flat ``metrics`` section, payloads may carry a ``memory``
+section (tracemalloc peaks and resident bytes), whose entries become
+``mem_<name>``.
 
 Three inputs are refused outright (exit 2), in either directory:
 
@@ -79,7 +76,7 @@ OVERHEAD_CEILING = 1.01
 ERROR_ATOL = 1e-9
 
 #: Top-level payload sections the gate understands.
-SECTIONS = frozenset({"name", "metrics", "meta", "cache", "memory", "health"})
+SECTIONS = frozenset({"name", "metrics", "meta", "memory", "health"})
 
 
 def names_duration(key):
@@ -100,10 +97,9 @@ def _mapping(payload, section, file_path):
 def flatten_payload(payload, file_path):
     """One payload's compared metrics, sections folded in.
 
-    A ``cache`` section with lookups becomes a single derived
-    ``cache_hit_rate`` metric (higher is better); ``memory`` entries
-    become ``mem_<name>`` (memory tolerance).  Raises ``ValueError`` on
-    an unknown section or a duration-named key, in ``meta`` too.
+    ``memory`` entries become ``mem_<name>`` (memory tolerance).
+    Raises ``ValueError`` on an unknown section or a duration-named
+    key, in ``meta`` too.
     """
     unknown = sorted(set(payload) - SECTIONS)
     if unknown:
@@ -116,11 +112,6 @@ def flatten_payload(payload, file_path):
     if metrics is None:
         raise ValueError(f"{file_path}: no 'metrics' mapping")
     flat = {key: float(value) for key, value in metrics.items()}
-    cache = _mapping(payload, "cache", file_path)
-    if cache is not None:
-        lookups = float(cache.get("hits", 0)) + float(cache.get("misses", 0))
-        if lookups > 0:
-            flat["cache_hit_rate"] = float(cache.get("hits", 0)) / lookups
     memory = _mapping(payload, "memory", file_path)
     if memory is not None:
         for key, value in memory.items():
@@ -217,12 +208,10 @@ def meta_changes(baseline, candidate):
 
 
 def metric_kind(key):
-    """Classify a metric key: 'hit_rate', 'memory', 'overhead' or 'error'."""
+    """Classify a metric key: 'memory', 'overhead' or 'error'."""
     lowered = key.lower()
     if "overhead_ratio" in lowered:
         return "overhead"
-    if "hit_rate" in lowered:
-        return "hit_rate"
     if lowered.startswith("mem_") or "bytes" in lowered:
         return "memory"
     return "error"
@@ -238,9 +227,6 @@ def compare_metric(key, baseline, candidate):
             f"<= {limit:.6g} absolute (baseline {baseline:.6g} shown "
             "for reference)"
         )
-    elif kind == "hit_rate":
-        regressed = candidate < baseline
-        relation = f">= {baseline:.6g} (baseline)"
     elif kind == "memory":
         limit = baseline * MEM_TOLERANCE
         regressed = candidate > limit

@@ -5,9 +5,9 @@ one shared reference set should cost far less than N scalar GeoAlign
 runs, because the design/Gram build and the union-DM stack are shared.
 This bench times both engines on a 32-attribute workload over the New
 York world's reference pool, asserts the speedup floor, checks the
-engines agree numerically, and records the agreement, cache counts,
-allocation peak and health verdicts in ``BENCH_batch.json`` for the
-regression gate (``benchmarks/check_regression.py``).  The wall times
+engines agree numerically, and records the agreement, allocation peak
+and health verdicts in ``BENCH_batch.json`` for the regression gate
+(``benchmarks/check_regression.py``).  The wall times
 and the speedup stay in the printed report: perfbench owns wall time.
 """
 
@@ -15,8 +15,7 @@ import time
 
 import numpy as np
 
-from repro.cache import PipelineCache
-from repro.core.batch import BatchAligner, ReferenceStack
+from repro.core.batch import BatchAligner
 from repro.core.geoalign import GeoAlign
 from repro.experiments.reporting import save_bench_json
 from repro.obs import Trace, evaluate_health, track_memory
@@ -52,8 +51,8 @@ def _time_loop(references, objectives):
     return np.vstack(estimates), time.perf_counter() - start
 
 
-def _time_batch(references, objectives, cache=None):
-    aligner = BatchAligner(cache=cache)
+def _time_batch(references, objectives):
+    aligner = BatchAligner()
     start = time.perf_counter()
     estimates = aligner.fit_predict(references, objectives)
     return aligner, estimates, time.perf_counter() - start
@@ -62,11 +61,10 @@ def _time_batch(references, objectives, cache=None):
 def test_batch_vs_loop_speedup(benchmark, ny_world, bench_scale, report):
     """Engines agree to 1e-9; batch beats the loop on 32 attributes."""
     references, objectives = _workload(ny_world)
-    cache = PipelineCache()
 
     loop_estimates, loop_seconds = _time_loop(references, objectives)
     aligner, batch_estimates, batch_seconds = _time_batch(
-        references, objectives, cache=cache
+        references, objectives
     )
     # The allocation peak of the batch path is part of the scalability
     # story (the union-pattern value matrix dominates at full scale).
@@ -99,9 +97,6 @@ def test_batch_vs_loop_speedup(benchmark, ny_world, bench_scale, report):
             "universe": ny_world.name,
             "scale": bench_scale,
         },
-        # Cache counters of the timed batch run: the regression gate
-        # compares the derived hit rate as higher-is-better.
-        cache_stats=cache.stats.as_dict(),
         memory={"batch_peak_bytes": mem.peak_bytes},
         health=health,
     )
@@ -115,35 +110,3 @@ def test_batch_vs_loop_speedup(benchmark, ny_world, bench_scale, report):
         lambda: BatchAligner().fit_predict(references, objectives)
     )
 
-
-def test_stack_cache_reuse(benchmark, ny_world, report):
-    """Repeat alignments through one cache skip the stack build."""
-    references, objectives = _workload(ny_world, n_attributes=8)
-    cache = PipelineCache()
-    ReferenceStack.build(references, cache=cache)  # warm
-
-    def aligned():
-        return (
-            BatchAligner(cache=cache)
-            .fit_predict(references, objectives)
-        )
-
-    # One deterministic warm-then-reuse round before the benchmark
-    # loop: exactly 1 miss (the warm build) + 1 hit, so the persisted
-    # hit rate is stable across machines and benchmark round counts.
-    aligned()
-    save_bench_json(
-        "stack-cache",
-        {},
-        meta={"universe": ny_world.name},
-        cache_stats=cache.stats.as_dict(),
-    )
-    assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    estimates = benchmark(aligned)
-    assert estimates.shape == (8, len(ny_world.counties))
-    assert cache.stats.hits >= 1
-    report(
-        f"stack cache: {cache.stats.hits} hits / "
-        f"{cache.stats.misses} misses over the benchmark run"
-    )

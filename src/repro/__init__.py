@@ -16,15 +16,10 @@ Quickstart
 array([12.,  2.])
 """
 
-from repro.cache import PipelineCache, default_cache
 from repro.core.geoalign import GeoAlign
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.shard import ShardedAligner, ShardPlan, plan_shards
-from repro.core.baselines import (
-    ArealWeighting,
-    Dasymetric,
-    RegressionCrosswalk,
-)
+from repro.core.baselines import ArealWeighting, Dasymetric
 from repro.core.reference import Reference
 from repro.core.solver import (
     simplex_lstsq,
@@ -46,11 +41,8 @@ __all__ = [
     "ShardedAligner",
     "ShardPlan",
     "plan_shards",
-    "PipelineCache",
-    "default_cache",
     "ArealWeighting",
     "Dasymetric",
-    "RegressionCrosswalk",
     "Reference",
     "simplex_lstsq",
     "simplex_lstsq_from_gram",

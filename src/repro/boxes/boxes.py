@@ -104,15 +104,6 @@ class BoxUnitSystem(UnitSystem):
         self.boxes = boxes
         self.ndim = ndim
 
-    def _content_fingerprint(self):
-        from repro.cache import combine_fingerprints, fingerprint_array
-
-        lows = np.vstack([box.lows for box in self.boxes])
-        highs = np.vstack([box.highs for box in self.boxes])
-        return combine_fingerprints(
-            "hyperboxes", fingerprint_array(lows), fingerprint_array(highs)
-        )
-
     @classmethod
     def regular_grid(cls, lows, highs, shape, label_prefix="cell"):
         """Lattice of ``prod(shape)`` equal boxes over a bounding hyperbox.

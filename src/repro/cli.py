@@ -411,13 +411,11 @@ def _run_figure(name, args):
             scale=args.scale, **_seed_kwargs(args)
         ).to_text()
     if name == "align":
-        from repro.cache import PipelineCache
         from repro.experiments.align import run_alignment
 
         return run_alignment(
             scale=args.scale,
             universe=args.universe,
-            cache=PipelineCache(),
             n_shards=args.shards,
             shard_strategy=args.shard_strategy,
             shard_workers=args.shard_workers,
@@ -529,9 +527,9 @@ def _run_store(args, stream):
                 model = _fit_world_model(
                     args.universe, args.scale, args.seed
                 )
-                health = obs.evaluate_health(
-                    session, model=model
-                ).verdicts()
+            # Evaluated on the closed session: until it closes, its root
+            # span counts 0 s and trace_coverage would read fail.
+            health = obs.evaluate_health(session, model=model).verdicts()
             entry = store.save(
                 model,
                 health=health,

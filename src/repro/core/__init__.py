@@ -32,7 +32,7 @@ from repro.core.solver import (
 from repro.core.geoalign import GeoAlign
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.shard import ShardedAligner, ShardPlan, ShardSpec, plan_shards
-from repro.core.baselines import ArealWeighting, Dasymetric, RegressionCrosswalk
+from repro.core.baselines import ArealWeighting, Dasymetric
 from repro.core.diagnostics import (
     BootstrapResult,
     bootstrap_weights,
@@ -55,7 +55,6 @@ __all__ = [
     "plan_shards",
     "ArealWeighting",
     "Dasymetric",
-    "RegressionCrosswalk",
     "BootstrapResult",
     "bootstrap_weights",
     "weight_stability_report",

@@ -7,20 +7,14 @@
 * :class:`ArealWeighting` -- the special case whose reference is
   intersection *area* [Goodchild & Lam 1980; Markoff & Shapiro 1973].
   Reported in the paper's text as 15-50x worse than GeoAlign.
-* :class:`RegressionCrosswalk` -- the "intuitive idea" of §3.2 that the
-  paper argues is *not* applicable: regress the objective on reference
-  aggregates at the source level and substitute target-level reference
-  aggregates.  Included so the claim is checkable.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy import optimize
 
 from repro.errors import NotFittedError, ShapeMismatchError, ValidationError
 from repro.core.reference import Reference
@@ -126,70 +120,3 @@ class ArealWeighting(Dasymetric):
     def __repr__(self) -> str:
         return "ArealWeighting()"
 
-
-class RegressionCrosswalk:
-    """Target-level substitution regression (the approach §3.2 rejects).
-
-    Fits non-negative least squares of the objective on the reference
-    aggregate vectors at the *source* level, then predicts target
-    aggregates by substituting the references' *target* aggregate
-    vectors.  Not volume preserving; kept as an honest straw man so the
-    paper's argument is empirically checkable.
-
-    Parameters
-    ----------
-    references:
-        Sequence of :class:`~repro.core.reference.Reference`.
-    intercept:
-        Include a constant regressor (default True).
-    """
-
-    def __init__(
-        self, references: Iterable[Reference], intercept: bool = True
-    ) -> None:
-        references = list(references)
-        if not references:
-            raise ValidationError("regression needs at least one reference")
-        self.references = references
-        self.intercept = intercept
-        self.coefficients_: FloatArray | None = None
-
-    @property
-    def name(self) -> str:
-        return "regression-substitution"
-
-    def fit(self, objective_source: ArrayLike) -> "RegressionCrosswalk":
-        objective = as_nonnegative_vector(
-            objective_source, name="objective_source"
-        )
-        design = np.column_stack(
-            [ref.source_vector for ref in self.references]
-        )
-        if design.shape[0] != objective.shape[0]:
-            raise ShapeMismatchError(
-                "objective_source length does not match reference vectors"
-            )
-        if self.intercept:
-            design = np.column_stack([design, np.ones(design.shape[0])])
-        coefficients, _ = optimize.nnls(design, objective)
-        self.coefficients_ = coefficients
-        return self
-
-    def predict(self) -> FloatArray:
-        if self.coefficients_ is None:
-            raise NotFittedError("call fit() before predict()")
-        design_t = np.column_stack(
-            [ref.target_vector for ref in self.references]
-        )
-        if self.intercept:
-            design_t = np.column_stack(
-                [design_t, np.ones(design_t.shape[0])]
-            )
-        return design_t @ self.coefficients_
-
-    def fit_predict(self, objective_source: ArrayLike) -> FloatArray:
-        return self.fit(objective_source).predict()
-
-    def __repr__(self) -> str:
-        names = [ref.name for ref in self.references]
-        return f"RegressionCrosswalk(references={names!r})"

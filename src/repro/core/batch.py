@@ -45,7 +45,7 @@ from __future__ import annotations
 import copy
 import threading
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -79,9 +79,7 @@ from repro.errors import (
 )
 from repro.partitions.dm import DisaggregationMatrix
 from repro.utils.arrays import as_float_array, as_nonnegative_vector
-
-if TYPE_CHECKING:
-    from repro.cache import PipelineCache
+from repro.utils.fingerprint import combine_fingerprints
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
@@ -392,8 +390,8 @@ class _DMArrays:
     ``R`` and the operators serve :meth:`BatchAligner.predict`; the
     union-pattern :class:`~repro.core.sparse_stack.SparseDMStack`
     serves the per-entry consumers.  Both are built on first use under
-    one lock, which keeps stacks shared across threads through
-    :class:`~repro.cache.PipelineCache` safe.  Stacks over the same DMs
+    one lock, so a caller may share one stack across threads.  Stacks
+    over the same DMs
     (:meth:`ReferenceStack.with_references`) share one instance, so a
     member built through any of them is built for all.
     """
@@ -636,8 +634,6 @@ class ReferenceStack:
     def fingerprint(self) -> str:
         """Content fingerprint: the references plus the normalise flag."""
         if self._fingerprint is None:
-            from repro.cache import combine_fingerprints
-
             self._fingerprint = combine_fingerprints(
                 "reference-stack",
                 repr(bool(self.normalize)),
@@ -647,41 +643,20 @@ class ReferenceStack:
 
     @classmethod
     def build(
-        cls,
-        references: Iterable[Reference],
-        normalize: bool = True,
-        cache: "PipelineCache | None" = None,
+        cls, references: Iterable[Reference], normalize: bool = True
     ) -> "ReferenceStack":
-        """Build a stack, optionally through a :class:`PipelineCache`.
+        """Build a stack under a ``stack.build`` span.
 
-        The cache key is content-addressed on the reference fingerprints,
-        so a perturbed reference (e.g. from the noise experiment) can
-        never be served a stale stack, while repeat alignments over the
-        same pool -- the reference-selection series, repeated CLI runs --
-        reuse the stack and whatever it has built so far.
+        This is how a reference set is reused: build its stack once and
+        pass it to every :meth:`BatchAligner.fit` over that set, as the
+        server's ``/align``, the cross-validation folds and the Fig. 8
+        series do.  What the stack builds on first use (``R``, the
+        operators, the union stack) is then built once for all of them,
+        and :meth:`with_references` carries it over to perturbed source
+        vectors (Fig. 7).
         """
-        def construct(refs_: list[Reference]) -> "ReferenceStack":
-            # Absent from a trace exactly when the cache served the stack.
-            with _span("stack.construct", n_references=len(refs_)):
-                return cls(refs_, normalize=normalize)
-
-        if cache is None:
-            with _span("stack.build", cache=False):
-                return construct(list(references))
-        refs = _validated_references(references)
-        from repro.cache import combine_fingerprints
-
-        key = cache.key_for(
-            "reference-stack",
-            combine_fingerprints(
-                repr(bool(normalize)),
-                *[ref.fingerprint() for ref in refs],
-            ),
-        )
-        with _span("stack.build", cache=True):
-            built = cache.get_or_build(key, lambda: construct(refs))
-        assert isinstance(built, ReferenceStack)
-        return built
+        with _span("stack.build"):
+            return cls(references, normalize=normalize)
 
     @classmethod
     def from_stored(
@@ -822,10 +797,6 @@ class BatchAligner:
     normalize, denominator:
         As in :class:`~repro.core.geoalign.GeoAlign`; applied to every
         attribute.
-    cache:
-        Optional :class:`~repro.cache.PipelineCache` through which the
-        reference stack is built (content-addressed; see
-        :meth:`ReferenceStack.build`).
 
     Attributes (after :meth:`fit`)
     ------------------------------
@@ -848,7 +819,6 @@ class BatchAligner:
         self,
         normalize: bool = True,
         denominator: str = "row-sums",
-        cache: "PipelineCache | None" = None,
     ) -> None:
         if denominator not in _DENOMINATORS:
             raise ValidationError(
@@ -857,7 +827,6 @@ class BatchAligner:
             )
         self.normalize = normalize
         self.denominator = denominator
-        self.cache = cache
         self.stack_: ReferenceStack | None = None
         self.weights_: FloatArray | None = None
         self.blend_weights_: FloatArray | None = None
@@ -881,9 +850,7 @@ class BatchAligner:
                     f"normalize={self.normalize}"
                 )
             return references
-        return ReferenceStack.build(
-            references, normalize=self.normalize, cache=self.cache
-        )
+        return ReferenceStack.build(references, normalize=self.normalize)
 
     def _coerce_fit_inputs(
         self,

@@ -14,6 +14,7 @@ from numpy.typing import ArrayLike, NDArray
 from repro.errors import ShapeMismatchError, ValidationError
 from repro.partitions.dm import DisaggregationMatrix
 from repro.utils.arrays import as_nonnegative_vector, is_zero
+from repro.utils.fingerprint import combine_fingerprints, fingerprint_array
 
 FloatArray = NDArray[np.float64]
 
@@ -100,14 +101,11 @@ class Reference:
     def fingerprint(self) -> str:
         """Content fingerprint (name + source vector + DM contents).
 
-        Keys the :mod:`repro.cache` entries built from reference sets
-        (shared reference stacks, cached overlays).  A perturbed copy
-        from :meth:`with_source_vector` fingerprints differently, so
-        cached work keyed on the original can never be served for it.
+        Part of the reference-stack and model-store keys.  A perturbed
+        copy from :meth:`with_source_vector` fingerprints differently,
+        so a model fitted on the original never shares its key.
         """
         if self._fingerprint is None:
-            from repro.cache import combine_fingerprints, fingerprint_array
-
             self._fingerprint = combine_fingerprints(
                 "reference",
                 self.name,

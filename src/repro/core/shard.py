@@ -52,7 +52,7 @@ import time
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -81,9 +81,6 @@ from repro.obs.trace import (
     span as _span,
     tracing_active as _tracing_active,
 )
-
-if TYPE_CHECKING:
-    from repro.cache import PipelineCache
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
@@ -466,7 +463,7 @@ class ShardedAligner(BatchAligner):
         Process-pool width for the disaggregation map.  1 (default)
         runs the identical shard code inline on the calling process —
         deterministic and overhead-free for small universes.
-    normalize, denominator, cache:
+    normalize, denominator:
         As in :class:`~repro.core.batch.BatchAligner`.
 
     Attributes (after :meth:`fit` / :meth:`predict`)
@@ -487,12 +484,9 @@ class ShardedAligner(BatchAligner):
         strategy: str = "tile",
         normalize: bool = True,
         denominator: str = "row-sums",
-        cache: "PipelineCache | None" = None,
         max_workers: int = 1,
     ) -> None:
-        super().__init__(
-            normalize=normalize, denominator=denominator, cache=cache
-        )
+        super().__init__(normalize=normalize, denominator=denominator)
         if n_shards < 1:
             raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
         if strategy not in _STRATEGIES:

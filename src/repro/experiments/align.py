@@ -67,7 +67,6 @@ def run_alignment(
     seed=None,
     universe="ny",
     world=None,
-    cache=None,
     n_shards=0,
     shard_strategy="tile",
     shard_workers=1,
@@ -83,9 +82,6 @@ def run_alignment(
         ``"ny"`` or ``"us"``; ignored when ``world`` is given.
     world:
         Optional prebuilt :class:`~repro.synth.world.SyntheticWorld`.
-    cache:
-        Optional :class:`~repro.cache.PipelineCache` for the shared
-        reference stack.
     n_shards, shard_strategy, shard_workers:
         ``n_shards`` > 0 runs the sharded engine with that many shards,
         the given partition strategy and process-pool width; 0 (default)
@@ -104,7 +100,6 @@ def run_alignment(
         crossval = leave_one_dataset_out(
             world.references(),
             engine=engine,
-            cache=cache,
             n_shards=n_shards,
             shard_strategy=shard_strategy,
             shard_workers=shard_workers,

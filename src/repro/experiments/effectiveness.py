@@ -61,7 +61,6 @@ def run_effectiveness(
     world,
     area_reference=None,
     geoalign_factory=None,
-    cache=None,
 ):
     """Cross-validated Fig. 5 comparison over one world's dataset pool.
 
@@ -76,9 +75,6 @@ def run_effectiveness(
     geoalign_factory:
         Optional estimator factory forwarded to the harness (ablations);
         its configuration applies to every fold.
-    cache:
-        Optional :class:`~repro.cache.PipelineCache` for the shared
-        reference stack.
 
     All folds run through one shared
     :class:`~repro.core.batch.BatchAligner` pass.
@@ -101,7 +97,6 @@ def run_effectiveness(
             dasymetric_reference_names=dasymetric_names,
             areal_reference=area_reference,
             engine="batch",
-            cache=cache,
             **kwargs,
         )
     table = crossval.nrmse_table()

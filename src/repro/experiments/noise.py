@@ -107,7 +107,6 @@ def run_noise_robustness(
     replicates=20,
     noise_seed=404,
     world=None,
-    cache=None,
 ):
     """Reproduce Fig. 7 on the United States dataset pool.
 
@@ -131,20 +130,18 @@ def run_noise_robustness(
         for test in references:
             with _span("noise.fold", dataset=test.name):
                 _run_noise_fold(
-                    test, references, levels, replicates, rng, cache, result
+                    test, references, levels, replicates, rng, result
                 )
     return result
 
 
-def _run_noise_fold(test, references, levels, replicates, rng, cache, result):
+def _run_noise_fold(test, references, levels, replicates, rng, result):
     """One held-out dataset's noise-ratio sweep (all levels/replicates)."""
     truth = test.dm.col_sums()
     pool = [r for r in references if r.name != test.name]
     objective = test.source_vector[np.newaxis, :]
-    stack = ReferenceStack.build(pool, cache=cache)
-    baseline_estimate = (
-        BatchAligner(cache=cache).fit(stack, objective).predict()[0]
-    )
+    stack = ReferenceStack.build(pool)
+    baseline_estimate = BatchAligner().fit(stack, objective).predict()[0]
     baseline_rmse = rmse(baseline_estimate, truth)
     by_level = {level: [] for level in levels}
     for level in levels:
@@ -153,7 +150,7 @@ def _run_noise_fold(test, references, levels, replicates, rng, cache, result):
                 perturb_reference(ref, level, rng) for ref in pool
             ]
             estimate = (
-                BatchAligner(cache=cache)
+                BatchAligner()
                 .fit(stack.with_references(noisy_pool), objective)
                 .predict()[0]
             )

@@ -92,7 +92,7 @@ class ReferenceSelectionResult:
         return "\n".join(lines)
 
 
-def run_reference_selection(scale=1.0, seed=1776, world=None, cache=None):
+def run_reference_selection(scale=1.0, seed=1776, world=None):
     """Reproduce Fig. 8 on the United States dataset pool.
 
     Every (fold, series) pair is one attribute row of a single
@@ -126,11 +126,9 @@ def run_reference_selection(scale=1.0, seed=1776, world=None, cache=None):
         for row, (test, series) in enumerate(rows):
             for name in subset_names[test.name][series]:
                 masks[row, index_of[name]] = True
-        stack = ReferenceStack.build(references, cache=cache)
+        stack = ReferenceStack.build(references)
         estimates = (
-            BatchAligner(cache=cache)
-            .fit(stack, objectives, masks=masks)
-            .predict()
+            BatchAligner().fit(stack, objectives, masks=masks).predict()
         )
         truths = {test.name: test.dm.col_sums() for test in references}
         for row, (test, series) in enumerate(rows):

@@ -6,9 +6,8 @@ artefacts.  File names are slugified report titles; reruns overwrite.
 
 Benchmarks additionally persist machine-readable claim records as
 ``BENCH_<name>.json`` files via :func:`save_bench_json`: error metrics,
-ratios, bytes, cache counts and health verdicts -- numbers that do not
-depend on the host.  Wall time stays in the printed reports; perfbench
-owns it.  The regression gate (``benchmarks/check_regression.py``)
+ratios, bytes and health verdicts -- numbers that do not depend on the
+host.  Wall time stays in the printed reports; perfbench owns it.  The regression gate (``benchmarks/check_regression.py``)
 compares two directories of these records against tolerances.
 """
 
@@ -80,7 +79,6 @@ def save_bench_json(
     name,
     metrics,
     meta=None,
-    cache_stats=None,
     memory=None,
     health=None,
 ):
@@ -101,11 +99,6 @@ def save_bench_json(
         attribute counts, ...) stored under ``"meta"``.  The gate
         refuses to compare two records whose ``meta`` differ, so it
         holds nothing measured.
-    cache_stats:
-        Optional mapping of cache counter name to value (typically
-        :meth:`~repro.cache.CacheStats.as_dict`), stored under
-        ``"cache"``.  The gate derives ``cache_hit_rate`` from hits
-        and misses and treats a drop as a regression.
     memory:
         Optional mapping of allocation metric name to bytes (typically
         ``{"peak_bytes": handle.peak_bytes}`` from
@@ -130,8 +123,6 @@ def save_bench_json(
     }
     if meta:
         payload["meta"] = {str(k): v for k, v in meta.items()}
-    if cache_stats:
-        payload["cache"] = _clean_numbers(name, "cache stat", cache_stats)
     if memory:
         payload["memory"] = _clean_numbers(name, "memory metric", memory)
     if health:

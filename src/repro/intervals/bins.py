@@ -52,13 +52,6 @@ class IntervalUnitSystem(UnitSystem):
         """``n_bins`` equal-width bins spanning ``[start, stop)``."""
         return cls(np.linspace(start, stop, n_bins + 1), labels=labels)
 
-    def _content_fingerprint(self):
-        from repro.cache import combine_fingerprints, fingerprint_array
-
-        return combine_fingerprints(
-            "interval-edges", fingerprint_array(self.edges)
-        )
-
     @property
     def lows(self):
         return self.edges[:-1]

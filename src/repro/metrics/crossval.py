@@ -94,7 +94,6 @@ def _batch_geoalign_scores(
     datasets,
     geoalign_factory,
     reference_selector,
-    cache,
     engine="batch",
     n_shards=2,
     shard_strategy="tile",
@@ -153,18 +152,14 @@ def _batch_geoalign_scores(
                 strategy=shard_strategy,
                 normalize=probe.normalize,
                 denominator=probe.denominator,
-                cache=cache,
                 max_workers=shard_workers,
             )
         else:
             aligner = BatchAligner(
                 normalize=probe.normalize,
                 denominator=probe.denominator,
-                cache=cache,
             )
-        stack = ReferenceStack.build(
-            datasets, normalize=probe.normalize, cache=cache
-        )
+        stack = ReferenceStack.build(datasets, normalize=probe.normalize)
         estimates = aligner.fit(
             stack, objectives, attribute_names=names, masks=masks
         ).predict()
@@ -193,7 +188,6 @@ def leave_one_dataset_out(
     reference_selector=None,
     runner=None,
     engine="loop",
-    cache=None,
     n_shards=2,
     shard_strategy="tile",
     shard_workers=1,
@@ -237,9 +231,6 @@ def leave_one_dataset_out(
         pass through the map-reduce
         :class:`~repro.core.shard.ShardedAligner` (tolerance-equal,
         scales past one address space).  Baseline methods always loop.
-    cache:
-        Optional :class:`~repro.cache.PipelineCache` for the batch
-        engine's shared reference stack.
     n_shards, shard_strategy, shard_workers:
         Shard count, partition strategy (``"tile"``/``"block"``) and
         process-pool width for ``engine="sharded"``; ignored otherwise.
@@ -284,7 +275,6 @@ def leave_one_dataset_out(
             datasets,
             geoalign_factory,
             reference_selector,
-            cache,
             engine=engine,
             n_shards=n_shards,
             shard_strategy=shard_strategy,

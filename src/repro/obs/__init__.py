@@ -17,13 +17,12 @@ Consumers sharing the records:
   Prometheus text (:mod:`repro.obs.promfmt`); a run's durable record
   is its trace file,
 * the benchmark harness, which reads the §4.3 stage split from
-  ``stage.*`` spans and persists cache statistics and (opt-in,
-  :mod:`repro.obs.memory`) allocation peaks for the regression gate,
-  and
+  ``stage.*`` spans and persists (opt-in, :mod:`repro.obs.memory`)
+  allocation peaks for the regression gate, and
 * the test suite's ``capture_trace`` fixture, which turns emitted
   spans/events into executable documentation of the engine's promised
-  behaviour ("one blend matmul per batch", "second build is a cache
-  hit").
+  behaviour ("one blend matmul per batch", "one union build per
+  stack").
 
 See ``docs/observability.md`` for the span model, event schema and the
 health-check catalogue.
@@ -65,7 +64,6 @@ from repro.obs.promfmt import (
     Histogram,
     MetricFamily,
     Sample,
-    parse_prometheus_text,
     render_prometheus_text,
 )
 from repro.obs.profile import format_profile, profile_coverage
@@ -104,7 +102,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "Sample",
-    "parse_prometheus_text",
     "render_prometheus_text",
     "read_trace_jsonl",
     "trace_to_jsonl",

@@ -17,11 +17,11 @@ table):
   the active-set path;
 * **weight degeneracy** — effective number of references
   (:func:`repro.core.diagnostics.effective_references`);
-* **cache efficiency** and **trace coverage** — the operational side.
+* **trace coverage** — the operational side.
 
 Checks read the ``health.*`` gauges the estimators emit into every
 trace (worst-case per session via ``set_gauge_max`` /
-``set_gauge_min``), plus the solver/cache counters, so a trace JSONL
+``set_gauge_min``), plus the solver counters, so a trace JSONL
 read back from disk months later still health-checks without rerunning
 anything.  When the fitted model is at hand,
 :func:`evaluate_health`'s ``model=`` overlay recomputes the model-side
@@ -70,11 +70,6 @@ SKIP = "skip"
 
 #: Severity order for aggregating an overall verdict.
 _SEVERITY = {SKIP: 0, OK: 1, WARN: 2, FAIL: 3}
-
-#: Cache-efficiency verdicts need a sample: a fresh run with one cold
-#: miss is normal, not a warning.  Below this many lookups the check
-#: reports ``skip``.
-MIN_CACHE_LOOKUPS = 4
 
 
 @dataclass(frozen=True)
@@ -306,15 +301,6 @@ def _solver_rate(counter: str) -> Callable[[Trace], float | None]:
     return extract
 
 
-def _cache_hit_rate(session: Trace) -> float | None:
-    hits = session.counters.get("cache.hits", 0.0)
-    misses = session.counters.get("cache.misses", 0.0)
-    lookups = hits + misses
-    if lookups < MIN_CACHE_LOOKUPS:
-        return None
-    return hits / lookups
-
-
 def _trace_coverage(session: Trace) -> float | None:
     if not session.spans or session.wall_seconds <= 0.0:
         return None
@@ -455,20 +441,6 @@ register_check(
         warn=1.001,
         fail=None,
         extract=_gauge("health.effective_references_min"),
-    )
-)
-register_check(
-    HealthCheck(
-        name="cache_efficiency",
-        description=(
-            "pipeline-cache hit rate (skipped below "
-            f"{MIN_CACHE_LOOKUPS} lookups)"
-        ),
-        formula="cache.hits / (cache.hits + cache.misses)",
-        direction="low",
-        warn=0.05,
-        fail=None,
-        extract=_cache_hit_rate,
     )
 )
 register_check(

@@ -9,8 +9,8 @@ fraction of session wall time accounted for by recorded root spans,
 which the CLI acceptance gate holds above 95 %.
 
 Counters, gauges and an event tally follow the tree, so a single
-``--profile`` dump answers "where did the time go, did the solver
-converge, and did the cache help" at once.
+``--profile`` dump answers "where did the time go, and did the solver
+converge" at once.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ The model is deliberately small:
   carried in a :class:`contextvars.ContextVar`, so a span opened three
   stack frames below another attaches to it automatically -- no tracer
   object is threaded through call signatures.
-* :func:`event` records a point in time (solver converged, cache hit)
+* :func:`event` records a point in time (solver converged, server started)
   attached to whichever span is current.
 * :func:`incr` / :func:`set_gauge` maintain the counter/gauge registry
   of every active session.

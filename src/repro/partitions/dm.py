@@ -23,6 +23,7 @@ from numpy.typing import ArrayLike, NDArray
 from scipy import sparse
 
 from repro.errors import ShapeMismatchError, ValidationError
+from repro.utils.fingerprint import combine_fingerprints, fingerprint_array
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
@@ -140,12 +141,10 @@ class DisaggregationMatrix:
     def fingerprint(self) -> str:
         """Content fingerprint (labels + sparsity pattern + values).
 
-        Used as a :mod:`repro.cache` key component; DMs are immutable by
+        Part of the reference and model-store keys; DMs are immutable by
         convention, so the digest is computed once and memoised.
         """
         if self._fingerprint is None:
-            from repro.cache import combine_fingerprints, fingerprint_array
-
             coo = self.matrix.tocoo()
             self._fingerprint = combine_fingerprints(
                 "dm",

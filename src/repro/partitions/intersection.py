@@ -23,7 +23,6 @@ from repro.obs.trace import span as _span
 from repro.partitions.dm import DisaggregationMatrix
 
 if TYPE_CHECKING:
-    from repro.cache import PipelineCache
     from repro.partitions.system import UnitSystem
 
 FloatArray = NDArray[np.float64]
@@ -174,7 +173,6 @@ def build_intersection(
     source: "UnitSystem",
     target: "UnitSystem",
     min_measure: float = 0.0,
-    cache: "PipelineCache | None" = None,
 ) -> IntersectionUnits:
     """Overlay two unit systems of the same backend into U^st.
 
@@ -185,32 +183,11 @@ def build_intersection(
     min_measure:
         Drop intersections with measure at or below this threshold
         (numerical slivers from vector overlay).
-    cache:
-        Optional :class:`~repro.cache.PipelineCache`.  The overlay is
-        stored under a content-addressed key (both systems' fingerprints
-        plus ``min_measure``), so repeat alignments over the same
-        partition pair reuse the geometric work.  The cached
-        :class:`IntersectionUnits` is shared -- treat it as immutable.
 
     Returns
     -------
     IntersectionUnits
     """
-    if cache is not None:
-        key = cache.key_for(
-            "intersection",
-            source.fingerprint(),
-            target.fingerprint(),
-            float(min_measure),
-        )
-        built = cache.get_or_build(
-            key,
-            lambda: build_intersection(
-                source, target, min_measure=min_measure, cache=None
-            ),
-        )
-        assert isinstance(built, IntersectionUnits)
-        return built
     with _span(
         "intersection.build",
         n_source=len(source),

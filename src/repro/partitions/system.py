@@ -49,41 +49,9 @@ class UnitSystem(abc.ABC):
             raise PartitionError("a unit system needs at least one unit")
         self.labels = labels
         self._label_index = {label: i for i, label in enumerate(labels)}
-        self._fingerprint: str | None = None
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def fingerprint(self) -> str:
-        """Content fingerprint of the partition (labels + geometry).
-
-        Keys cached overlays in :mod:`repro.cache`; each backend
-        contributes its geometric payload via
-        :meth:`_content_fingerprint`.  Unit systems are immutable by
-        convention, so the digest is memoised.
-        """
-        if self._fingerprint is None:
-            from repro.cache import combine_fingerprints
-
-            self._fingerprint = combine_fingerprints(
-                "unit-system",
-                type(self).__name__,
-                "\x1f".join(self.labels),
-                self._content_fingerprint(),
-            )
-        return self._fingerprint
-
-    def _content_fingerprint(self) -> str:
-        """Fingerprint of the backend-specific geometry payload.
-
-        Subclasses override with a digest of their exact geometric data;
-        the fallback raises so two distinct geometries can never silently
-        share a cache key through a too-weak default.
-        """
-        raise PartitionError(
-            f"{type(self).__name__} does not define a content fingerprint; "
-            "override _content_fingerprint() to enable overlay caching"
-        )
 
     def index_of(self, label: str) -> int:
         """Position of ``label``; raises ``KeyError`` when absent."""
@@ -191,17 +159,6 @@ class VectorUnitSystem(UnitSystem):
             np.asarray(tgt_idx, dtype=np.int64),
             np.asarray(measure, dtype=float),
         )
-
-    def _content_fingerprint(self) -> str:
-        from repro.cache import combine_fingerprints, fingerprint_array
-
-        parts = ["vector-regions"]
-        for region in self.regions:
-            parts.append(str(len(region.pieces)))
-            parts.extend(
-                fingerprint_array(piece) for piece in region.pieces
-            )
-        return combine_fingerprints(*parts)
 
     def locate_points(self, points: ArrayLike) -> IntArray:
         """Unit index containing each point, or -1 for points outside all.

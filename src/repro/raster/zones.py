@@ -115,17 +115,6 @@ class RasterUnitSystem(UnitSystem):
         """Number of cells per unit."""
         return self._cell_counts.copy()
 
-    def _content_fingerprint(self):
-        from repro.cache import combine_fingerprints, fingerprint_array
-
-        extent = self.grid.extent
-        return combine_fingerprints(
-            "zone-raster",
-            repr((extent.xmin, extent.ymin, extent.xmax, extent.ymax)),
-            repr((self.grid.nx, self.grid.ny)),
-            fingerprint_array(self.zone_of_cell),
-        )
-
     def measures(self):
         """Unit areas: cell count times cell area."""
         return self._cell_counts * self.grid.cell_area

@@ -66,6 +66,7 @@ import numpy as np
 
 from repro.core.batch import BatchAligner
 from repro.errors import ReproError, ServeError, StoreError
+from repro.obs.health import FAIL, OK, SKIP, WARN
 from repro.obs.promfmt import (
     PROMETHEUS_CONTENT_TYPE,
     MetricFamily,
@@ -99,8 +100,10 @@ _POST_ENDPOINTS = ("/predict", "/align", "/disaggregate")
 _GET_ENDPOINTS = ("/healthz", "/metrics", "/debug/exemplars")
 
 #: Health-verdict encoding for the ``geoalign_health_status`` gauge
-#: family (0 = healthy, higher = worse; unknown verdicts read as warn).
-_HEALTH_VALUES = {"ok": 0.0, "info": 0.0, "warn": 1.0, "fail": 2.0}
+#: family (0 = healthy, higher = worse).  A skipped check had no data
+#: and exports no sample; a verdict outside the catalogue's (say, from a
+#: hand-edited manifest) reads as warn.
+_HEALTH_VALUES = {OK: 0.0, WARN: 1.0, FAIL: 2.0}
 
 
 @dataclass(frozen=True)
@@ -631,12 +634,14 @@ class AlignmentServer:
             name="geoalign_health_status",
             kind="gauge",
             help=(
-                "Model health verdicts (0 = ok/info, 1 = warn, "
-                "2 = fail)."
+                "Model health verdicts (0 = ok, 1 = warn, 2 = fail; a "
+                "skipped check has no sample)."
             ),
         )
         for key, serving in sorted(self._models.items()):
             for check, verdict in sorted(serving.health.items()):
+                if verdict == SKIP:
+                    continue
                 health.add(
                     _HEALTH_VALUES.get(verdict, 1.0),
                     (("model", key), ("check", check)),

@@ -19,8 +19,9 @@ value rows, so a loaded model is numerically *identical* to the one
 saved -- same arrays, same blend arithmetic, predictions matching to
 the last bit (the round-trip suite pins 1e-12).
 
-Fingerprints reuse :mod:`repro.cache`'s content hashing, the same
-family the pipeline cache keys its entries with.
+Fingerprints are :mod:`repro.utils.fingerprint`'s content hashes, the
+family the DM, reference and reference-stack ``fingerprint()`` methods
+share.
 """
 
 from __future__ import annotations
@@ -37,17 +38,19 @@ from scipy import sparse
 
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.reference import Reference
-from repro.core.sparse_stack import SparseDMStack
+from repro.core.sparse_stack import _MODES, SparseDMStack
 from repro.errors import NotFittedError, StoreError
 from repro.obs.trace import span as _span
 from repro.partitions.dm import DisaggregationMatrix
 from repro.store.artifact import (
+    VALUE_ARRAY_GROUPS,
     manifest_path,
     payload_path,
     read_artifact,
     read_manifest,
     write_artifact,
 )
+from repro.utils.fingerprint import combine_fingerprints, fingerprint_array
 
 __all__ = [
     "DEFAULT_STORE_DIR",
@@ -83,8 +86,6 @@ def model_fingerprint(model: BatchAligner) -> str:
     name once did, so keys computed before the option was retired
     still match.
     """
-    from repro.cache import combine_fingerprints, fingerprint_array
-
     if (
         model.stack_ is None
         or model.weights_ is None
@@ -285,6 +286,33 @@ def _check_shapes(arrays: dict[str, NDArray[Any]], where: str) -> None:
         )
 
 
+def _stack_mode(
+    manifest: dict[str, object], arrays: dict[str, NDArray[Any]], where: str
+) -> str:
+    """The manifest's stack mode, checked against the arrays it reads.
+
+    A version-1 manifest carries no mode and means dense.  A mode
+    outside the three, or one whose value arrays the payload does not
+    hold (a ``"sparse"`` manifest over a dense ``values`` payload, or
+    the reverse), is a damaged artifact.
+    """
+    mode = manifest.get("stack_mode", "dense")
+    if mode not in _MODES:
+        raise StoreError(
+            f"{where}: unknown stack_mode {mode!r}; expected one of "
+            f"{_MODES}"
+        )
+    dense_group, sparse_group = VALUE_ARRAY_GROUPS
+    reads = sparse_group if mode == "sparse" else dense_group
+    missing = [name for name in reads if name not in arrays]
+    if missing:
+        raise StoreError(
+            f"{where}: stack_mode {mode!r} reads {missing}, which the "
+            "payload does not hold"
+        )
+    return str(mode)
+
+
 def _rebuild_stack(
     arrays: dict[str, NDArray[Any]], normalize: bool, stack_mode: str
 ) -> ReferenceStack:
@@ -469,7 +497,9 @@ class ModelStore:
         with _span("store.load", key=key):
             manifest, arrays = read_artifact(self.root, key)
             entry = StoreEntry.from_manifest(manifest)
-            _check_shapes(arrays, manifest_path(self.root, key))
+            where = manifest_path(self.root, key)
+            _check_shapes(arrays, where)
+            stack_mode = _stack_mode(manifest, arrays, where)
             config = entry.config
             # Older manifests also name the solver that fitted them; the
             # stored weights are adopted as they are, so it is not read.
@@ -477,11 +507,7 @@ class ModelStore:
                 normalize=bool(config.get("normalize", True)),
                 denominator=str(config.get("denominator", "row-sums")),
             )
-            model.stack_ = _rebuild_stack(
-                arrays,
-                model.normalize,
-                str(manifest.get("stack_mode", "dense")),
-            )
+            model.stack_ = _rebuild_stack(arrays, model.normalize, stack_mode)
             model.weights_ = np.asarray(arrays["weights"], dtype=float)
             model.masks_ = np.asarray(arrays["masks"], dtype=bool)
             model.objectives_ = np.asarray(

@@ -8,8 +8,9 @@ oracles reach the same optimum by other routes:
     The library's private FISTA fallback, run on its own rather than
     only when the active-set loop gives up.
 :func:`frank_wolfe`
-    Classic conditional gradient with exact line search, whose iterates
-    are always feasible.  Slowest to converge but division-free.
+    Conditional gradient with pairwise steps and exact line search,
+    whose iterates are always feasible.  Slowest to converge, but it
+    needs no projection and no linear solve.
 :func:`scipy_reference_solution`
     ``scipy.optimize.minimize`` with SLSQP.
 
@@ -45,24 +46,35 @@ def projected_gradient(A, b, max_iter=5000, tol=1e-12):
 
 
 def _frank_wolfe(eqs, max_iter, tol):
+    # Pairwise steps move weight from the worst-gradient vertex in the
+    # support to the best vertex.  Classic steps toward the best vertex
+    # zig-zag when the optimum sits on a face: on a 6 x 6 problem they
+    # stalled 0.16 % above the optimum after 20,000 iterations, with
+    # 2e-4 left on two vertices the optimum gives zero.  Pairwise steps
+    # can empty a vertex, and converge linearly on the simplex.
     n = eqs.n
     w = np.full(n, 1.0 / n)
     for iteration in range(1, max_iter + 1):
         gradient = eqs.gradient(w)
-        direction = _unit(n, int(np.argmin(gradient))) - w
-        # Duality gap <= -gradient . direction; standard FW certificate.
-        gap = float(-gradient @ direction)
+        toward = int(np.argmin(gradient))
+        # Duality gap of the classic step; standard FW certificate.
+        gap = float(gradient @ w - gradient[toward])
         if gap <= tol * max(1.0, eqs.objective(w)):
             return SimplexLstsqResult(
                 w, eqs.objective(w), iteration, "frank-wolfe"
             )
-        # Exact line search for the quadratic objective; the curvature
-        # ||A d||^2 is the Gram quadratic form d' (A'A) d.
+        support = np.flatnonzero(w > 0.0)
+        away = int(support[np.argmax(gradient[support])])
+        direction = _unit(n, toward) - _unit(n, away)
+        # Exact line search for the quadratic objective, capped at the
+        # weight the away vertex holds; the curvature ||A d||^2 is the
+        # Gram quadratic form d' (A'A) d.
+        slope = float(gradient[away] - gradient[toward])
         denom = float(direction @ eqs.gram @ direction)
         if denom <= 0.0:
-            gamma = 0.0
+            gamma = w[away]
         else:
-            gamma = min(max(gap / denom, 0.0), 1.0)
+            gamma = min(max(slope / denom, 0.0), w[away])
         if gamma <= 0.0:
             return SimplexLstsqResult(
                 w, eqs.objective(w), iteration, "frank-wolfe"

@@ -1,4 +1,4 @@
-"""Tests for areal weighting, dasymetric and regression baselines."""
+"""Tests for the areal weighting and dasymetric baselines."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro import (
     Dasymetric,
     DisaggregationMatrix,
     Reference,
-    RegressionCrosswalk,
     build_intersection,
 )
 from repro.errors import (
@@ -101,50 +100,3 @@ class TestArealWeighting:
         estimate = ArealWeighting(overlay).fit_predict([10.0, 0.0])
         assert np.allclose(estimate, [5.0, 5.0])
 
-
-class TestRegressionCrosswalk:
-    def test_recovers_exact_linear_combination(self, population_ref):
-        other = Reference.from_dm(
-            "other",
-            DisaggregationMatrix(
-                [[2.0, 2.0], [0.0, 8.0], [4.0, 0.0]], SRC, TGT
-            ),
-        )
-        refs = [population_ref, other]
-        objective = (
-            2.0 * population_ref.source_vector + 0.5 * other.source_vector
-        )
-        model = RegressionCrosswalk(refs, intercept=False)
-        estimate = model.fit_predict(objective)
-        truth = (
-            2.0 * population_ref.target_vector + 0.5 * other.target_vector
-        )
-        assert np.allclose(estimate, truth, rtol=1e-6)
-
-    def test_not_volume_preserving_in_general(self, population_ref):
-        """The paper's §3.2 objection: substitution regression ignores
-        the source-total constraint."""
-        rng = np.random.default_rng(0)
-        objective = rng.random(3) * 100
-        model = RegressionCrosswalk([population_ref])
-        estimate = model.fit_predict(objective)
-        # No guarantee the estimate total matches; just check it runs and
-        # returns the right shape (the accuracy comparison happens in
-        # the benchmarks).
-        assert estimate.shape == (2,)
-
-    def test_requires_references(self):
-        with pytest.raises(ValidationError):
-            RegressionCrosswalk([])
-
-    def test_predict_before_fit(self, population_ref):
-        with pytest.raises(NotFittedError):
-            RegressionCrosswalk([population_ref]).predict()
-
-    def test_shape_mismatch(self, population_ref):
-        with pytest.raises(ShapeMismatchError):
-            RegressionCrosswalk([population_ref]).fit([1.0])
-
-    def test_name(self, population_ref):
-        model = RegressionCrosswalk([population_ref])
-        assert model.name == "regression-substitution"

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cache import PipelineCache
 from repro.core.batch import BatchAligner, ReferenceStack, _rescale_factors
 from repro.core.geoalign import GeoAlign
 from repro.core.reference import Reference
@@ -255,22 +254,6 @@ def test_stack_rejects_mismatched_labels():
         ReferenceStack([])
 
 
-def test_stack_build_caches_by_content():
-    references, _ = _world(7)
-    cache = PipelineCache()
-    first = ReferenceStack.build(references, cache=cache)
-    again = ReferenceStack.build(references, cache=cache)
-    assert again is first
-    assert cache.stats.hits == 1
-    # A perturbed reference must miss (content-addressed key).
-    perturbed = [references[0].with_source_vector(
-        references[0].source_vector * 1.01
-    )] + references[1:]
-    rebuilt = ReferenceStack.build(perturbed, cache=cache)
-    assert rebuilt is not first
-    assert cache.stats.misses == 2
-
-
 def test_stack_with_references_shares_union_structure():
     references, objectives = _world(11)
     stack = ReferenceStack(references)
@@ -385,7 +368,7 @@ def test_fit_and_predict_leave_caller_inputs_bit_identical(denominator):
     masks[np.arange(len(objectives)), np.arange(len(objectives)) % 3] = False
     before = _input_bytes(references, objectives, masks)
 
-    ReferenceStack.build(references, cache=PipelineCache())
+    ReferenceStack.build(references)
     assert _input_bytes(references, objectives, masks) == before
     aligner = BatchAligner(denominator=denominator).fit(
         references, objectives, masks=masks

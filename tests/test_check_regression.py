@@ -25,10 +25,10 @@ def _load():
 cr = _load()
 
 
-def _write_bench(directory, name, metrics, cache=None, meta=None):
+def _write_bench(directory, name, metrics, memory=None, meta=None):
     payload = {"name": name, "metrics": metrics}
-    if cache is not None:
-        payload["cache"] = cache
+    if memory is not None:
+        payload["memory"] = memory
     if meta is not None:
         payload["meta"] = meta
     path = directory / f"BENCH_{name}.json"
@@ -40,7 +40,6 @@ class TestMetricKind:
     @pytest.mark.parametrize(
         "key,kind",
         [
-            ("cache_hit_rate", "hit_rate"),
             ("obs_overhead_ratio", "overhead"),
             ("nrmse", "error"),
             ("max_abs_diff", "error"),
@@ -97,29 +96,24 @@ class TestFlattenPayload:
                 {"metrics": {}, "stages": {"weights": 1.5}}, "f.json"
             )
 
-    def test_cache_becomes_hit_rate(self):
-        flat = cr.flatten_payload(
-            {"metrics": {}, "cache": {"hits": 3, "misses": 1}},
-            "f.json",
-        )
-        assert flat == {"cache_hit_rate": 0.75}
-
-    def test_unused_cache_emits_no_rate(self):
-        flat = cr.flatten_payload(
-            {"metrics": {}, "cache": {"hits": 0, "misses": 0}},
-            "f.json",
-        )
-        assert "cache_hit_rate" not in flat
+    def test_cache_section_refused(self):
+        # The pipeline cache and its hit rate are retired: a record that
+        # still carries hit counts is bad input, not a metric.
+        with pytest.raises(ValueError, match="unknown section"):
+            cr.flatten_payload(
+                {"metrics": {}, "cache": {"hits": 3, "misses": 1}},
+                "f.json",
+            )
 
     def test_missing_metrics_mapping_rejected(self):
         with pytest.raises(ValueError, match="no 'metrics' mapping"):
-            cr.flatten_payload({"cache": {}}, "f.json")
+            cr.flatten_payload({"memory": {}}, "f.json")
 
     def test_malformed_sections_rejected(self):
         with pytest.raises(ValueError, match="'metrics' is not a mapping"):
             cr.flatten_payload({"metrics": [1]}, "f.json")
-        with pytest.raises(ValueError, match="'cache' is not a mapping"):
-            cr.flatten_payload({"metrics": {}, "cache": 3}, "f.json")
+        with pytest.raises(ValueError, match="'memory' is not a mapping"):
+            cr.flatten_payload({"metrics": {}, "memory": 3}, "f.json")
         with pytest.raises(ValueError, match="'meta' is not a mapping"):
             cr.flatten_payload({"metrics": {}, "meta": "x"}, "f.json")
 
@@ -143,13 +137,6 @@ class TestCompareMetric:
         assert not regressed
         regressed, _ = cr.compare_metric("nrmse", 1.0, 1.05 + 1e-8)
         assert regressed
-
-    def test_hit_rate_lower_is_regression(self):
-        regressed, _ = cr.compare_metric("cache_hit_rate", 0.5, 0.49)
-        assert regressed
-        regressed, detail = cr.compare_metric("cache_hit_rate", 0.5, 0.5)
-        assert not regressed
-        assert "[ok]" in detail
 
     def test_overhead_is_an_absolute_ceiling(self):
         regressed, detail = cr.compare_metric(
@@ -227,18 +214,18 @@ class TestMain:
             base,
             "batch",
             {"max_abs_diff": 1e-12},
-            cache={"hits": 1, "misses": 1},
+            memory={"peak_bytes": 1000},
         )
-        # Candidate: same agreement, but the cache hit rate collapsed.
+        # Candidate: same agreement, but the allocation peak doubled.
         _write_bench(
             cand,
             "batch",
             {"max_abs_diff": 1e-12},
-            cache={"hits": 0, "misses": 2},
+            memory={"peak_bytes": 2000},
         )
         assert cr.main([str(base), str(cand)]) == 1
         out = capsys.readouterr().out
-        assert "1 regression(s): batch/cache_hit_rate" in out
+        assert "1 regression(s): batch/mem_peak_bytes" in out
 
     def test_end_to_end_clean_exits_0(self, tmp_path, capsys):
         base = tmp_path / "base"
@@ -250,10 +237,25 @@ class TestMain:
                 directory,
                 "batch",
                 {"nrmse": 0.1},
-                cache={"hits": 1, "misses": 1},
+                memory={"peak_bytes": 1000},
             )
         assert cr.main([str(base), str(cand)]) == 0
         assert "no benchmark regressions" in capsys.readouterr().out
+
+    def test_cache_section_exits_2(self, tmp_path, capsys):
+        base = tmp_path / "base"
+        base.mkdir()
+        (base / "BENCH_b.json").write_text(
+            json.dumps(
+                {
+                    "name": "b",
+                    "metrics": {},
+                    "cache": {"hits": 1, "misses": 1},
+                }
+            )
+        )
+        assert cr.main([str(base), str(base)]) == 2
+        assert "unknown section(s) cache" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text,message",

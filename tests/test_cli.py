@@ -397,6 +397,23 @@ class TestStoreCommand:
         assert code == 0
         assert "predictions" in out and "ok]" in out
 
+    def test_save_of_a_healthy_world_persists_no_fail(self, tmp_path):
+        # Health is evaluated on the closed session: an open session's
+        # root span counts 0 s, which read as trace_coverage fail.
+        from repro.store import ModelStore
+
+        root = str(tmp_path / "store")
+        code, _ = _run(
+            [
+                "store", "save", "--store", root,
+                "--universe", "ny", "--scale", str(TEST_SCALE),
+            ]
+        )
+        assert code == 0
+        (entry,) = ModelStore(root).list()
+        assert entry.health["trace_coverage"] == "ok"
+        assert "fail" not in entry.health.values(), entry.health
+
     def test_save_is_idempotent(self, tmp_path):
         root = str(tmp_path / "store")
         argv = [
@@ -585,7 +602,7 @@ class TestTelemetryCli:
         code, out = _run(["obs", "prom", trace_path])
         assert code == 0
 
-        from repro.obs import parse_prometheus_text
+        from tests.prom_oracles import parse_prometheus_text
 
         families = parse_prometheus_text(out)
         wall = families["geoalign_trace_wall_seconds"]

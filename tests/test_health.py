@@ -27,7 +27,6 @@ from repro.obs import (
 )
 from repro.obs.health import (
     FAIL,
-    MIN_CACHE_LOOKUPS,
     OK,
     SKIP,
     WARN,
@@ -229,7 +228,6 @@ class TestCatalogue:
             "solver_fallbacks",
             "solver_convergence",
             "weight_degeneracy",
-            "cache_efficiency",
             "trace_coverage",
         } <= names
 
@@ -284,22 +282,6 @@ class TestExtractors:
         assert report.get("solver_fallbacks").status == WARN
         assert report.get("solver_fallbacks").value == pytest.approx(0.2)
         assert report.get("solver_convergence").status == FAIL
-
-    def test_cache_rate_needs_a_sample(self):
-        report = evaluate_health(
-            _session(counters={"cache.hits": 1.0, "cache.misses": 1.0})
-        )
-        assert report.get("cache_efficiency").status == SKIP
-        report = evaluate_health(
-            _session(
-                counters={
-                    "cache.hits": float(MIN_CACHE_LOOKUPS),
-                    "cache.misses": 0.0,
-                }
-            )
-        )
-        assert report.get("cache_efficiency").status == OK
-        assert report.get("cache_efficiency").value == 1.0
 
     def test_trace_coverage_skips_without_spans(self):
         assert evaluate_health(_session()).get("trace_coverage").status == SKIP

@@ -4,7 +4,7 @@ spans/events the instrumented pipeline promises to emit.
 The ``capture_trace`` fixture (tests/conftest.py) opens a recording
 session around pipeline calls; assertions on the captured spans and
 events turn the engine's documented behaviour -- "one blend matmul per
-batch fit", "the second identical stack build is a cache hit" -- into
+batch fit", "the union stack is built once per stack" -- into
 executable contracts.
 """
 
@@ -15,7 +15,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.cache import PipelineCache
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.geoalign import GeoAlign
 from repro.errors import ValidationError
@@ -307,7 +306,7 @@ class TestProfile:
                 with span("fold"):
                     with span("solve"):
                         pass
-            incr("cache.hits", 2)
+            incr("solver.solves", 2)
             set_gauge("n", 5)
             event("converged")
         text = format_profile(session)
@@ -318,7 +317,7 @@ class TestProfile:
             line for line in text.splitlines() if "fold" in line
         ]
         assert "3x" in fold_line
-        assert "cache.hits = 2" in text
+        assert "solver.solves = 2" in text
         assert "n = 5" in text
         assert "converged x 1" in text
 
@@ -402,24 +401,6 @@ class TestPipelineTelemetry:
         converged = session.find_events("solver.converged")
         assert len(converged) == len(paired_references)
 
-    def test_second_stack_build_is_cache_hit_with_zero_construct(
-        self, capture_trace, paired_references
-    ):
-        cache = PipelineCache()
-        with capture_trace() as first:
-            ReferenceStack.build(paired_references, cache=cache)
-        assert len(first.find_spans("stack.construct")) == 1
-        assert first.counters.get("cache.misses") == 1.0
-        with capture_trace() as second:
-            ReferenceStack.build(paired_references, cache=cache)
-        # Cache hit: a build span but no construction work.
-        assert second.find_spans("stack.build")
-        assert not second.find_spans("stack.construct")
-        (hit,) = second.find_events("cache.hit")
-        assert len(hit.fields["key"]) == 16
-        assert second.counters.get("cache.hits") == 1.0
-        assert "cache.misses" not in second.counters
-
     def test_crossval_emits_fold_and_method_spans(
         self, capture_trace, paired_references
     ):
@@ -485,7 +466,7 @@ class TestRoundTrip:
             with span("a", n=2):
                 with span("b"):
                     event("tick", ratio=0.5, count=np.int64(7))
-            incr("cache.hits", 3)
+            incr("solver.solves", 3)
             set_gauge("health.volume_residual_max", 1e-12)
         return session
 
@@ -555,7 +536,7 @@ class TestRoundTrip:
         rebuilt_text = "".join(trace_to_jsonl(s) for s in sessions)
         assert rebuilt_text == open(path).read()
         for session in sessions:
-            assert session.counters == {"cache.hits": 3.0}
+            assert session.counters == {"solver.solves": 3.0}
             assert len(session.spans) == 3
 
     def test_malformed_files_are_validation_errors(self, tmp_path):

@@ -60,7 +60,6 @@ class TestBenchJson:
             "My Bench",
             {"max_abs_diff": 1.25e-13, "nrmse": 2},
             meta={"scale": 0.1, "universe": "NY"},
-            cache_stats={"hits": 3, "misses": 1, "evictions": 0},
             memory={"peak_bytes": 1024},
             health={"volume_preservation": "ok"},
         )
@@ -69,11 +68,6 @@ class TestBenchJson:
         assert payload["name"] == "My Bench"
         assert payload["metrics"] == {"max_abs_diff": 1.25e-13, "nrmse": 2.0}
         assert payload["meta"] == {"scale": 0.1, "universe": "NY"}
-        assert payload["cache"] == {
-            "hits": 3.0,
-            "misses": 1.0,
-            "evictions": 0.0,
-        }
         assert payload["memory"] == {"peak_bytes": 1024.0}
         assert payload["health"] == {"volume_preservation": "ok"}
 
@@ -100,8 +94,8 @@ class TestBenchJson:
                 "memory metric 'peak' is NaN",
             ),
             (
-                {"metrics": {}, "cache_stats": {"hits": float("nan")}},
-                "cache stat 'hits' is NaN",
+                {"metrics": {"bad": float("-inf")}},
+                "metric 'bad' is -inf",
             ),
             ({"metrics": {"bad": float("inf")}}, "metric 'bad' is inf"),
             (
@@ -109,8 +103,8 @@ class TestBenchJson:
                 "memory metric 'peak' is -inf",
             ),
             (
-                {"metrics": {}, "cache_stats": {"hits": float("inf")}},
-                "cache stat 'hits' is inf",
+                {"metrics": {}, "memory": {"peak": float("inf")}},
+                "memory metric 'peak' is inf",
             ),
             (
                 {"metrics": {}, "meta": {"scale": float("-inf")}},

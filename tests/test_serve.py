@@ -30,7 +30,7 @@ import pytest
 from repro.core.batch import BatchAligner
 from repro.core.reference import Reference
 from repro.errors import ServeError, ValidationError
-from repro.obs import PROMETHEUS_CONTENT_TYPE, parse_prometheus_text
+from repro.obs import PROMETHEUS_CONTENT_TYPE
 from repro.partitions.dm import DisaggregationMatrix
 from repro.serve import (
     AlignmentServer,
@@ -44,6 +44,7 @@ from repro.serve import (
 )
 from repro.store import ModelStore, model_fingerprint
 from repro.store.store import KEY_LENGTH
+from tests.prom_oracles import parse_prometheus_text
 
 
 @pytest.fixture
@@ -1034,6 +1035,40 @@ class TestPrometheusExposition:
         sampled = families["geoalign_exemplars_sampled_total"]
         assert sampled.samples[0].value >= 4.0
         assert "geoalign_exemplars_retained" in families
+
+    def test_health_gauge_has_no_sample_for_a_skipped_check(self, fitted):
+        from repro.obs import Trace, evaluate_health
+
+        verdicts = evaluate_health(Trace("fit"), model=fitted).verdicts()
+        skipped = sorted(c for c, v in verdicts.items() if v == "skip")
+        assert skipped and "fail" not in verdicts.values()
+        edited = {"volume_preservation": "fail", "custom": "info"}
+
+        async def body(server, _key):
+            server.add_model(fitted, key="healthy", health=verdicts)
+            server.add_model(fitted, key="edited", health=edited)
+            return await _raw_get(
+                server.host, server.port, "/metrics", accept="text/plain"
+            )
+
+        status, _headers, text = run_with_server(fitted, body)
+        assert status == 200
+        family = parse_prometheus_text(text)["geoalign_health_status"]
+        assert "a skipped check has no sample" in family.help
+        values = {
+            (dict(s.labels)["model"], dict(s.labels)["check"]): s.value
+            for s in family.samples
+        }
+        expected = {
+            ("healthy", check): {"ok": 0.0, "warn": 1.0}[verdict]
+            for check, verdict in verdicts.items()
+            if verdict != "skip"
+        }
+        # A verdict outside the catalogue's (a hand-edited manifest)
+        # still reads as warn.
+        expected[("edited", "volume_preservation")] = 2.0
+        expected[("edited", "custom")] = 1.0
+        assert values == expected
 
     def test_metrics_defaults_to_json_snapshot(self, fitted):
         async def body(server, key):

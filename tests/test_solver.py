@@ -7,7 +7,7 @@ problem; SLSQP is the fourth, independent reference.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.solver import (
     GramFactor,
@@ -224,6 +224,26 @@ def well_conditioned_problems(draw):
     return A, b
 
 
+#: A drawn problem on which classic Frank-Wolfe steps stalled 0.16 %
+#: above the optimum at their 20,000-iteration cap (the oracle now
+#: takes pairwise steps).
+PLAIN_FRANK_WOLFE_STALLS = (
+    np.array(
+        [
+            [0.69141872, 0.70046653, 0.99606266, 0.20297276, 0.96384522, 0.99997468],
+            [0.96239074, 0.55248997, 0.31122143, 0.36070973, 0.16390826, 0.1159197],
+            [0.94255102, 0.49164229, 0.22984593, 0.40560361, 0.91954548, 0.84024757],
+            [0.1174628, 0.40205876, 0.62409273, 0.90521947, 0.18631438, 0.4825247],
+            [0.31684424, 0.24545583, 0.63488557, 0.36274253, 0.94279965, 0.41697404],
+            [0.5818921, 0.31789552, 0.50817559, 0.33886118, 0.29287019, 0.18082566],
+        ]
+    ),
+    np.array(
+        [0.67933059, 0.29669165, 0.85149257, 0.38244546, 0.63632377, 0.41233462]
+    ),
+)
+
+
 class TestSolverProperties:
     """Hypothesis property suite over the kernel and both oracles."""
 
@@ -237,6 +257,7 @@ class TestSolverProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(well_conditioned_problems())
+    @example(PLAIN_FRANK_WOLFE_STALLS)
     def test_backends_agree_on_objective(self, problem):
         A, b = problem
         objectives = {
@@ -245,9 +266,9 @@ class TestSolverProperties:
         }
         best = min(objectives.values())
         worst = max(objectives.values())
-        # Frank-Wolfe converges sublinearly (O(1/k)), so at its
-        # iteration cap it may sit ~1e-4 relative above the exact
-        # active-set optimum; 0.1 % agreement is the honest contract.
+        # The iterative oracles stop at a tolerance or an iteration
+        # cap, not at the exact active-set optimum; 0.1 % agreement is
+        # the honest contract.
         assert worst - best <= 1e-3 * max(best, 1e-9) + 1e-6, objectives
 
     @settings(max_examples=30, deadline=None)

@@ -402,8 +402,8 @@ class TestLinearPredictArrays:
 
     @staticmethod
     def _first_use_from_threads(stack, read):
-        # Stacks are shared across threads through PipelineCache: every
-        # thread racing on first use must get the one built object.
+        # A caller may share one stack across threads: every thread
+        # racing on first use must get the one built object.
         barrier = threading.Barrier(8)
         seen = []
 

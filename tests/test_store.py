@@ -168,7 +168,7 @@ class TestFingerprint:
         with pytest.raises(NotFittedError):
             model_fingerprint(BatchAligner())
 
-    def test_fingerprint_of_a_fixed_fit_is_pinned(self):
+    def test_fixed_fit_fingerprint_is_pinned(self):
         # Keys are content addresses shared across releases: this digest
         # was computed when the solver was still a selectable option, so
         # retiring the option must leave every artifact key in place.
@@ -451,6 +451,46 @@ class TestSparseArtifacts:
         loaded, _ = store.load(entry.key)
         assert loaded.stack_.dm_stack.mode == "dense"
         assert (loaded.predict() == model.predict()).all()
+
+    @pytest.mark.parametrize(
+        "payload,stack_mode",
+        [
+            ("values", "sparse"),
+            ("values", "bogus"),
+            ("triplets", "dense"),
+            ("triplets", "aligned"),
+            ("triplets", "bogus"),
+            ("triplets", None),
+        ],
+    )
+    def test_stack_mode_disagreeing_with_payload_is_typed(
+        self, store, sparse_fitted, paired_references, payload, stack_mode
+    ):
+        # A manifest whose stack_mode (None: the key removed) names a
+        # mode the payload cannot serve is refused with a StoreError,
+        # not a KeyError or a silent dense load.
+        from repro.core.batch import ReferenceStack
+
+        if payload == "triplets":
+            model = sparse_fitted
+        else:
+            objectives = np.asarray(
+                [ref.source_vector for ref in paired_references]
+            )
+            stack = ReferenceStack(paired_references, dense=True)
+            model = BatchAligner().fit(stack, objectives)
+        entry = store.save(model)
+        path = manifest_path(store.root, entry.key)
+        with open(path) as handle:
+            manifest = json.load(handle)
+        if stack_mode is None:
+            del manifest["stack_mode"]
+        else:
+            manifest["stack_mode"] = stack_mode
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(StoreError, match="stack_mode"):
+            store.load(entry.key)
 
     def test_bad_sparse_triplets_rejected(self, store, sparse_fitted):
         from repro.store.artifact import write_artifact

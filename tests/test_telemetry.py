@@ -30,7 +30,6 @@ from repro.obs import (
     SpanCapture,
     event,
     incr,
-    parse_prometheus_text,
     read_trace_jsonl,
     render_prometheus_text,
     set_gauge,
@@ -44,6 +43,7 @@ from repro.obs import (
     write_trace_jsonl,
 )
 from repro.obs.promfmt import format_sample_value, sanitize_metric_name
+from tests.prom_oracles import parse_prometheus_text
 
 
 # ---------------------------------------------------------------------------
