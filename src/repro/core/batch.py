@@ -391,9 +391,9 @@ class _DMArrays:
     union-pattern :class:`~repro.core.sparse_stack.SparseDMStack`
     serves the per-entry consumers.  Both are built on first use under
     one lock, so a caller may share one stack across threads.  Stacks
-    over the same DMs
-    (:meth:`ReferenceStack.with_references`) share one instance, so a
-    member built through any of them is built for all.
+    over the same DMs (:meth:`ReferenceStack.with_references`) share
+    one instance, so a member built through any of them is built for
+    all.
     """
 
     def __init__(

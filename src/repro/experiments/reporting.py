@@ -7,8 +7,9 @@ artefacts.  File names are slugified report titles; reruns overwrite.
 Benchmarks additionally persist machine-readable claim records as
 ``BENCH_<name>.json`` files via :func:`save_bench_json`: error metrics,
 ratios, bytes and health verdicts -- numbers that do not depend on the
-host.  Wall time stays in the printed reports; perfbench owns it.  The regression gate (``benchmarks/check_regression.py``)
-compares two directories of these records against tolerances.
+host.  Wall time stays in the printed reports; perfbench owns it.  The
+regression gate (``benchmarks/check_regression.py``) compares two
+directories of these records against tolerances.
 """
 
 from __future__ import annotations
