@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchAligner, ReferenceStack
+from repro.core.batch import BatchAligner
 from repro.core.geoalign import GeoAlign
 from repro.errors import ValidationError
 from repro.intervals import IntervalUnitSystem
