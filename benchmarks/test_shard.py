@@ -62,9 +62,7 @@ def test_sharded_million_targets(benchmark, bench_scale, report):
     mono_estimates = mono.fit_predict(references, objectives)
     monolithic_seconds = time.perf_counter() - mono_start
 
-    aligner = ShardedAligner(
-        n_shards=N_SHARDS, strategy="tile", max_workers=MAX_WORKERS
-    )
+    aligner = ShardedAligner(n_shards=N_SHARDS, max_workers=MAX_WORKERS)
     shard_start = time.perf_counter()
     estimates = aligner.fit_predict(references, objectives)
     sharded_seconds = time.perf_counter() - shard_start

@@ -11,11 +11,9 @@ pytest::
     geoalign-repro all --scale 0.25 --out results/
 
 ``align`` runs the multi-attribute alignment workload (every dataset of
-a world against the rest) through the batched engine -- or, with
-``--shards N``, the sharded map-reduce engine::
+a world against the rest) through the batched engine::
 
     geoalign-repro align --universe ny --scale 0.25
-    geoalign-repro align --shards 4 --shard-workers 4
 
 Scale 1.0 (the default) is paper scale: 30,238 zip units at the top
 rung.  Reports print to stdout and, with ``--out``, are also written as
@@ -119,6 +117,15 @@ def _add_obs_flags(parser):
     )
 
 
+def _port(text):
+    """argparse ``type`` of ``serve --port``: an integer in 0-65535."""
+    if not text.isdecimal() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer in 0-65535, got {text!r}"
+        )
+    return int(text)
+
+
 def build_parser():
     """The argparse command tree (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -162,31 +169,6 @@ def build_parser():
         choices=("ny", "us"),
         default="ny",
         help="dataset pool: New York (default) or United States",
-    )
-    align.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "partition the universe into N boundary-owned shards and run "
-            "the map-reduce engine (engine='sharded'); 0 (default) keeps "
-            "the monolithic batch engine"
-        ),
-    )
-    align.add_argument(
-        "--shard-strategy",
-        choices=("tile", "block"),
-        default="tile",
-        help="shard partitioning: target-column tiles (default) or "
-        "contiguous source-row blocks",
-    )
-    align.add_argument(
-        "--shard-workers",
-        type=int,
-        default=1,
-        metavar="W",
-        help="process-pool width for the shard map phases (1 = inline)",
     )
 
     obs_cmd = sub.add_parser(
@@ -342,9 +324,10 @@ def build_parser():
     )
     serve_cmd.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8732,
-        help="bind port; 0 picks an ephemeral port (default: 8732)",
+        help="bind port in 0-65535; 0 picks an ephemeral port "
+        "(default: 8732)",
     )
     serve_cmd.add_argument(
         "--store",
@@ -416,9 +399,6 @@ def _run_figure(name, args):
         return run_alignment(
             scale=args.scale,
             universe=args.universe,
-            n_shards=args.shards,
-            shard_strategy=args.shard_strategy,
-            shard_workers=args.shard_workers,
             **_seed_kwargs(args),
         ).to_text()
     raise ValueError(f"unknown figure {name!r}")

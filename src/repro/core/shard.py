@@ -25,30 +25,28 @@ Eq. 16 check (``health.volume_residual_max``) run over the *merged*
 disaggregation, not per shard.
 
 **Boundary-row ownership.**  ``plan_shards`` assigns every source row to
-exactly one shard (a partition — property-tested).  With the ``"tile"``
-strategy, target columns are split into contiguous tiles and each row
-goes to the tile holding the majority of its reference mass (ties to the
-lowest tile; rows with no entries to shard 0).  With ``"block"``, rows
-are split into contiguous index blocks directly.  Rows whose target
-columns are also written by rows of *other* shards are counted as
-boundary rows (``shard.boundary_rows``): they are the rows whose column
-aggregates only become correct after the merge.
+exactly one shard (a partition — property-tested): target columns are
+split into contiguous tiles and each row goes to the tile holding the
+majority of its reference mass (ties to the lowest tile; rows with no
+entries to shard 0).  Rows whose target columns are also written by
+rows of *other* shards are counted as boundary rows
+(``shard.boundary_rows``): they are the rows whose column aggregates
+only become correct after the merge.
 
 The worker is a module-level pure function on plain NumPy payloads, so
 it pickles cleanly into a :class:`~concurrent.futures.ProcessPoolExecutor`
 and never touches shared state (writes would be silently lost at the
-process boundary; ``test_pooled_predictions_bitwise_equal_inline`` and
-``test_pooled_run_stitches_one_trace_with_span_parity`` pin pooled runs
-to inline ones).  ``max_workers=1`` runs the identical code inline,
-which is both the deterministic test path and the zero-overhead default.
-A worker failure is wrapped into :class:`~repro.errors.ShardError`
-carrying the shard id and phase, after draining the pool.
+process boundary; ``test_pooled_predictions_bitwise_equal_inline`` pins
+pooled predictions to inline ones).  ``max_workers=1`` runs the
+identical code inline, which is both the deterministic test path and
+the zero-overhead default.  A worker failure is wrapped into
+:class:`~repro.errors.ShardError` carrying the shard id and phase, after
+draining the pool.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -67,15 +65,8 @@ from repro.core.batch import (
 from repro.core.reference import Reference
 from repro.core.sparse_stack import EntrySlice
 from repro.errors import ShardError, ValidationError
-from repro.obs.telemetry import (
-    SPANS_DROPPED,
-    SpanCapture,
-    stitch_capture,
-    worker_capture,
-)
 from repro.obs.trace import (
     event as _obs_event,
-    incr as _incr,
     set_gauge as _set_gauge,
     set_gauge_max as _gauge_max,
     span as _span,
@@ -85,8 +76,6 @@ from repro.obs.trace import (
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
 BoolArray = NDArray[np.bool_]
-
-_STRATEGIES = ("tile", "block")
 
 #: The one map phase; named in worker spans and in :class:`ShardError`.
 _PHASE = "disaggregate"
@@ -159,10 +148,6 @@ class ShardPlan:
 
     Attributes
     ----------
-    strategy:
-        ``"tile"`` (contiguous target-column tiles, rows follow their
-        majority reference mass) or ``"block"`` (contiguous source-row
-        blocks).
     owner:
         ``(n_sources,)`` owning shard id per source row.
     shards:
@@ -174,7 +159,6 @@ class ShardPlan:
         are only correct after the reduce-phase merge.
     """
 
-    strategy: str
     n_shards: int
     n_sources: int
     n_entries: int
@@ -225,8 +209,8 @@ class ShardPlan:
 
     def __repr__(self) -> str:
         return (
-            f"ShardPlan(strategy={self.strategy!r}, "
-            f"n_shards={self.n_shards}, n_sources={self.n_sources}, "
+            f"ShardPlan(n_shards={self.n_shards}, "
+            f"n_sources={self.n_sources}, "
             f"boundary_rows={self.n_boundary_rows})"
         )
 
@@ -239,51 +223,40 @@ def _split_labels(n_items: int, n_parts: int) -> IntArray:
     return np.repeat(np.arange(n_parts, dtype=np.int64), sizes)
 
 
-def plan_shards(
-    stack: ReferenceStack, n_shards: int, strategy: str = "tile"
-) -> ShardPlan:
+def plan_shards(stack: ReferenceStack, n_shards: int) -> ShardPlan:
     """Partition the stack's source rows into ``n_shards`` owned shards.
 
-    ``"tile"`` splits the target columns into contiguous tiles and owns
-    each source row by the tile carrying the majority of the row's
+    The target columns are split into contiguous tiles
+    (``np.array_split`` semantics, so uneven counts are fine), and each
+    source row is owned by the tile carrying the majority of the row's
     reference mass (ties go to the lowest tile; rows without entries to
-    shard 0) — the region-tile strategy, which keeps the reduce-phase
-    column merge local to tile edges.  ``"block"`` owns contiguous
-    source-row index blocks — trivially balanced, at the price of more
-    cross-shard columns.  Both are uneven when the universe does not
-    divide evenly (``np.array_split`` semantics).
+    shard 0), which keeps the reduce-phase column merge local to tile
+    edges.
     """
     if n_shards < 1:
         raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
-    if strategy not in _STRATEGIES:
-        raise ValidationError(
-            f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-        )
-    with _span("shard.plan", n_shards=n_shards, strategy=strategy) as span:
+    with _span("shard.plan", n_shards=n_shards) as span:
         entry_rows, entry_cols = stack.entry_rows, stack.entry_cols
-        if strategy == "tile":
-            # Majority vote over reference mass: how much of each row's
-            # union-entry mass (summed over references) lands in each
-            # tile, accumulated per (row, tile) code in entry order.
-            # argmax ties break to the lowest tile, and rows with no
-            # entries (all-zero votes) land on shard 0.
-            codes = entry_rows * n_shards
-            codes += _split_labels(stack.n_targets, n_shards)[entry_cols]
-            votes = np.bincount(
-                codes,
-                weights=stack.dm_stack.entry_mass(),
-                minlength=stack.n_sources * n_shards,
-            )
-            # Prompt frees: these entry-length temporaries are the
-            # planner's peak at million-target scale, and the sharded
-            # engine's whole point is a low memory ceiling.
-            del codes
-            owner = np.argmax(
-                votes.reshape(stack.n_sources, n_shards), axis=1
-            ).astype(np.int64)
-            del votes
-        else:
-            owner = _split_labels(stack.n_sources, n_shards)
+        # Majority vote over reference mass: how much of each row's
+        # union-entry mass (summed over references) lands in each tile,
+        # accumulated per (row, tile) code in entry order.  argmax ties
+        # break to the lowest tile, and rows with no entries (all-zero
+        # votes) land on shard 0.
+        codes = entry_rows * n_shards
+        codes += _split_labels(stack.n_targets, n_shards)[entry_cols]
+        votes = np.bincount(
+            codes,
+            weights=stack.dm_stack.entry_mass(),
+            minlength=stack.n_sources * n_shards,
+        )
+        # Prompt frees: these entry-length temporaries are the planner's
+        # peak at million-target scale, and the sharded engine's whole
+        # point is a low memory ceiling.
+        del codes
+        owner = np.argmax(
+            votes.reshape(stack.n_sources, n_shards), axis=1
+        ).astype(np.int64)
+        del votes
 
         entry_owner = owner[entry_rows].astype(np.int32)
         shards = tuple(
@@ -315,7 +288,6 @@ def plan_shards(
         if span is not None:
             span.attrs["boundary_rows"] = int(len(boundary_rows))
         return ShardPlan(
-            strategy=strategy,
             n_shards=n_shards,
             n_sources=stack.n_sources,
             n_entries=stack.nnz,
@@ -327,15 +299,12 @@ def plan_shards(
 
 # ---------------------------------------------------------------------------
 # the map-phase worker (module level: picklable into a process pool; pure:
-# results travel back as return values, never through shared state;
-# instrumented: it records its spans/events/counters into a
-# :class:`~repro.obs.telemetry.SpanCapture` that rides back with the
-# partial and is stitched into the driver's trace)
+# results travel back as return values, never through shared state)
 # ---------------------------------------------------------------------------
 
 #: (shard_id, blend weights, entry-value slice, entries per owned row,
 #:  entry cols, objectives slice, source-vector slice or None,
-#:  denominator, capture telemetry?).  The entry values travel as an
+#:  denominator).  The entry values travel as an
 #: :class:`~repro.core.sparse_stack.EntrySlice` -- CSR triplets for
 #: sparse-mode stacks -- so worker transfer volume scales with the
 #: shard's *stored* entries, not ``k * n_entries``; the entries' local
@@ -350,17 +319,14 @@ _DisaggregatePayload = tuple[
     FloatArray,
     "FloatArray | None",
     str,
-    bool,
 ]
-#: (shard_id, covered rows, touched cols, partial sums, span capture).
+#: (shard_id, covered rows, touched cols, partial sums).
 #: The scaled entry values themselves stay inside the worker: the
 #: reduce only needs the partial column sums, and the merge check
 #: recomputes the disaggregation independently (see
 #: ``ShardedAligner.predict``), so the per-shard result transfer is
 #: column-sized, not entry-sized.
-_DisaggregatePartial = tuple[
-    int, BoolArray, IntArray, FloatArray, SpanCapture
-]
+_DisaggregatePartial = tuple[int, BoolArray, IntArray, FloatArray]
 
 
 def _column_map(values: NDArray[Any]) -> tuple[IntArray, IntArray]:
@@ -395,6 +361,10 @@ def _disaggregate_shard_worker(
     rows.  Column sums are *partial* (other shards may write the same
     target columns); they come back compressed to the touched columns
     so transfer volume scales with the shard, not the universe.
+
+    The ``shard.worker`` span records into whatever sessions are active
+    where the worker runs: the caller's on the inline path, none (or a
+    forked copy that dies with the child) in a pool worker.
     """
     (
         shard_id,
@@ -405,11 +375,8 @@ def _disaggregate_shard_worker(
         objectives,
         source_vectors,
         denominator,
-        capture_on,
     ) = payload
-    with worker_capture(
-        "shard.worker", enabled=capture_on, shard=shard_id, phase=_PHASE
-    ) as capture:
+    with _span("shard.worker", shard=shard_id, phase=_PHASE):
         _raise_injected_fault(_PHASE, shard_id)
         n_rows = len(row_counts)
         entry_local_rows = np.repeat(np.arange(n_rows), row_counts)
@@ -436,7 +403,7 @@ def _disaggregate_shard_worker(
             ]
         )
         covered: BoolArray = denominators > 0.0
-    return shard_id, covered, touched, partial, capture
+    return shard_id, covered, touched, partial
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +423,8 @@ class ShardedAligner(BatchAligner):
     Parameters
     ----------
     n_shards:
-        Number of shards to partition the universe into.
-    strategy:
-        ``"tile"`` or ``"block"`` (see :func:`plan_shards`).
+        Number of shards to partition the universe into (see
+        :func:`plan_shards`).
     max_workers:
         Process-pool width for the disaggregation map.  1 (default)
         runs the identical shard code inline on the calling process —
@@ -481,7 +447,6 @@ class ShardedAligner(BatchAligner):
     def __init__(
         self,
         n_shards: int = 2,
-        strategy: str = "tile",
         normalize: bool = True,
         denominator: str = "row-sums",
         max_workers: int = 1,
@@ -489,16 +454,11 @@ class ShardedAligner(BatchAligner):
         super().__init__(normalize=normalize, denominator=denominator)
         if n_shards < 1:
             raise ValidationError(f"n_shards must be >= 1, got {n_shards}")
-        if strategy not in _STRATEGIES:
-            raise ValidationError(
-                f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-            )
         if max_workers < 1:
             raise ValidationError(
                 f"max_workers must be >= 1, got {max_workers}"
             )
         self.n_shards = n_shards
-        self.strategy = strategy
         self.max_workers = max_workers
         self.plan_: ShardPlan | None = None
         self.merge_residual_: float | None = None
@@ -506,7 +466,7 @@ class ShardedAligner(BatchAligner):
     # ------------------------------------------------------------------
     def _map_shards(
         self, payloads: Iterable[_DisaggregatePayload]
-    ) -> Iterator[tuple[Any, ...]]:
+    ) -> Iterator[_DisaggregatePartial]:
         """Run the disaggregate map; partials arrive in shard-id order.
 
         With ``max_workers == 1`` this is the memory-bounded path: each
@@ -519,23 +479,14 @@ class ShardedAligner(BatchAligner):
         order-sensitive.  Any worker exception is re-raised as a
         :class:`ShardError` naming the shard and phase, after cancelling
         queued work and draining the pool (no orphaned children, no
-        hang).
-
-        Telemetry: every worker returns a
-        :class:`~repro.obs.telemetry.SpanCapture` as the last element of
-        its partial.  It is stitched into the driver's active sessions
-        here -- under the ``shard.map`` span, anchored at that shard's
-        submit time on the driver clock -- and stripped before the
-        partials reach the reducer.  Inline and pooled execution run
-        the identical capture-then-stitch path, so the stitched span
-        tree is the same either way (a worker crash loses its capture;
-        the ``telemetry.spans_dropped`` counter records that).
+        hang).  Inline workers' ``shard.worker`` spans nest under
+        ``shard.map``; pooled workers' spans stay in their processes.
         """
         count = 0
         with _span(
             "shard.map", phase=_PHASE, max_workers=self.max_workers
         ) as map_span:
-            partials: Iterable[tuple[Any, ...]]
+            partials: Iterable[_DisaggregatePartial]
             if self.max_workers == 1:
                 partials = map(self._inline, payloads)
             else:
@@ -551,27 +502,22 @@ class ShardedAligner(BatchAligner):
                 map_span.attrs["n_shards"] = count
 
     @staticmethod
-    def _inline(payload: _DisaggregatePayload) -> tuple[Any, ...]:
-        shard_id = int(payload[0])
+    def _inline(payload: _DisaggregatePayload) -> _DisaggregatePartial:
         try:
-            *partial, capture = _disaggregate_shard_worker(payload)
+            return _disaggregate_shard_worker(payload)
         except Exception as exc:
-            _incr(SPANS_DROPPED, 1.0)
-            raise _shard_error(shard_id, exc) from exc
-        stitch_capture(capture)
-        return tuple(partial)
+            raise _shard_error(int(payload[0]), exc) from exc
 
     def _pooled(
         self, payloads: Sequence[_DisaggregatePayload]
-    ) -> list[tuple[Any, ...]]:
-        results: list[tuple[Any, ...]] = []
+    ) -> list[_DisaggregatePartial]:
+        results: list[_DisaggregatePartial] = []
         with ProcessPoolExecutor(
             max_workers=min(self.max_workers, len(payloads))
         ) as pool:
             futures = {
-                pool.submit(_disaggregate_shard_worker, payload): (
-                    int(payload[0]),
-                    time.perf_counter(),
+                pool.submit(_disaggregate_shard_worker, payload): int(
+                    payload[0]
                 )
                 for payload in payloads
             }
@@ -580,19 +526,15 @@ class ShardedAligner(BatchAligner):
                 (f for f in done if f.exception() is not None), None
             )
             if failed is not None:
-                shard_id, _anchor = futures[failed]
                 # Drain before raising: queued shards are cancelled,
                 # running ones finish, children exit.
                 pool.shutdown(wait=True, cancel_futures=True)
                 exc = failed.exception()
-                _incr(SPANS_DROPPED, 1.0)
-                raise _shard_error(shard_id, exc) from exc
-            for future, (shard_id, anchor) in futures.items():
-                *partial, capture = future.result()
-                stitch_capture(capture, anchor=anchor)
-                results.append(tuple(partial))
+                raise _shard_error(futures[failed], exc) from exc
+            for future, shard_id in futures.items():
+                results.append(future.result())
                 _obs_event("shard.collect", shard=shard_id, phase=_PHASE)
-        results.sort(key=lambda partial: int(partial[0]))
+        results.sort(key=lambda partial: partial[0])
         return results
 
     # ------------------------------------------------------------------
@@ -610,17 +552,13 @@ class ShardedAligner(BatchAligner):
         from the same solve on the stack's own Gram matrix, so they do
         not depend on the plan; only :meth:`predict` is mapped.
         """
-        with _span(
-            "shard.fit",
-            n_shards=self.n_shards,
-            strategy=self.strategy,
-        ) as fit_span:
+        with _span("shard.fit", n_shards=self.n_shards) as fit_span:
             stack, objective_matrix, mask_matrix, names = (
                 self._coerce_fit_inputs(
                     references, objectives, attribute_names, masks
                 )
             )
-            plan = plan_shards(stack, self.n_shards, self.strategy)
+            plan = plan_shards(stack, self.n_shards)
             _set_gauge("shard.count", float(plan.n_shards))
             _set_gauge(
                 "shard.boundary_rows", float(plan.n_boundary_rows)
@@ -677,7 +615,6 @@ class ShardedAligner(BatchAligner):
                 if self.denominator == "source-vectors"
                 else None,
                 self.denominator,
-                _tracing_active(),
             )
 
         with _span("shard.predict", n_shards=plan.n_shards):
@@ -694,7 +631,7 @@ class ShardedAligner(BatchAligner):
                 payload_for(spec) for spec in plan.shards if spec.n_rows
             )
             for sid, covered_s, touched, partial in partials:
-                spec = plan.shards[int(sid)]
+                spec = plan.shards[sid]
                 covered[:, spec.rows] = covered_s
                 merged[:, touched] += partial
             residual = self._verify_merge(merged, blend_weights, covered)
@@ -781,7 +718,6 @@ class ShardedAligner(BatchAligner):
         )
         return (
             f"ShardedAligner(n_shards={self.n_shards}, "
-            f"strategy={self.strategy!r}, "
             f"max_workers={self.max_workers}, "
             f"denominator={self.denominator!r}, {status})"
         )

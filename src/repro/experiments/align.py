@@ -2,16 +2,10 @@
 
 Every dataset of a synthetic world in turn plays the objective attribute
 against the remaining datasets -- the paper's Fig. 5 setting without the
-baseline methods -- in one shared pass:
-
-* ``n_shards=0`` (default): all folds share one
-  :class:`~repro.core.batch.BatchAligner` pass (one design/Gram build,
-  N small solves, two matmuls and one Eq. 16/17 kernel call);
-* ``n_shards=N``: the same pass partitioned into boundary-owned shards
-  and map-reduced (:class:`~repro.core.shard.ShardedAligner`); what
-  ``geoalign-repro align --shards N`` runs.
-
-Both report per-dataset NRMSE and total wall time.
+baseline methods -- in one shared :class:`~repro.core.batch.BatchAligner`
+pass (one design/Gram build, N small solves, two matmuls and one
+Eq. 16/17 kernel call).  It reports per-dataset NRMSE and total wall
+time.
 """
 
 from __future__ import annotations
@@ -35,10 +29,9 @@ _UNIVERSES = {
 
 @dataclass
 class AlignmentResult:
-    """Per-dataset alignment quality plus engine wall time."""
+    """Per-dataset alignment quality plus wall time."""
 
     universe: str
-    engine: str
     seconds: float
     rows: list = field(default_factory=list)  # (dataset, rmse, nrmse)
 
@@ -47,8 +40,7 @@ class AlignmentResult:
 
     def to_text(self):
         lines = [
-            f"Alignment ({self.universe}, engine={self.engine}): "
-            "NRMSE by dataset",
+            f"Alignment ({self.universe}): NRMSE by dataset",
             f"{'dataset':32s}{'rmse':>14s}{'nrmse':>10s}",
         ]
         for name, rmse_value, nrmse_value in self.rows:
@@ -57,20 +49,12 @@ class AlignmentResult:
             )
         lines.append(
             f"total GeoAlign wall time: {self.seconds:.3f}s "
-            f"({len(self.rows)} attributes, engine={self.engine})"
+            f"({len(self.rows)} attributes)"
         )
         return "\n".join(lines)
 
 
-def run_alignment(
-    scale=1.0,
-    seed=None,
-    universe="ny",
-    world=None,
-    n_shards=0,
-    shard_strategy="tile",
-    shard_workers=1,
-):
+def run_alignment(scale=1.0, seed=None, universe="ny", world=None):
     """Align every dataset of a world against the rest.
 
     Parameters
@@ -82,10 +66,6 @@ def run_alignment(
         ``"ny"`` or ``"us"``; ignored when ``world`` is given.
     world:
         Optional prebuilt :class:`~repro.synth.world.SyntheticWorld`.
-    n_shards, shard_strategy, shard_workers:
-        ``n_shards`` > 0 runs the sharded engine with that many shards,
-        the given partition strategy and process-pool width; 0 (default)
-        runs the monolithic batch engine.
     """
     if world is None:
         if universe not in _UNIVERSES:
@@ -95,20 +75,11 @@ def run_alignment(
             )
         builder, default_seed = _UNIVERSES[universe]
         world = builder(scale, default_seed if seed is None else seed)
-    engine = "sharded" if n_shards else "batch"
-    with _span("experiment.align", universe=world.name, engine=engine):
-        crossval = leave_one_dataset_out(
-            world.references(),
-            engine=engine,
-            n_shards=n_shards,
-            shard_strategy=shard_strategy,
-            shard_workers=shard_workers,
-        )
+    with _span("experiment.align", universe=world.name):
+        crossval = leave_one_dataset_out(world.references(), engine="batch")
     rows = [
         (score.dataset, score.rmse, score.nrmse)
         for score in crossval.scores
     ]
     seconds = sum(score.runtime_seconds for score in crossval.scores)
-    return AlignmentResult(
-        universe=world.name, engine=engine, seconds=seconds, rows=rows
-    )
+    return AlignmentResult(universe=world.name, seconds=seconds, rows=rows)

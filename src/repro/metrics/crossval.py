@@ -21,13 +21,12 @@ from repro.errors import ValidationError
 from repro.core.baselines import Dasymetric
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.geoalign import GeoAlign
-from repro.core.shard import ShardedAligner
 from repro.metrics.errors import nrmse, rmse
 from repro.obs.trace import span as _span
 from repro.obs.trace import timed_span as _timed_span
 
 #: Valid GeoAlign execution engines for the cross-validation harness.
-ENGINES = ("loop", "batch", "sharded")
+ENGINES = ("loop", "batch")
 
 
 @dataclass(frozen=True)
@@ -90,25 +89,15 @@ class CrossValidationResult:
         return "\n".join(lines)
 
 
-def _batch_geoalign_scores(
-    datasets,
-    geoalign_factory,
-    reference_selector,
-    engine="batch",
-    n_shards=2,
-    shard_strategy="tile",
-    shard_workers=1,
-):
-    """All folds' GeoAlign runs as one shared-stack batch (or shard set).
+def _batch_geoalign_scores(datasets, geoalign_factory, reference_selector):
+    """All folds' GeoAlign runs as one shared-stack batch.
 
     Every fold aligns its held-out dataset against a subset of the same
     pool, so the N fold fits share one :class:`ReferenceStack` over *all*
     datasets; each fold is one attribute row whose mask excludes the test
     dataset (and whatever the reference selector drops).  Masked-out
     references get weight exactly 0.0, which matches the scalar path run
-    on the subset (see :mod:`repro.core.batch`).  ``engine="sharded"``
-    runs the identical computation through the map-reduce
-    :class:`~repro.core.shard.ShardedAligner` (tolerance-equal again).
+    on the subset (see :mod:`repro.core.batch`).
 
     Per-fold runtime is the batch wall-time split evenly across folds --
     the shared work has no per-fold attribution.
@@ -116,7 +105,7 @@ def _batch_geoalign_scores(
     probe = geoalign_factory()
     if not isinstance(probe, GeoAlign):
         raise ValidationError(
-            f"engine={engine!r} requires geoalign_factory to build GeoAlign "
+            "engine='batch' requires geoalign_factory to build GeoAlign "
             f"estimators (got {type(probe).__name__}); use engine='loop'"
         )
     names = [d.name for d in datasets]
@@ -143,22 +132,11 @@ def _batch_geoalign_scores(
                 )
             masks[fold, index_of[ref.name]] = True
 
-    with _timed_span(
-        f"crossval.{engine}", n_folds=len(datasets)
-    ) as clock:
-        if engine == "sharded":
-            aligner = ShardedAligner(
-                n_shards=n_shards,
-                strategy=shard_strategy,
-                normalize=probe.normalize,
-                denominator=probe.denominator,
-                max_workers=shard_workers,
-            )
-        else:
-            aligner = BatchAligner(
-                normalize=probe.normalize,
-                denominator=probe.denominator,
-            )
+    with _timed_span("crossval.batch", n_folds=len(datasets)) as clock:
+        aligner = BatchAligner(
+            normalize=probe.normalize,
+            denominator=probe.denominator,
+        )
         stack = ReferenceStack.build(datasets, normalize=probe.normalize)
         estimates = aligner.fit(
             stack, objectives, attribute_names=names, masks=masks
@@ -188,9 +166,6 @@ def leave_one_dataset_out(
     reference_selector=None,
     runner=None,
     engine="loop",
-    n_shards=2,
-    shard_strategy="tile",
-    shard_workers=1,
 ):
     """Run the paper's cross-validated comparison over a dataset pool.
 
@@ -227,13 +202,7 @@ def leave_one_dataset_out(
         ``"loop"`` (default) fits one scalar GeoAlign per fold;
         ``"batch"`` runs every fold through one shared
         :class:`~repro.core.batch.BatchAligner` pass (tolerance-equal,
-        much faster on many folds); ``"sharded"`` runs the same shared
-        pass through the map-reduce
-        :class:`~repro.core.shard.ShardedAligner` (tolerance-equal,
-        scales past one address space).  Baseline methods always loop.
-    n_shards, shard_strategy, shard_workers:
-        Shard count, partition strategy (``"tile"``/``"block"``) and
-        process-pool width for ``engine="sharded"``; ignored otherwise.
+        much faster on many folds).  Baseline methods always loop.
 
     Returns
     -------
@@ -270,15 +239,9 @@ def leave_one_dataset_out(
     by_name = {d.name: d for d in datasets}
 
     batch_scores = None
-    if engine in ("batch", "sharded"):
+    if engine == "batch":
         batch_scores = _batch_geoalign_scores(
-            datasets,
-            geoalign_factory,
-            reference_selector,
-            engine=engine,
-            n_shards=n_shards,
-            shard_strategy=shard_strategy,
-            shard_workers=shard_workers,
+            datasets, geoalign_factory, reference_selector
         )
 
     for fold, test in enumerate(datasets):

@@ -47,12 +47,6 @@ from repro.obs.trace import (
     trace,
     tracing_active,
 )
-from repro.obs.telemetry import (
-    SPANS_DROPPED,
-    SpanCapture,
-    stitch_capture,
-    worker_capture,
-)
 from repro.obs.export import (
     read_trace_jsonl,
     trace_to_jsonl,
@@ -94,10 +88,6 @@ __all__ = [
     "timed_span",
     "trace",
     "tracing_active",
-    "SPANS_DROPPED",
-    "SpanCapture",
-    "stitch_capture",
-    "worker_capture",
     "PROMETHEUS_CONTENT_TYPE",
     "Histogram",
     "MetricFamily",

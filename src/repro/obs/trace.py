@@ -159,12 +159,7 @@ class Trace:
         ``mode`` is ``"set"``, ``"max"`` (high-water) or ``"min"``
         (low-water).  For the water marks NaN is the worst value: it
         replaces any finite mark and is kept once written, so a run
-        with one bad fold never reads healthy.  Centralised here --
-        rather than inlined in the module-level helpers -- so
-        subclasses that ship across a process boundary
-        (:class:`repro.obs.telemetry.SpanCapture`) can record the
-        *operation*, not just the final value, and replay it with
-        identical semantics on the driver side.
+        with one bad fold never reads healthy.
         """
         with self._lock:
             current = self.gauges.get(name)

@@ -231,6 +231,10 @@ class AlignmentServer:
         self.metrics = ServerMetrics()
         self.tail = TailSampler(capacity=exemplar_capacity)
         self._models: dict[str, ServingModel] = {}
+        #: Keys registered by :meth:`add_model` / :meth:`load_from_store`:
+        #: only these count toward the one-model default, so one
+        #: client's ``/align`` cannot change another's model-less reads.
+        self._registered: set[str] = set()
         self._server: asyncio.Server | None = None
         self._started_at: float | None = None
         self._draining = False
@@ -259,6 +263,7 @@ class AlignmentServer:
         """Register one fitted aligner; returns its serving key."""
         serving = ServingModel.from_model(model, key=key, health=health)
         self._models[serving.key] = serving
+        self._registered.add(serving.key)
         return serving.key
 
     def load_from_store(self, prefix: str) -> str:
@@ -272,6 +277,7 @@ class AlignmentServer:
             model, key=entry.key, health=entry.health
         )
         self._models[serving.key] = serving
+        self._registered.add(serving.key)
         return serving.key
 
     def load_all_from_store(self) -> list[str]:
@@ -285,11 +291,11 @@ class AlignmentServer:
     def _resolve_model(self, body: dict[str, object]) -> ServingModel:
         spec = body.get("model")
         if spec is None:
-            if len(self._models) == 1:
-                return next(iter(self._models.values()))
+            if len(self._registered) == 1:
+                return self._models[next(iter(self._registered))]
             raise ServeError(
-                f"request must name a model ({len(self._models)} loaded); "
-                "pass {'model': <key prefix>}",
+                f"request must name a model ({len(self._registered)} "
+                "registered); pass {'model': <key prefix>}",
                 code="bad-request",
                 status=400,
             )

@@ -136,13 +136,23 @@ class StoreEntry:
         )
 
     @classmethod
-    def from_manifest(cls, manifest: dict[str, object]) -> "StoreEntry":
+    def from_manifest(
+        cls, manifest: dict[str, object], where: str
+    ) -> "StoreEntry":
+        """The entry a manifest describes; ``where`` names it in errors.
+
+        A count that is not an integer, or a name list that is not a
+        list of strings, raises :class:`StoreError` naming the field.
+        """
         shape = manifest.get("shape")
         if not isinstance(shape, dict):
             raise StoreError(
-                f"artifact {manifest.get('key')!r}: manifest has no "
-                "'shape' mapping"
+                f"{where}: manifest field 'shape' must be a mapping"
             )
+
+        def count(name: str) -> int:
+            return _manifest_int(shape.get(name), f"shape.{name}", where)
+
         config = manifest.get("config")
         health = manifest.get("health")
         meta = manifest.get("meta")
@@ -150,17 +160,17 @@ class StoreEntry:
             key=str(manifest["key"]),
             fingerprint=str(manifest["fingerprint"]),
             created_at=str(manifest.get("created_at", "")),
-            n_attrs=int(shape["n_attrs"]),  # type: ignore[call-overload]
-            n_references=int(shape["n_references"]),  # type: ignore[call-overload]
-            n_sources=int(shape["n_sources"]),  # type: ignore[call-overload]
-            n_targets=int(shape["n_targets"]),  # type: ignore[call-overload]
-            nnz=int(shape["nnz"]),  # type: ignore[call-overload]
-            attribute_names=[
-                str(name) for name in manifest.get("attribute_names", [])  # type: ignore[union-attr]
-            ],
-            reference_names=[
-                str(name) for name in manifest.get("reference_names", [])  # type: ignore[union-attr]
-            ],
+            n_attrs=count("n_attrs"),
+            n_references=count("n_references"),
+            n_sources=count("n_sources"),
+            n_targets=count("n_targets"),
+            nnz=count("nnz"),
+            attribute_names=_manifest_names(
+                manifest.get("attribute_names", []), "attribute_names", where
+            ),
+            reference_names=_manifest_names(
+                manifest.get("reference_names", []), "reference_names", where
+            ),
             config=dict(config) if isinstance(config, dict) else {},
             health=(
                 {str(k): str(v) for k, v in health.items()}
@@ -168,8 +178,29 @@ class StoreEntry:
                 else {}
             ),
             meta=dict(meta) if isinstance(meta, dict) else {},
-            payload_bytes=int(manifest.get("payload_bytes", 0)),  # type: ignore[arg-type]
+            payload_bytes=_manifest_int(
+                manifest.get("payload_bytes", 0), "payload_bytes", where
+            ),
         )
+
+
+def _manifest_int(value: object, field: str, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StoreError(
+            f"{where}: manifest field {field!r} must be an integer, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _manifest_names(value: object, field: str, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(
+        isinstance(name, str) for name in value
+    ):
+        raise StoreError(
+            f"{where}: manifest field {field!r} must be a list of strings"
+        )
+    return list(value)
 
 
 def _utc_now() -> str:
@@ -445,7 +476,9 @@ class ModelStore:
                     "meta": dict(meta or {}),
                 },
             )
-        return StoreEntry.from_manifest(manifest)
+        return StoreEntry.from_manifest(
+            manifest, manifest_path(self.root, key)
+        )
 
     # -- reading --------------------------------------------------------
     def keys(self) -> list[str]:
@@ -459,7 +492,9 @@ class ModelStore:
     def list(self) -> list[StoreEntry]:
         """Entries for every artifact, sorted by key (manifests only)."""
         return [
-            StoreEntry.from_manifest(read_manifest(self.root, key))
+            StoreEntry.from_manifest(
+                read_manifest(self.root, key), manifest_path(self.root, key)
+            )
             for key in self.keys()
         ]
 
@@ -481,8 +516,9 @@ class ModelStore:
 
     def entry(self, prefix: str) -> StoreEntry:
         """The :class:`StoreEntry` under a (unique) key prefix."""
+        key = self.resolve(prefix)
         return StoreEntry.from_manifest(
-            read_manifest(self.root, self.resolve(prefix))
+            read_manifest(self.root, key), manifest_path(self.root, key)
         )
 
     def load(self, prefix: str) -> tuple[BatchAligner, StoreEntry]:
@@ -496,8 +532,8 @@ class ModelStore:
         key = self.resolve(prefix)
         with _span("store.load", key=key):
             manifest, arrays = read_artifact(self.root, key)
-            entry = StoreEntry.from_manifest(manifest)
             where = manifest_path(self.root, key)
+            entry = StoreEntry.from_manifest(manifest, where)
             _check_shapes(arrays, where)
             stack_mode = _stack_mode(manifest, arrays, where)
             config = entry.config

@@ -433,6 +433,30 @@ class TestStoreCommand:
         assert code == 2
         assert "no stored model" in capsys.readouterr().err
 
+    def test_damaged_manifest_exits_two(self, tmp_path, capsys):
+        from repro.store.artifact import manifest_path
+
+        root = str(tmp_path / "store")
+        code, out = _run(
+            [
+                "store", "save", "--store", root,
+                "--universe", "ny", "--scale", str(TEST_SCALE),
+            ]
+        )
+        assert code == 0
+        key = out.split()[0]
+        path = manifest_path(root, key)
+        with open(path) as handle:
+            manifest = json.load(handle)
+        del manifest["shape"]["nnz"]
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        for argv in (["list"], ["load", key]):
+            code, _ = _run(["store", *argv, "--store", root])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "'shape.nnz'" in err and path in err
+
 
 class TestServeCommand:
     def test_serve_flags(self):
@@ -446,6 +470,13 @@ class TestServeCommand:
         assert args.model == ["aa", "bb"]
         assert args.ready_file == "r.txt"
         assert args.shutdown_after == 2.0
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-5", "http"])
+    def test_port_outside_range_exits_two(self, port, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--port", port])
+        assert excinfo.value.code == 2
+        assert "0-65535" in capsys.readouterr().err
 
     def test_serve_answers_requests_until_timed_shutdown(self, tmp_path):
         """End to end through the CLI: save, serve, query, drain.

@@ -3,15 +3,19 @@
 These assert the paper's qualitative *shapes* (who wins, what fails,
 what stays flat); :class:`TestFigurePins` then holds every cell of the
 same Fig. 5a, 5b, 7 and 8 runs to ``fixtures/figures/`` (written by
-``tests/figures_gen.py``).  EXPERIMENTS.md records the paper-scale
-measurements from the benchmark harness.
+``tests/figures_gen.py``), and :class:`TestExperimentsDocument` holds
+EXPERIMENTS.md's Fig. 5 tables to a paper-scale run.
 """
+
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro.experiments import (
     run_effectiveness,
+    run_figure5a,
+    run_figure5b,
     run_noise_robustness,
     run_reference_selection,
     run_scalability,
@@ -246,3 +250,65 @@ class TestFigurePins:
             "fig | B | x: missing in run",
         ]
         assert figures_gen.compare_cells("fig", expected, expected, 0) == []
+
+
+EXPERIMENTS = pathlib.Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
+
+#: EXPERIMENTS.md's Fig. 5 columns after the dataset, as method names.
+FIG5_COLUMNS = (
+    "GeoAlign",
+    "dasymetric[Population]",
+    "dasymetric[USPS Residential Address]",
+    "dasymetric[USPS Business Address]",
+    "areal-weighting",
+)
+
+
+def _documented_rows(heading):
+    """The data rows of the table under ``heading``, bold removed."""
+    section = EXPERIMENTS.read_text().split(f"\n{heading}", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [
+        line.replace("**", "")
+        for line in section.splitlines()
+        if line.startswith("| ") and not line.startswith("| dataset ")
+    ]
+
+
+def _measured_rows(result):
+    """One markdown row per dataset, cells as the document prints them."""
+    return [
+        "| "
+        + " | ".join(
+            [dataset]
+            + [f"{row[m]:.3f}" if m in row else "—" for m in FIG5_COLUMNS]
+        )
+        + " |"
+        for dataset, row in result.nrmse_table().items()
+    ]
+
+
+class TestExperimentsDocument:
+    """EXPERIMENTS.md's Fig. 5 tables equal a paper-scale run.
+
+    Each row is rendered at the tables' 3-decimal precision and compared
+    with the document (bold markers aside); a failure prints every row
+    to paste.
+    """
+
+    @pytest.mark.parametrize(
+        "run, heading",
+        [
+            (run_figure5a, "## Figure 5a"),
+            (run_figure5b, "## Figure 5b"),
+        ],
+        ids=["fig5a", "fig5b"],
+    )
+    def test_fig5_rows_match_paper_scale_run(self, run, heading):
+        measured = _measured_rows(run(scale=1.0))
+        documented = _documented_rows(heading)
+        stale = [row for row in measured if row not in documented]
+        assert len(measured) == len(documented) and not stale, (
+            f"EXPERIMENTS.md {heading[3:]}: paste these rows\n"
+            + "\n".join(stale or measured)
+        )

@@ -319,6 +319,38 @@ class TestEndpoints:
         assert s1 == s2 == 200
         assert p1["predictions"] == p2["predictions"]
 
+    def test_align_results_never_count_toward_the_default(self, fitted):
+        """One client's ``/align`` leaves every model-less request on
+        the one registered model; the result stays reachable by key."""
+        rows = [(fitted.objectives_[:1] * k).tolist() for k in (1.5, 2.0)]
+
+        async def body(server, key):
+            async with ServeClient(server.host, server.port) as client:
+                aligned = [
+                    await client.request(
+                        "POST", "/align", {"objectives": objectives}
+                    )
+                    for objectives in rows
+                ]
+                implicit = await client.request("POST", "/predict", {})
+                by_key = await client.request(
+                    "POST", "/predict", {"model": aligned[0][1]["model"]}
+                )
+            return key, aligned, implicit, by_key, len(server.models)
+
+        key, aligned, implicit, by_key, n_models = run_with_server(
+            fitted, body
+        )
+        assert [status for status, _ in aligned] == [200, 200]
+        assert n_models == 3
+        status, payload = implicit
+        assert status == 200, payload
+        assert payload["model"] == key
+        assert payload["predictions"] == fitted.predict().tolist()
+        status, payload = by_key
+        assert status == 200
+        assert payload["predictions"] == aligned[0][1]["predictions"]
+
     def test_align_on_warm_stack(self, fitted):
         new_objectives = (fitted.objectives_ * 1.5).tolist()
 

@@ -2,8 +2,8 @@
 
 Replays every pinned world under ``fixtures/golden/`` through
 :class:`~repro.core.shard.ShardedAligner` at shard counts {1, 2, 4, 7}
-(uneven blocks included: the golden worlds' source counts do not divide
-by 4 or 7) and holds weights and predictions to the stored values at
+(uneven tiles included: most golden worlds' target counts do not
+divide by 4 or 7) and holds weights and predictions to the stored values at
 1e-9 -- the *same* fixtures and tolerance the scalar and batch engines
 are pinned to, so all three engines are mutually tolerance-equal.  On
 top of the pinned values, the sharded run is compared directly against
@@ -14,7 +14,6 @@ merge of partial column sums.
 """
 
 import os
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.batch import BatchAligner
 from repro.core.shard import ShardedAligner, _column_map
-from repro.obs import SPANS_DROPPED, trace
 from repro.synth.bigalign import build_big_universe
 from tests.test_golden import (
     ATOL,
@@ -33,7 +31,6 @@ from tests.test_golden import (
 )
 
 SHARD_COUNTS = (1, 2, 4, 7)
-STRATEGIES = ("tile", "block")
 
 GOLDEN_IDS = [os.path.basename(p) for p in GOLDEN_PATHS]
 
@@ -57,22 +54,19 @@ def test_sharded_matches_golden(path, denominator, n_shards):
 
 
 @pytest.mark.parametrize("path", GOLDEN_PATHS, ids=GOLDEN_IDS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_sharded_matches_monolithic_tightly(path, strategy, n_shards):
+def test_sharded_matches_monolithic_tightly(path, n_shards):
     """Engine-vs-engine, far below the golden tolerance.
 
     The weights are the monolithic ones bit for bit; the predictions
     differ only in the float accumulation order of the merge, so the
     engines agree to ~1e-13 relative -- four orders tighter than the
-    1e-9 the fixtures pin.  Both strategies and every shard count must
-    hold it, uneven splits included.
+    1e-9 the fixtures pin.  Every shard count must hold it, uneven
+    splits included.
     """
     _spec, references, objectives = _load(path)
     expected = BatchAligner().fit(references, objectives)
-    sharded = ShardedAligner(n_shards=n_shards, strategy=strategy).fit(
-        references, objectives
-    )
+    sharded = ShardedAligner(n_shards=n_shards).fit(references, objectives)
     np.testing.assert_array_equal(sharded.weights_, expected.weights_)
     np.testing.assert_allclose(
         sharded.predict(), expected.predict(), rtol=1e-12, atol=1e-13
@@ -102,34 +96,30 @@ def banded_monolithic(banded_world):
 
 
 @pytest.mark.parametrize("max_workers", [1, 2], ids=["inline", "pool"])
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
 def test_weights_bitwise_equal_to_monolithic(
-    banded_world, banded_monolithic, n_shards, strategy, max_workers
+    banded_world, banded_monolithic, n_shards, max_workers
 ):
     """The fit solves on the stack's own Gram matrix, so the weights
-    cannot depend on the plan, the strategy or the pool."""
+    cannot depend on the plan or the pool."""
     references, objectives = banded_world
     sharded = ShardedAligner(
-        n_shards=n_shards, strategy=strategy, max_workers=max_workers
+        n_shards=n_shards, max_workers=max_workers
     ).fit(references, objectives)
     np.testing.assert_array_equal(
         sharded.weights_, banded_monolithic.weights_
     )
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-def test_pooled_predictions_bitwise_equal_inline(
-    banded_world, n_shards, strategy
-):
+def test_pooled_predictions_bitwise_equal_inline(banded_world, n_shards):
     """Same worker arithmetic, same shard-order fold: the pool changes
     where the shards run, never a bit of the answer."""
     references, objectives = banded_world
     inline, pooled = (
-        ShardedAligner(
-            n_shards=n_shards, strategy=strategy, max_workers=workers
-        ).fit_predict(references, objectives)
+        ShardedAligner(n_shards=n_shards, max_workers=workers).fit_predict(
+            references, objectives
+        )
         for workers in (1, 2)
     )
     np.testing.assert_array_equal(pooled, inline)
@@ -181,48 +171,3 @@ def test_column_map_equals_unique_inverse(values):
     assert inverse.dtype == np.int64
     np.testing.assert_array_equal(distinct, expected)
     np.testing.assert_array_equal(inverse, expected_inverse.reshape(-1))
-
-
-def _traced_shard_run(references, objectives, n_shards, max_workers):
-    """Fit + predict under a recording session; return the session."""
-    with trace("shard-run") as session:
-        aligner = ShardedAligner(
-            n_shards=n_shards, max_workers=max_workers
-        ).fit(references, objectives)
-        aligner.predict()
-    return session
-
-
-def test_pooled_run_stitches_one_trace_with_span_parity():
-    """Telemetry equivalence: pooled == inline span-for-span.
-
-    A ``max_workers > 1`` run records worker spans in child processes
-    and stitches the shipped captures back into the driver session; the
-    stitched tree must carry exactly the spans an inline run records
-    directly -- same names, same multiplicities, nothing dropped -- and
-    every worker root must hang off the driver's ``shard.map`` spans.
-    """
-    _spec, references, objectives = _load(GOLDEN_PATHS[0])
-    n_shards = 4
-    inline = _traced_shard_run(references, objectives, n_shards, 1)
-    pooled = _traced_shard_run(references, objectives, n_shards, 2)
-
-    assert Counter(s.name for s in pooled.spans) == Counter(
-        s.name for s in inline.spans
-    )
-    for session in (inline, pooled):
-        assert SPANS_DROPPED not in session.counters
-        workers = session.find_spans("shard.worker")
-        phases = Counter(str(s.attrs["phase"]) for s in workers)
-        assert phases == {"disaggregate": n_shards}
-        map_ids = {s.span_id for s in session.find_spans("shard.map")}
-        assert map_ids
-        assert all(s.parent_id in map_ids for s in workers)
-    # Counters fold identically through the capture path.
-    pooled_shard_counters = {
-        k: v for k, v in pooled.counters.items() if k.startswith("kernel.")
-    }
-    inline_shard_counters = {
-        k: v for k, v in inline.counters.items() if k.startswith("kernel.")
-    }
-    assert pooled_shard_counters == inline_shard_counters

@@ -4,13 +4,13 @@ Three global properties on randomly generated universes with rows that
 straddle tile boundaries:
 
 * **Ownership is a partition** -- every source row and union entry is
-  owned by exactly one shard, for both strategies and any shard count;
-  a tile owner is the tile holding the row's mass majority.
+  owned by exactly one shard, for any shard count; a row's owner is the
+  tile holding its mass majority.
 * **Global volume preservation (Eq. 16)** -- covered attribute mass is
   conserved by the *merged* sharded disaggregation, exactly as the
   monolithic engine guarantees it.
 * **Shard-count invariance** -- predictions do not depend on the shard
-  count or strategy (the map-reduce is an implementation detail).
+  count (the map-reduce is an implementation detail).
 """
 
 import numpy as np
@@ -53,22 +53,16 @@ def universes(draw):
     return references, objectives
 
 
-@st.composite
-def shard_layouts(draw):
-    return (
-        draw(st.integers(1, 9)),
-        draw(st.sampled_from(["tile", "block"])),
-    )
+shard_counts = st.integers(1, 9)
 
 
 class TestOwnershipPartition:
     @settings(max_examples=40, deadline=None)
-    @given(universes(), shard_layouts())
-    def test_rows_and_entries_owned_exactly_once(self, universe, layout):
+    @given(universes(), shard_counts)
+    def test_rows_and_entries_owned_exactly_once(self, universe, n_shards):
         references, _ = universe
-        n_shards, strategy = layout
         stack = ReferenceStack.build(references)
-        plan = plan_shards(stack, n_shards, strategy=strategy)
+        plan = plan_shards(stack, n_shards)
         plan.validate()  # raises unless rows/entries partition exactly
 
         row_owned = np.zeros(stack.n_sources, dtype=int)
@@ -81,14 +75,14 @@ class TestOwnershipPartition:
         assert np.all(entry_owned == 1)
 
     @settings(max_examples=40, deadline=None)
-    @given(universes(), st.integers(1, 9))
+    @given(universes(), shard_counts)
     def test_tile_owner_is_the_mass_majority_tile(self, universe, n_shards):
         """Each row goes to the tile holding most of its reference mass,
         votes summed entry by entry in CSR order (ties to the lowest
         tile, entry-less rows to shard 0)."""
         references, _ = universe
         stack = ReferenceStack.build(references)
-        plan = plan_shards(stack, n_shards, strategy="tile")
+        plan = plan_shards(stack, n_shards)
         tile_of_col = np.zeros(stack.n_targets, dtype=np.int64)
         for tile, cols in enumerate(
             np.array_split(np.arange(stack.n_targets), n_shards)
@@ -103,13 +97,12 @@ class TestOwnershipPartition:
         np.testing.assert_array_equal(plan.owner, np.argmax(votes, axis=1))
 
     @settings(max_examples=40, deadline=None)
-    @given(universes(), shard_layouts())
-    def test_boundary_rows_exact(self, universe, layout):
+    @given(universes(), shard_counts)
+    def test_boundary_rows_exact(self, universe, n_shards):
         """boundary_rows is exactly the rows writing cross-shard columns."""
         references, _ = universe
-        n_shards, strategy = layout
         stack = ReferenceStack.build(references)
-        plan = plan_shards(stack, n_shards, strategy=strategy)
+        plan = plan_shards(stack, n_shards)
         entry_owner = plan.owner[stack.entry_rows]
         expected = set()
         for col in range(stack.n_targets):
@@ -123,13 +116,12 @@ class TestOwnershipPartition:
 
 class TestGlobalVolumePreservation:
     @settings(max_examples=30, deadline=None)
-    @given(universes(), shard_layouts())
-    def test_covered_mass_is_conserved(self, universe, layout):
+    @given(universes(), shard_counts)
+    def test_covered_mass_is_conserved(self, universe, n_shards):
         """Eq. 16 globally: each attribute's covered source mass equals
         the total of its merged target estimates."""
         references, objectives = universe
-        n_shards, strategy = layout
-        model = ShardedAligner(n_shards=n_shards, strategy=strategy).fit(
+        model = ShardedAligner(n_shards=n_shards).fit(
             references, objectives
         )
         predictions = model.predict()
@@ -149,13 +141,12 @@ class TestGlobalVolumePreservation:
 
 class TestShardCountInvariance:
     @settings(max_examples=30, deadline=None)
-    @given(universes(), shard_layouts())
-    def test_predictions_independent_of_layout(self, universe, layout):
+    @given(universes(), shard_counts)
+    def test_predictions_independent_of_layout(self, universe, n_shards):
         references, objectives = universe
-        n_shards, strategy = layout
         baseline = BatchAligner().fit(references, objectives).predict()
         sharded = (
-            ShardedAligner(n_shards=n_shards, strategy=strategy)
+            ShardedAligner(n_shards=n_shards)
             .fit(references, objectives)
             .predict()
         )

@@ -329,6 +329,45 @@ class TestIntegrityRefusals:
         with pytest.raises(StoreError, match="no artifact manifest"):
             read_artifact(store.root, "feedfacecafe")
 
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("shape.nnz", lambda m: m["shape"].pop("nnz")),
+            ("shape.n_attrs", lambda m: m["shape"].update(n_attrs="x")),
+            ("shape.n_sources", lambda m: m["shape"].update(n_sources=2.5)),
+            ("shape.n_targets", lambda m: m["shape"].update(n_targets=True)),
+            ("payload_bytes", lambda m: m.update(payload_bytes="12")),
+            ("attribute_names", lambda m: m.update(attribute_names=5)),
+            ("reference_names", lambda m: m.update(reference_names=[1])),
+            ("shape", lambda m: m.update(shape=[3, 4])),
+        ],
+        ids=[
+            "nnz-missing",
+            "n-attrs-string",
+            "n-sources-float",
+            "n-targets-bool",
+            "payload-bytes-string",
+            "attribute-names-int",
+            "reference-names-ints",
+            "shape-list",
+        ],
+    )
+    def test_damaged_manifest_field_is_a_store_error(
+        self, store, fitted, field, damage
+    ):
+        entry = store.save(fitted)
+        path = manifest_path(store.root, entry.key)
+        with open(path) as handle:
+            manifest = json.load(handle)
+        damage(manifest)
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        for read in (store.list, lambda: store.load(entry.key)):
+            with pytest.raises(StoreError) as excinfo:
+                read()
+            assert repr(field) in str(excinfo.value)
+            assert path in str(excinfo.value)
+
     def test_payload_swap_between_artifacts(
         self, store, fitted, paired_references
     ):
