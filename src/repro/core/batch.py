@@ -10,7 +10,9 @@ front.  Everything attribute-independent lives in a
    matrix ``A`` and the Gram matrix ``A^T A`` of Eq. 15;
 2. ``R``, the ``(k, m)`` row sums of each reference disaggregation matrix
    ``D_j``, and the per-reference target-major ``(t, m)`` CSR operators
-   ``D_j^T`` (Eq. 16 / Eq. 17), built on the first ``predict``;
+   ``D_j^T`` (Eq. 16 / Eq. 17), built per reference by the first
+   ``predict`` that weights it: Eq. 15's simplex leaves many weights at
+   exactly zero, and a reference no fit weights is never built;
 3. the :class:`~repro.core.sparse_stack.SparseDMStack` holding the K
    reference DMs over the *union* of their sparsity patterns, built only
    when a consumer first asks for per-entry values.
@@ -335,26 +337,28 @@ def _emit_weight_health_gauges(weights: FloatArray, gram: FloatArray) -> None:
 
 
 def _build_linear(
-    matrices: Sequence[Any], n_sources: int, n_targets: int
-) -> tuple[FloatArray, list[Any]]:
-    """``R`` and the target-major operators ``D_j^T`` of K reference DMs.
+    matrices: Sequence[Any],
+    refs: Sequence[int],
+    row_sums: FloatArray,
+    operators: list[Any],
+    n_targets: int,
+) -> None:
+    """Fill row ``R[j]`` and operator ``D_j^T`` for each ``j`` in ``refs``.
 
     ``R[j]`` is one CSR mat-vec of ``D_j`` with a ones vector.  The
     operators are ``(t, m)`` CSR with int32 indices where they fit: the
     CSC form of ``D_j`` is the CSR form of ``D_j^T``, and converting a
     matrix whose values are the entries' own positions yields the
     transposing permutation (SciPy's counting sort keeps source rows
-    ascending within each target).  References on one pattern share it
-    and the index arrays.
+    ascending within each target).  References on one pattern built in
+    one call share it and the index arrays.
     """
-    m, t = n_sources, n_targets
-    row_sums = np.empty((len(matrices), m))
+    m, t = row_sums.shape[1], n_targets
     ones = np.ones(t)
-    operators: list[Any] = []
     pattern: tuple[Any, NDArray[np.intp], Any] | None = None
-    with _span("stack.operators", k=len(matrices)):
-        for j, matrix in enumerate(matrices):
-            csr = _as_sorted_csr(matrix)
+    with _span("stack.operators", k=len(refs)):
+        for j in refs:
+            csr = _as_sorted_csr(matrices[j])
             row_sums[j] = csr @ ones
             if pattern is None or not (
                 np.array_equal(pattern[0].indptr, csr.indptr)
@@ -375,25 +379,24 @@ def _build_linear(
                 ).tocsc()
                 pattern = (csr, by_target.data.astype(np.intp), by_target)
             _, order, by_target = pattern
-            operators.append(
-                sparse.csr_matrix(
-                    (csr.data[order], by_target.indices, by_target.indptr),
-                    shape=(t, m),
-                )
+            operators[j] = sparse.csr_matrix(
+                (csr.data[order], by_target.indices, by_target.indptr),
+                shape=(t, m),
             )
-    return row_sums, operators
 
 
 class _DMArrays:
     """What a stack derives from its reference DMs, each built once.
 
-    ``R`` and the operators serve :meth:`BatchAligner.predict`; the
-    union-pattern :class:`~repro.core.sparse_stack.SparseDMStack`
-    serves the per-entry consumers.  Both are built on first use under
-    one lock, so a caller may share one stack across threads.  Stacks
-    over the same DMs (:meth:`ReferenceStack.with_references`) share
-    one instance, so a member built through any of them is built for
-    all.
+    ``R`` and the operators serve :meth:`BatchAligner.predict`, built
+    per reference: a reference's ``R`` row and operator on the first
+    call that asks for that reference, so a reference no fit weights
+    keeps an all-zero ``R`` row and no operator.  The union-pattern
+    :class:`~repro.core.sparse_stack.SparseDMStack` serves the per-entry
+    consumers.  Both are built on first use under one lock, so a caller
+    may share one stack across threads.  Stacks over the same DMs
+    (:meth:`ReferenceStack.with_references`) share one instance, so a
+    member built through any of them is built for all.
     """
 
     def __init__(
@@ -409,7 +412,10 @@ class _DMArrays:
         self.n_targets = n_targets
         self.dense = dense
         self.dm_stack = dm_stack
-        self.linear: tuple[FloatArray, list[Any]] | None = None
+        #: ``R``, allocated (all zero) by the first build.
+        self.row_sums: FloatArray | None = None
+        #: Operator per reference, ``None`` until that reference is built.
+        self.operators: list[Any] = [None] * len(matrices)
         self.lock = threading.Lock()
 
     def __getstate__(self) -> dict[str, Any]:
@@ -437,30 +443,53 @@ class _DMArrays:
                     self.dm_stack = dm_stack
         return self.dm_stack
 
-    def linear_arrays(self) -> tuple[FloatArray, list[Any]]:
-        """``(R, operators)``, built together on the first call."""
-        if self.linear is None:
+    def _unbuilt(self, refs: Iterable[int]) -> list[int]:
+        return [j for j in refs if self.operators[j] is None]
+
+    def linear_arrays(
+        self, refs: Sequence[int] | None = None
+    ) -> tuple[FloatArray, list[Any]]:
+        """``(R, operators)`` with the members of ``refs`` built.
+
+        ``refs`` are ascending reference positions, every reference when
+        ``None``.  Each unbuilt one is built once, in one
+        ``stack.operators`` span per call that builds any.
+        """
+        wanted = range(len(self.matrices)) if refs is None else refs
+        row_sums = self.row_sums
+        if row_sums is None or self._unbuilt(wanted):
             with self.lock:
-                if self.linear is None:
-                    self.linear = _build_linear(
-                        self.matrices, self.n_sources, self.n_targets
+                if self.row_sums is None:
+                    self.row_sums = np.zeros(
+                        (len(self.matrices), self.n_sources)
                     )
-        return self.linear
+                row_sums = self.row_sums
+                missing = self._unbuilt(wanted)
+                if missing:
+                    _build_linear(
+                        self.matrices,
+                        missing,
+                        row_sums,
+                        self.operators,
+                        self.n_targets,
+                    )
+        return row_sums, self.operators
 
     @property
     def resident_bytes(self) -> int:
-        """``R`` and the operators, plus the union stack, once built."""
+        """``R`` and the built operators, plus the union stack, once
+        built."""
         total = 0
-        if self.linear is not None:
-            row_sums, operators = self.linear
+        if self.row_sums is not None:
             # Operators on one pattern share their index buffers: count
             # each buffer once, keyed by address.
             buffers = {
                 array.ctypes.data: int(array.nbytes)
-                for op in operators
+                for op in self.operators
+                if op is not None
                 for array in (op.data, op.indices, op.indptr)
             }
-            total += int(row_sums.nbytes) + sum(buffers.values())
+            total += int(self.row_sums.nbytes) + sum(buffers.values())
         if self.dm_stack is not None:
             total += self.dm_stack.resident_bytes
         return total
@@ -494,7 +523,9 @@ class ReferenceStack:
         divides the learned weights back to raw-DM scale before blending.
     ref_row_sums, operators:
         ``R`` and the per-reference ``D_j^T`` behind
-        :meth:`rescaled_totals`, built together on first use.
+        :meth:`rescaled_totals`, every reference's built on first
+        access; a predict builds only the references it weights
+        (:meth:`linear_for`).
     dm_stack:
         The :class:`~repro.core.sparse_stack.SparseDMStack` holding the
         reference DM entries in CSR layout over the union sparsity
@@ -588,6 +619,24 @@ class ReferenceStack:
         """Per-reference ``(t, m)`` CSR operators ``D_j^T``."""
         return self._dms.linear_arrays()[1]
 
+    def linear_for(
+        self, blend_weights: FloatArray
+    ) -> tuple[FloatArray, list[Any]]:
+        """``(R, operators)`` built for the references ``blend_weights``
+        weights in some attribute.
+
+        A reference weighted zero for every attribute reads as an
+        all-zero ``R`` row and a ``None`` operator until a call that
+        weights it (or :attr:`ref_row_sums` / :attr:`operators`) builds
+        it.  Its zero weight times the zero row adds the same ``+0.0``
+        as times its real row, so the result is the same bits either
+        way -- also while another thread fills rows this call weights
+        zero.
+        """
+        return self._dms.linear_arrays(
+            np.flatnonzero(blend_weights.any(axis=0)).tolist()
+        )
+
     @property
     def resident_bytes(self) -> int:
         """Bytes held by ``R`` and the operators plus the union stack,
@@ -603,11 +652,12 @@ class ReferenceStack:
         multiplied by ``factors[:, r]``, computed as ``sum_j
         blend_weights[:, j] * (factors @ D_j)`` over the target-major
         operators, so no ``(n, nnz)`` matrix exists.  A reference
-        weighted zero for every attribute adds nothing and is skipped.
+        weighted zero for every attribute adds nothing: it is skipped,
+        and its operator is not built.
         The association of the weights follows the stack's shape, so
         one stack always computes the same bits.
         """
-        operators = self.operators
+        _, operators = self.linear_for(blend_weights)
         with _span("kernel.rescaled_totals", n_attrs=int(factors.shape[0])):
             rhs = np.ascontiguousarray(factors.T)
             # Weight whichever side of the product is smaller: the
@@ -972,14 +1022,15 @@ class BatchAligner:
         By linearity the blend's row sums are ``blend_weights @ R`` (``R``
         the stack's per-reference DM row sums), so neither policy needs
         the blended entries: ``source-vectors`` is the same product with
-        the references' source vectors in place of ``R``.  The first call
-        on a stack builds ``R`` and the operators.
+        the references' source vectors in place of ``R``.  The ``R`` rows
+        and operators of the references these weights use are built here
+        if no earlier call on the stack built them.
         """
         stack, weights, objectives = self._require_fitted()
-        row_sums = stack.ref_row_sums
         # The weights were learned on max-normalised vectors; blending
         # the raw DMs takes them back to each reference's own scale.
         blend_weights = weights / stack.scales[np.newaxis, :]
+        row_sums, _ = stack.linear_for(blend_weights)
         self.blend_weights_ = blend_weights
         if self.denominator == "source-vectors":
             denominators = blend_weights @ stack.source_vectors
@@ -1053,7 +1104,7 @@ class BatchAligner:
                 row_sums = (
                     denominators
                     if self.denominator == "row-sums"
-                    else blend_weights @ stack.ref_row_sums
+                    else blend_weights @ stack.linear_for(blend_weights)[0]
                 )
                 _emit_volume_health_gauges(
                     objectives, denominators > 0.0, factors * row_sums

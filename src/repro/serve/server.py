@@ -37,7 +37,10 @@ Design choices that make the hot path hot:
   leaving N small solves and two matmuls.  It runs inline on the loop
   (alignment latency is milliseconds at serving scale); the fitted
   result is answered with the rows its new slot encoded, and joins the
-  registry once any requested save to the store has succeeded.
+  registry once any requested save to the store has succeeded.  A
+  result never replaces a model registered by :meth:`add_model` or the
+  store: a refit of that model's own inputs answers under its key, and
+  the registered slot keeps its health verdicts.
 
 Observability: the tracing state active at :meth:`start` is captured
 (:func:`~repro.obs.trace.current_trace_context`) and re-activated per
@@ -593,8 +596,9 @@ class AlignmentServer:
         """Current server gauges, shared by both /metrics renderings.
 
         Warm-stack residency: bytes held by every loaded model's
-        reference stack (``R``, the operators and the union value
-        stack, each once built), and the union-pattern size and density
+        reference stack (``R`` once any reference is built, the
+        operators of the references a predict weighted, and the union
+        value stack once built), and the union-pattern size and density
         of the union stacks built so far (store-loaded models carry
         theirs).  Reading the gauges builds nothing.
         """
@@ -776,8 +780,11 @@ class AlignmentServer:
             assert self.store is not None
             self.store.save(fitted)
         # Registered last: a refused or failed request leaves the
-        # registry as it found it.
-        self._models[new_serving.key] = new_serving
+        # registry as it found it.  A refit of a registered model's own
+        # inputs gets its key; that slot keeps its health verdicts, and
+        # the refit on the same stack answers the same rows.
+        if new_serving.key not in self._registered:
+            self._models[new_serving.key] = new_serving
         return {
             "model": new_serving.key,
             "fingerprint": new_serving.fingerprint,

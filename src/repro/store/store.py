@@ -357,8 +357,9 @@ def _rebuild_stack(
     load as dense, matching the old engine's BLAS blend).  Per-reference
     DMs are materialised from the stored value rows (explicit zeros
     dropped by the DM constructor, restoring each reference's original
-    pattern); ``R`` and the operators are built from them on the first
-    ``predict``, exactly as for the model that was saved.
+    pattern); each reference's ``R`` row and operator are built from
+    them by the first ``predict`` that weights it, exactly as for the
+    model that was saved.
     """
     source_labels = [str(s) for s in arrays["source_labels"]]
     target_labels = [str(t) for t in arrays["target_labels"]]

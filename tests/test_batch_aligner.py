@@ -207,6 +207,65 @@ def test_predict_equals_column_sums_of_predict_dms(
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    m=st.integers(2, 12),
+    t=st.integers(1, 8),
+    k=st.integers(2, 6),
+    n_attrs=st.integers(1, 4),
+    denominator=st.sampled_from(("row-sums", "source-vectors")),
+)
+def test_fresh_stack_predict_equals_full_build_bitwise(
+    seed, m, t, k, n_attrs, denominator
+):
+    """A predict on a fresh stack builds ``R`` and the operators only for
+    the references its weights use, and answers what the same fit
+    answers after ``stack.operators`` built every reference, bit for
+    bit.  Masks drop some references from every attribute and the solver
+    zeroes others; one-row fits, and GeoAlign where nothing is masked,
+    match too."""
+    references, objectives = _world(
+        seed, m=m, t=t, k=k, n_attrs=n_attrs, density=0.5
+    )
+    rng = np.random.default_rng(seed + 3)
+    masks = rng.random((n_attrs, k)) < 0.7
+    masks[:, rng.random(k) < 0.3] = False
+    masks[np.arange(n_attrs), rng.integers(k, size=n_attrs)] = True
+    full = ReferenceStack(references)
+    assert len(full.operators) == k
+    lazy = ReferenceStack(references)
+
+    def fit(stack, rows):
+        return BatchAligner(denominator=denominator).fit(
+            stack, objectives[rows], masks=masks[rows]
+        )
+
+    expected, got = fit(full, slice(None)), fit(lazy, slice(None))
+    assert got.predict().tobytes() == expected.predict().tobytes()
+    row_sums, operators = lazy.linear_for(got.blend_weights_)
+    weighted = got.blend_weights_.any(axis=0)
+    assert [op is not None for op in operators] == weighted.tolist()
+    assert not row_sums[~weighted].any()
+    for left, right in zip(got.predict_dms(), expected.predict_dms()):
+        for name in ("data", "indices", "indptr"):
+            assert (
+                getattr(left.matrix, name).tobytes()
+                == getattr(right.matrix, name).tobytes()
+            )
+    for j in range(n_attrs):
+        rows = slice(j, j + 1)
+        one_row = fit(full, rows).predict()[0]
+        assert fit(ReferenceStack(references), rows).predict()[0].tobytes() == (
+            one_row.tobytes()
+        )
+        if masks[j].all():
+            scalar = GeoAlign(denominator=denominator).fit(
+                references, objectives[j]
+            )
+            assert scalar.predict().tobytes() == one_row.tobytes()
+
+
 def test_rescale_factors_bitwise_equal_masked_where():
     rng = np.random.default_rng(3)
     denominators = rng.random((6, 40))

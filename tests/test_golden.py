@@ -139,3 +139,35 @@ def test_batch_with_prebuilt_stack_matches_golden(path):
         rtol=RTOL,
         atol=ATOL,
     )
+
+
+@pytest.mark.parametrize(
+    "path", GOLDEN_PATHS, ids=[os.path.basename(p) for p in GOLDEN_PATHS]
+)
+@pytest.mark.parametrize("denominator", DENOMINATORS)
+def test_weighted_reference_builds_match_full_build_bitwise(
+    path, denominator, capture_trace
+):
+    """A predict on a fresh stack builds ``R`` and the operators only for
+    the references it weights, and answers what the same fit answers
+    after ``stack.operators`` built every reference, bit for bit; so do
+    the one-row GeoAlign fits, which zero a reference on the
+    collinear-pair, plain-3ref and zero-volume-row worlds."""
+    _, references, objectives = _load(path)
+    full = ReferenceStack.build(references)
+    assert len(full.operators) == len(references)
+    aligner = BatchAligner(denominator=denominator)
+    expected = aligner.fit(full, objectives).predict()
+    fresh = ReferenceStack.build(references)
+    got = aligner.fit(fresh, objectives).predict()
+    assert got.tobytes() == expected.tobytes()
+    for objective in objectives:
+        one_row = aligner.fit(full, objective[np.newaxis, :])
+        with capture_trace() as session:
+            scalar = GeoAlign(denominator=denominator).fit(
+                references, objective
+            )
+            predictions = scalar.predict()
+        assert predictions.tobytes() == one_row.predict()[0].tobytes()
+        (build,) = session.find_spans("stack.operators")
+        assert build.attrs["k"] == np.count_nonzero(scalar.weights_)

@@ -351,6 +351,35 @@ class TestEndpoints:
         assert status == 200
         assert payload["predictions"] == aligned[0][1]["predictions"]
 
+    def test_align_refit_of_registered_model_keeps_its_health(self, fitted):
+        """An ``/align`` on a registered model's own inputs answers under
+        its key and leaves that model's health verdicts in place."""
+        verdicts = {"volume_preservation": "ok"}
+        request = {
+            "objectives": fitted.objectives_.tolist(),
+            "attribute_names": fitted.attribute_names_,
+        }
+
+        async def main():
+            server = AlignmentServer()
+            key = server.add_model(fitted, health=verdicts)
+            await server.start()
+            try:
+                async with ServeClient(server.host, server.port) as client:
+                    aligned = await client.request("POST", "/align", request)
+                    healthz = await client.request("GET", "/healthz")
+                return key, aligned, healthz, server.models
+            finally:
+                await server.shutdown()
+
+        key, (status, payload), (_, healthz), models = asyncio.run(main())
+        assert status == 200, payload
+        assert payload["model"] == key
+        assert payload["predictions"] == fitted.predict().tolist()
+        assert healthz["models"][key]["health"] == verdicts
+        assert len(models) == 1
+        assert dict(models[key].health) == verdicts
+
     def test_align_on_warm_stack(self, fitted):
         new_objectives = (fitted.objectives_ * 1.5).tolist()
 

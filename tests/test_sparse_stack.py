@@ -11,15 +11,18 @@ fully dense matrices.  The oracle is recomputed here from scratch (no
 stack code on the oracle side), so a kernel bug cannot cancel out.
 """
 
+import itertools
 import pickle
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from repro.core import batch as batch_module
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.reference import Reference
 from repro.core.sparse_stack import (
@@ -436,6 +439,93 @@ class TestLinearPredictArrays:
         stack = reference_stack(_ring_matrices(k=4, m=300, t=40), 300, 40)
         seen = self._first_use_from_threads(stack, lambda s: s.dm_stack)
         assert all(union is seen[0] for union in seen)
+
+    def test_predict_builds_only_the_weighted_references(
+        self, capture_trace
+    ):
+        """A one-row fit that weights references 0 and 2 of 3 builds
+        their ``R`` rows and operators and nothing for reference 1, in
+        one ``stack.operators`` span; forcing the rest adds exactly
+        reference 1's operator bytes."""
+        mats = _ring_matrices(k=3)
+        stack = reference_stack(mats, 6, 5)
+        objective = stack.references[0].source_vector + 1.0
+        aligner = BatchAligner()
+        with capture_trace() as session:
+            aligner.fit(stack, [objective], masks=[[True, False, True]])
+            aligner.predict()
+        (build,) = session.find_spans("stack.operators")
+        assert build.attrs["k"] == 2
+        weighted = aligner.blend_weights_[0] != 0.0
+        assert weighted.tolist() == [True, False, True]
+        row_sums, operators = stack.linear_for(aligner.blend_weights_)
+        assert operators[1] is None
+        assert not row_sums[1].any()
+        partial = stack.resident_bytes
+
+        def operator_bytes(op):
+            return op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+
+        assert partial == row_sums.nbytes + sum(
+            operator_bytes(operators[j]) for j in (0, 2)
+        )
+        with capture_trace() as session:
+            full = stack.operators
+        (build,) = session.find_spans("stack.operators")
+        assert build.attrs["k"] == 1
+        assert stack.resident_bytes == partial + operator_bytes(full[1])
+        np.testing.assert_array_equal(
+            row_sums[1], np.asarray(mats[1].sum(axis=1)).ravel()
+        )
+
+    def test_one_row_fits_with_different_supports_from_threads(
+        self, monkeypatch
+    ):
+        """One-row fits weighting different references, racing on one
+        fresh stack, answer what each fit answers alone on a fresh
+        stack, bit for bit; every weighted reference is built exactly
+        once, and the reference no fit weights stays unbuilt."""
+        mats = _ring_matrices(k=5, m=300, t=40)
+        supports = ([0], [1], [0, 1], [2, 3], [1, 2, 3], [3])
+        masks = np.zeros((len(supports), 5), dtype=bool)
+        for row, support in zip(masks, supports):
+            row[support] = True
+        stack = reference_stack(mats, 300, 40)
+        objective = stack.source_vectors[:4].sum(axis=0)
+
+        def one_row(shared, i):
+            return BatchAligner().fit(
+                shared, [objective], masks=masks[i : i + 1]
+            ).predict()
+
+        serial = [
+            one_row(reference_stack(mats, 300, 40), i)
+            for i in range(len(supports))
+        ]
+        draws = itertools.count()
+        built = []
+        build = batch_module._build_linear
+
+        def counted_build(matrices, refs, *rest):
+            built.extend(refs)
+            # Hold the lock long enough for the other threads to reach it.
+            time.sleep(0.02)
+            build(matrices, refs, *rest)
+
+        monkeypatch.setattr(batch_module, "_build_linear", counted_build)
+
+        def race(shared):
+            i = next(draws) % len(supports)
+            return i, one_row(shared, i)
+
+        seen = self._first_use_from_threads(stack, race)
+        assert {i for i, _ in seen} == set(range(len(supports)))
+        for i, predictions in seen:
+            assert predictions.tobytes() == serial[i].tobytes()
+        assert sorted(built) == [0, 1, 2, 3]
+        row_sums, operators = stack.linear_for(np.zeros((1, 5)))
+        assert [op is None for op in operators] == [False] * 4 + [True]
+        assert not row_sums[4].any()
 
 
 class TestValidation:
