@@ -28,8 +28,7 @@ Eq. 16 denominators are one ``(N, k) @ (k, m)`` product with ``R``, the
 factors one masked divide, and the Eq. 17 totals one
 :meth:`ReferenceStack.rescaled_totals` call.
 :meth:`BatchAligner.predict_dms` materialises the N estimated DMs
-through the union stack's sparse-dense blend and in-place rescale
-kernels.
+through the union stack's blend and in-place rescale kernels.
 
 Per-attribute reference masks make leave-one-out cross-validation and the
 reference-selection series batchable against a single stack: the solve
@@ -400,18 +399,12 @@ class _DMArrays:
     """
 
     def __init__(
-        self,
-        matrices: list[Any],
-        n_sources: int,
-        n_targets: int,
-        dense: bool | None = None,
-        dm_stack: SparseDMStack | None = None,
+        self, matrices: list[Any], n_sources: int, n_targets: int
     ) -> None:
         self.matrices = matrices
         self.n_sources = n_sources
         self.n_targets = n_targets
-        self.dense = dense
-        self.dm_stack = dm_stack
+        self.dm_stack: SparseDMStack | None = None
         #: ``R``, allocated (all zero) by the first build.
         self.row_sums: FloatArray | None = None
         #: Operator per reference, ``None`` until that reference is built.
@@ -434,10 +427,7 @@ class _DMArrays:
             with self.lock:
                 if self.dm_stack is None:
                     dm_stack = SparseDMStack.from_matrices(
-                        self.matrices,
-                        self.n_sources,
-                        self.n_targets,
-                        dense=self.dense,
+                        self.matrices, self.n_sources, self.n_targets
                     )
                     _set_gauge("health.stack_density", dm_stack.density)
                     self.dm_stack = dm_stack
@@ -505,11 +495,6 @@ class ReferenceStack:
     normalize:
         Whether the design matrix holds max-normalised source vectors
         (must match the aligner's ``normalize`` setting).
-    dense:
-        Storage-mode override for the union stack: ``None`` (default)
-        auto-selects (CSR below ~0.5 stored density, dense above, the
-        zero-copy aligned layout when every reference shares the union
-        pattern); ``True``/``False`` force / forbid the dense path.
 
     Attributes
     ----------
@@ -528,9 +513,10 @@ class ReferenceStack:
         (:meth:`linear_for`).
     dm_stack:
         The :class:`~repro.core.sparse_stack.SparseDMStack` holding the
-        reference DM entries in CSR layout over the union sparsity
-        pattern, built on first access for the per-entry blend /
-        rescale / re-aggregation kernels.
+        reference DM entries over the union sparsity pattern (zero-copy
+        rows when every reference has that pattern, CSR otherwise),
+        built on first access for the per-entry blend / rescale /
+        re-aggregation kernels.
     entry_rows, entry_cols:
         ``(nnz,)`` source-row / target-column index of each union entry,
         sorted by ``(row, col)`` (CSR order); read through ``dm_stack``.
@@ -540,7 +526,6 @@ class ReferenceStack:
         self,
         references: Iterable[Reference],
         normalize: bool = True,
-        dense: bool | None = None,
     ) -> None:
         refs = _validated_references(references)
         self.references = refs
@@ -565,10 +550,7 @@ class ReferenceStack:
         self.gram = self.design.T @ self.design
         self.source_vectors = np.vstack([ref.source_vector for ref in refs])
         self._dms = _DMArrays(
-            [ref.dm.matrix for ref in refs],
-            self.n_sources,
-            self.n_targets,
-            dense=dense,
+            [ref.dm.matrix for ref in refs], self.n_sources, self.n_targets
         )
         self._fingerprint: str | None = None
 
@@ -599,11 +581,6 @@ class ReferenceStack:
     def nnz(self) -> int:
         """Entries in the union sparsity pattern."""
         return self.dm_stack.nnz
-
-    @property
-    def values(self) -> FloatArray:
-        """Dense ``(k, nnz)`` oracle view of the value stack (cached)."""
-        return self.dm_stack.values
 
     @property
     def ref_row_sums(self) -> FloatArray:
@@ -707,42 +684,6 @@ class ReferenceStack:
         """
         with _span("stack.build"):
             return cls(references, normalize=normalize)
-
-    @classmethod
-    def from_stored(
-        cls,
-        references: list[Reference],
-        normalize: bool,
-        source_labels: list[str],
-        target_labels: list[str],
-        design: FloatArray,
-        scales: FloatArray,
-        gram: FloatArray,
-        source_vectors: FloatArray,
-        dm_stack: SparseDMStack,
-    ) -> "ReferenceStack":
-        """Adopt stored arrays and a built union stack verbatim (the
-        store loader's entry point); ``references`` must carry the DMs
-        the union stack holds."""
-        stack = object.__new__(cls)
-        stack.references = references
-        stack.normalize = normalize
-        stack.source_labels = source_labels
-        stack.target_labels = target_labels
-        stack.n_sources = len(source_labels)
-        stack.n_targets = len(target_labels)
-        stack.design = design
-        stack.scales = scales
-        stack.gram = gram
-        stack.source_vectors = source_vectors
-        stack._dms = _DMArrays(
-            [ref.dm.matrix for ref in references],
-            stack.n_sources,
-            stack.n_targets,
-            dm_stack=dm_stack,
-        )
-        stack._fingerprint = None
-        return stack
 
     def with_references(
         self, references: Iterable[Reference]

@@ -11,7 +11,7 @@ disaggregation is linear in the reference DMs, so the Eq. 16/17 totals
 come from per-reference quantities the reference stack owns.  The
 union stack is built on first use, for the consumers that need
 per-entry values -- ``predict_dms``, ``/disaggregate``, the health
-audit, the shard planner and merge check, and the model store:
+audit, the shard planner and merge check, and the model store's save:
 
 * ``blend``        -- Eq. 14 numerator, ``W @ values`` over the union
   entries, returning a dense ``(n_attrs, nnz)`` matrix;
@@ -21,27 +21,23 @@ audit, the shard planner and merge check, and the model store:
   gather temporary is ever materialised;
 * ``reaggregate``  -- Eq. 17 column sums onto the target partition.
 
-Three storage modes cover the density spectrum:
+Two storage layouts, chosen only by the references' patterns:
 
-``"sparse"``
-    General case: the per-reference values live in one SciPy CSR matrix
-    of shape ``(k, nnz)`` whose columns are union entry positions.
-    Blending is a sparse-dense product; memory is O(stored entries).
 ``"aligned"``
     Every reference has exactly the union pattern (the common case for
     synthetic producers like :mod:`repro.synth.bigalign`, where all
     crosswalks share one support).  The stack then holds per-reference
     value rows as *views of the reference matrices' own data arrays* --
     zero copies -- and blends by accumulation.
-``"dense"``
-    A materialised ``(k, nnz)`` matrix blended through BLAS.  Chosen
-    automatically when the stored density exceeds
-    :data:`DENSE_DENSITY_THRESHOLD` (above ~0.5 the CSR index overhead
-    costs more than the zeros), or forced with ``dense=True``.
+``"sparse"``
+    Every other case: the per-reference values live in one SciPy CSR
+    matrix of shape ``(k, nnz)`` whose columns are union entry
+    positions.  Blending is a sparse-dense product; memory is
+    O(stored entries).
 
-All kernels are mode-agnostic in their contracts and match the dense
-oracle (``W @ dense_values`` etc.) to float reassociation noise; the
-property suite in ``tests/test_sparse_stack.py`` pins 1e-12.
+Both layouts satisfy the same kernel contracts and match the dense
+oracle (``W @ values`` etc.) to float reassociation noise; the property
+suite in ``tests/test_sparse_stack.py`` pins 1e-12.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from repro.errors import ShapeMismatchError, ValidationError
 from repro.obs.trace import incr as _obs_incr, span as _span
 
 __all__ = [
-    "DENSE_DENSITY_THRESHOLD",
     "EntrySlice",
     "SparseDMStack",
 ]
@@ -66,16 +61,11 @@ __all__ = [
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
 
-#: Stored density above which the dense representation is both smaller
-#: (no index arrays) and faster (BLAS blend) than CSR.  See
-#: ``docs/batching.md``.
-DENSE_DENSITY_THRESHOLD = 0.5
-
 #: Entry-count ceiling per rescale chunk; bounds the gather temporary
 #: of :meth:`SparseDMStack.scale_rows_inplace` to a few megabytes.
 _RESCALE_CHUNK_FLOATS = 1 << 20
 
-_MODES = ("sparse", "aligned", "dense")
+_MODES = ("sparse", "aligned")
 
 
 @dataclass(frozen=True)
@@ -129,9 +119,8 @@ def _as_sorted_csr(matrix: Any) -> Any:
 class SparseDMStack:
     """K reference DMs over one union sparsity pattern, with kernels.
 
-    Build through :meth:`from_matrices` (union construction, automatic
-    mode selection) or :meth:`from_stored` (store loader: adopt arrays
-    verbatim).  ``entry_rows``/``entry_cols`` are the union entries in
+    Build through :meth:`from_matrices` (union construction and layout
+    selection).  ``entry_rows``/``entry_cols`` are the union entries in
     CSR order; ``indptr`` the per-source-row pointers into them.
     """
 
@@ -146,7 +135,6 @@ class SparseDMStack:
         "stored_nnz",
         "ref_matrix",
         "_rows",
-        "_dense",
         "_nonempty_rows",
         "_nonempty_starts",
     )
@@ -160,8 +148,6 @@ class SparseDMStack:
         mode: str,
         ref_matrix: Any | None = None,
         rows: list[FloatArray] | None = None,
-        dense: FloatArray | None = None,
-        stored_nnz: int | None = None,
     ) -> None:
         if mode not in _MODES:
             raise ValidationError(
@@ -188,7 +174,6 @@ class SparseDMStack:
         self._nonempty_starts = self.indptr[:-1][nonempty]
         self.ref_matrix = None
         self._rows = None
-        self._dense = None
         if mode == "sparse":
             if ref_matrix is None or ref_matrix.shape[1] != nnz:
                 raise ShapeMismatchError(
@@ -197,7 +182,7 @@ class SparseDMStack:
             self.ref_matrix = ref_matrix
             self.n_references = int(ref_matrix.shape[0])
             self.stored_nnz = int(ref_matrix.nnz)
-        elif mode == "aligned":
+        else:
             if not rows or any(len(row) != nnz for row in rows):
                 raise ShapeMismatchError(
                     "aligned mode needs per-reference (nnz,) value rows"
@@ -205,18 +190,6 @@ class SparseDMStack:
             self._rows = rows
             self.n_references = len(rows)
             self.stored_nnz = self.n_references * nnz
-        else:
-            if dense is None or dense.shape[1] != nnz:
-                raise ShapeMismatchError(
-                    "dense mode needs a (k, nnz) value matrix"
-                )
-            self._dense = dense
-            self.n_references = int(dense.shape[0])
-            self.stored_nnz = (
-                int(stored_nnz)
-                if stored_nnz is not None
-                else int(np.count_nonzero(dense))
-            )
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -225,16 +198,11 @@ class SparseDMStack:
         matrices: Sequence[Any],
         n_sources: int,
         n_targets: int,
-        dense: bool | None = None,
     ) -> "SparseDMStack":
         """Union-pattern construction over K ``(m, t)`` sparse matrices.
 
-        ``dense=None`` selects the mode automatically: the dense
-        fallback when the stored density exceeds
-        :data:`DENSE_DENSITY_THRESHOLD`, the zero-copy aligned mode
-        when every matrix already has the union pattern, CSR
-        otherwise.  ``dense=True``/``False`` force / forbid the dense
-        path (the sparse == dense property tests).
+        The zero-copy aligned layout when every matrix already has the
+        union pattern, CSR otherwise.
         """
         if not matrices:
             raise ValidationError("a DM stack needs at least one matrix")
@@ -259,34 +227,19 @@ class SparseDMStack:
             stored_nnz=int(sum(mat.nnz for mat in mats)),
         ):
             if aligned:
-                indptr = first.indptr.astype(np.int64)
-                entry_cols = first.indices
-                rows = [np.asarray(mat.data, dtype=float) for mat in mats]
-                if dense:
-                    return cls(
-                        n_sources,
-                        n_targets,
-                        indptr,
-                        entry_cols,
-                        "dense",
-                        dense=np.vstack(rows),
-                        stored_nnz=len(rows) * first.nnz,
-                    )
                 return cls(
-                    n_sources, n_targets, indptr, entry_cols, "aligned",
-                    rows=rows,
+                    n_sources,
+                    n_targets,
+                    first.indptr.astype(np.int64),
+                    first.indices,
+                    "aligned",
+                    rows=[np.asarray(mat.data, dtype=float) for mat in mats],
                 )
-            return cls._from_unaligned(
-                mats, n_sources, n_targets, dense=dense
-            )
+            return cls._from_unaligned(mats, n_sources, n_targets)
 
     @classmethod
     def _from_unaligned(
-        cls,
-        mats: list[Any],
-        n_sources: int,
-        n_targets: int,
-        dense: bool | None,
+        cls, mats: list[Any], n_sources: int, n_targets: int
     ) -> "SparseDMStack":
         """General union build: int64 ``row * t + col`` keys, one sort."""
         per_ref_keys: list[IntArray] = []
@@ -311,17 +264,7 @@ class SparseDMStack:
         np.cumsum(
             np.bincount(entry_rows, minlength=n_sources), out=indptr[1:]
         )
-        stored = int(sum(mat.nnz for mat in mats))
         k = len(mats)
-        density = stored / (k * nnz) if nnz else 1.0
-        if dense or (dense is None and density > DENSE_DENSITY_THRESHOLD):
-            values = np.zeros((k, nnz))
-            for i, (mat, keys) in enumerate(zip(mats, per_ref_keys)):
-                values[i, np.searchsorted(union_keys, keys)] = mat.data
-            return cls(
-                n_sources, n_targets, indptr, entry_cols, "dense",
-                dense=values, stored_nnz=stored,
-            )
         positions = np.concatenate(
             [np.searchsorted(union_keys, keys) for keys in per_ref_keys]
         )
@@ -340,64 +283,6 @@ class SparseDMStack:
         return cls(
             n_sources, n_targets, indptr, entry_cols, "sparse",
             ref_matrix=ref_matrix,
-        )
-
-    @classmethod
-    def from_stored(
-        cls,
-        n_sources: int,
-        n_targets: int,
-        entry_rows: NDArray[Any],
-        entry_cols: NDArray[Any],
-        mode: str,
-        values: FloatArray | None = None,
-        data: FloatArray | None = None,
-        indices: NDArray[Any] | None = None,
-        ref_indptr: NDArray[Any] | None = None,
-    ) -> "SparseDMStack":
-        """Adopt stored arrays verbatim (the store loader's entry point).
-
-        The mode decides the payload: ``values`` for dense/aligned,
-        CSR triplets for sparse.  Restoring the saved mode keeps a
-        loaded model's blend arithmetic bitwise identical to the model
-        that was saved.
-        """
-        nnz = int(len(entry_cols))
-        indptr = np.zeros(n_sources + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(
-                np.asarray(entry_rows, dtype=np.int64), minlength=n_sources
-            ),
-            out=indptr[1:],
-        )
-        if mode == "sparse":
-            if data is None or indices is None or ref_indptr is None:
-                raise ValidationError(
-                    "sparse stored stacks need data/indices/indptr arrays"
-                )
-            ref_matrix = sparse.csr_matrix(
-                (
-                    np.asarray(data, dtype=float),
-                    indices,
-                    np.asarray(ref_indptr, dtype=np.int64),
-                ),
-                shape=(len(ref_indptr) - 1, nnz),
-            )
-            return cls(
-                n_sources, n_targets, indptr, entry_cols, "sparse",
-                ref_matrix=ref_matrix,
-            )
-        if values is None:
-            raise ValidationError(
-                "dense/aligned stored stacks need a values matrix"
-            )
-        if mode == "aligned":
-            return cls(
-                n_sources, n_targets, indptr, entry_cols, "aligned",
-                rows=list(values),
-            )
-        return cls(
-            n_sources, n_targets, indptr, entry_cols, "dense", dense=values,
         )
 
     # -- shape / accounting --------------------------------------------
@@ -428,22 +313,19 @@ class SparseDMStack:
             )
         if self._rows is not None:
             total += int(sum(row.nbytes for row in self._rows))
-        if self._dense is not None:
-            total += int(self._dense.nbytes)
         return total
 
     @property
     def values(self) -> FloatArray:
-        """Dense ``(k, nnz)`` oracle view of the stack (cached)."""
-        if self._dense is None:
-            if self._rows is not None:
-                self._dense = np.vstack(self._rows)
-            else:
-                assert self.ref_matrix is not None
-                self._dense = np.asarray(
-                    self.ref_matrix.toarray(), dtype=float
-                )
-        return self._dense
+        """Dense ``(k, nnz)`` oracle view of the stack.
+
+        A new array on every read, which the stack does not keep: no
+        kernel reads it, so reading it changes nothing the kernels do.
+        """
+        if self._rows is not None:
+            return np.vstack(self._rows)
+        assert self.ref_matrix is not None
+        return np.asarray(self.ref_matrix.toarray(), dtype=float)
 
     # -- kernels --------------------------------------------------------
     def blend(self, weights: FloatArray) -> FloatArray:
@@ -451,12 +333,7 @@ class SparseDMStack:
         with _span(
             "kernel.blend", n=int(weights.shape[0]), mode=self.mode
         ):
-            if self.mode == "dense":
-                assert self._dense is not None
-                result: FloatArray = weights @ self._dense
-                return result
-            if self.mode == "aligned":
-                assert self._rows is not None
+            if self._rows is not None:
                 out = np.multiply.outer(weights[:, 0], self._rows[0])
                 if len(self._rows) > 1:
                     scratch = np.empty_like(out)
@@ -466,7 +343,9 @@ class SparseDMStack:
                         )
                         out += scratch
                 return out
-            result = np.asarray(weights @ self.ref_matrix, dtype=float)
+            result: FloatArray = np.asarray(
+                weights @ self.ref_matrix, dtype=float
+            )
             return result
 
     def row_sums(self, entry_values: FloatArray) -> FloatArray:
@@ -515,9 +394,6 @@ class SparseDMStack:
 
     def entry_mass(self) -> FloatArray:
         """Per-union-entry value mass summed over references."""
-        if self._dense is not None:
-            result: FloatArray = self._dense.sum(axis=0)
-            return result
         if self._rows is not None:
             out = self._rows[0].copy()
             for row in self._rows[1:]:
@@ -530,16 +406,14 @@ class SparseDMStack:
             minlength=self.nnz,
         )
 
-    # -- slicing / export ----------------------------------------------
+    # -- slicing -------------------------------------------------------
     def entry_slice(self, entries: IntArray) -> EntrySlice:
         """The value stack restricted to an ascending entry subset.
 
-        Dense/aligned stacks hand back a dense block; sparse stacks a
-        CSR triplet slice with columns renumbered into the subset.
+        Aligned stacks hand back a dense block; sparse stacks a CSR
+        triplet slice with columns renumbered into the subset.
         """
         k = self.n_references
-        if self._dense is not None:
-            return EntrySlice(k, len(entries), dense=self._dense[:, entries])
         if self._rows is not None:
             block = np.empty((k, len(entries)))
             for i, row in enumerate(self._rows):
@@ -571,35 +445,6 @@ class SparseDMStack:
             data=matrix.data[keep],
             indices=lookup[keep],
             indptr=indptr,
-        )
-
-    def ref_entry_values(self, i: int) -> tuple[FloatArray, IntArray]:
-        """Reference ``i``'s stored values and their union positions."""
-        if self._rows is not None:
-            return self._rows[i], np.arange(self.nnz, dtype=np.int64)
-        if self._dense is not None:
-            return self._dense[i], np.arange(self.nnz, dtype=np.int64)
-        assert self.ref_matrix is not None
-        lo, hi = self.ref_matrix.indptr[i], self.ref_matrix.indptr[i + 1]
-        return (
-            np.asarray(self.ref_matrix.data[lo:hi], dtype=float),
-            self.ref_matrix.indices[lo:hi].astype(np.int64),
-        )
-
-    def csr_arrays(self) -> tuple[FloatArray, IntArray, IntArray]:
-        """CSR triplets of the reference value stack (store export)."""
-        if self.ref_matrix is not None:
-            return (
-                np.asarray(self.ref_matrix.data, dtype=float),
-                self.ref_matrix.indices.astype(np.int64),
-                self.ref_matrix.indptr.astype(np.int64),
-            )
-        values = self.values
-        k, nnz = values.shape
-        return (
-            np.ascontiguousarray(values.reshape(-1)),
-            np.tile(np.arange(nnz, dtype=np.int64), k),
-            np.arange(0, (k + 1) * nnz, nnz, dtype=np.int64),
         )
 
     def __repr__(self) -> str:

@@ -463,9 +463,9 @@ register_check(
         description=(
             "fraction of the union-pattern value grid (one row per "
             "reference, one column per union entry) that holds a "
-            "reference's own stored entry; informational only — high "
-            "density means the dense BLAS kernels win, not that anything "
-            "is wrong"
+            "reference's own stored entry (1.0 when every reference has "
+            "the union pattern); informational only — it describes the "
+            "references' patterns, not a defect"
         ),
         formula="stored entries / (n_references * union entries)",
         direction="high",

@@ -4,7 +4,8 @@
 requests over it, which is exactly what the concurrency suite and the
 load harness need: N clients * 1 connection each, every client an
 independent asyncio task, all multiplexed on one loop.  It is also the
-transport behind the ``geoalign-repro serve --self-test`` smoke path.
+transport behind ``geoalign-repro obs tail``, which fetches a running
+server's ``/debug/exemplars``.
 
 The parser is the mirror of :mod:`repro.serve.http`: status line +
 headers + ``Content-Length`` body.  Anything that does not frame

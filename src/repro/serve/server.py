@@ -599,8 +599,10 @@ class AlignmentServer:
         reference stack (``R`` once any reference is built, the
         operators of the references a predict weighted, and the union
         value stack once built), and the union-pattern size and density
-        of the union stacks built so far (store-loaded models carry
-        theirs).  Reading the gauges builds nothing.
+        of the union stacks built so far.  A store-loaded model's stack
+        is a fresh one, so its union counts once a per-entry request
+        (``/disaggregate``) built it.  Reading the gauges builds
+        nothing.
         """
         stacks = [
             serving.model.stack_

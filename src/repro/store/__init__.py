@@ -1,11 +1,11 @@
 """Fitted-model persistence (``repro.store``).
 
 The alignment-as-a-service layer (:mod:`repro.serve`) answers queries
-from *warm* models: every expensive, attribute-independent piece of a
-fitted :class:`~repro.core.batch.BatchAligner` -- the design/Gram pair,
-the union-DM sparsity pattern and value stack, the learned weights --
-is serialized once and reloaded in milliseconds instead of being
-rebuilt per process.  :class:`ModelStore` owns that serialization:
+from *warm* models: a fitted :class:`~repro.core.batch.BatchAligner` --
+its reference DMs and source vectors, the design/Gram pair, the learned
+weights -- is serialized once and reloaded in milliseconds instead of
+being refitted per process.  :class:`ModelStore` owns that
+serialization:
 
 * artifacts are **content-addressed**: the key is a prefix of a
   SHA-256 content fingerprint of the fit's inputs

@@ -54,15 +54,15 @@ ARTIFACT_FORMAT = "geoalign-fitted-model"
 #: Current artifact format version; bump on any incompatible layout
 #: change.  Version 2 adds sparse value stacks: the payload carries CSR
 #: triplets (``values_data``/``values_indices``/``values_indptr``) when
-#: the manifest's ``stack_mode`` is ``"sparse"``, the dense ``values``
-#: matrix otherwise.
+#: the manifest's ``stack_mode`` is ``"sparse"``, the ``values`` matrix
+#: otherwise.
 ARTIFACT_VERSION = 2
 
-#: Versions :func:`read_manifest` accepts.  Version-1 artifacts (always
-#: dense ``values``, no ``stack_mode``) load as dense-mode stacks, whose
-#: BLAS blend is the arithmetic the old engine used -- so old artifacts
-#: stay bit-exact.  Other versions are rejected with a typed error
-#: instead of guessing.
+#: Versions :func:`read_manifest` accepts.  Version-1 artifacts (a
+#: ``values`` matrix, no ``stack_mode``) decode like a version-2
+#: ``values`` payload, and their models predict what they did when
+#: saved.  Other versions are rejected with a typed error instead of
+#: guessing.
 SUPPORTED_VERSIONS = (1, 2)
 
 #: Chaos hook: ``truncate-payload`` | ``corrupt-payload`` |

@@ -7,17 +7,20 @@
 
 * the :class:`~repro.core.batch.ReferenceStack` arrays -- design
   matrix, Gram, per-reference scales, raw source vectors, and the
-  union-DM sparsity pattern (``values``/``entry_rows``/``entry_cols``),
+  reference DMs as one value stack over their union sparsity pattern
+  (``entry_rows``/``entry_cols`` plus ``values`` or CSR triplets),
 * the fit outputs -- simplex weights, masks, objectives, names,
 * an optional health-verdict snapshot and caller metadata.
 
-Loading reassembles the stack **without** re-running the union-pattern
-construction (the piece §4.3 of the paper attributes >90 % of runtime
-to): incidence operators are rebuilt in ``O(nnz)`` from the stored
-index arrays, and per-reference DMs are materialised from the stored
-value rows, so a loaded model is numerically *identical* to the one
-saved -- same arrays, same blend arithmetic, predictions matching to
-the last bit (the round-trip suite pins 1e-12).
+Loading adopts the stored weights, so nothing is refitted.  It decodes
+the value stack into per-reference DMs and builds a
+:class:`~repro.core.batch.ReferenceStack` over them, as a fresh fit
+would: the design, scales and Gram come from the stored source vectors,
+each reference's ``R`` row and operator from its DM on the first
+``predict`` that weights it, and the union stack on the first
+per-entry use.  A loaded model therefore predicts bit for bit what the
+saved one did (the round-trip suite pins it), whatever layout the
+saving build stored its union in.
 
 Fingerprints are :mod:`repro.utils.fingerprint`'s content hashes, the
 family the DM, reference and reference-stack ``fingerprint()`` methods
@@ -38,7 +41,6 @@ from scipy import sparse
 
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.reference import Reference
-from repro.core.sparse_stack import _MODES, SparseDMStack
 from repro.errors import NotFittedError, StoreError
 from repro.obs.trace import span as _span
 from repro.partitions.dm import DisaggregationMatrix
@@ -67,6 +69,12 @@ DEFAULT_STORE_DIR = os.path.join(".geoalign", "store")
 
 #: Hex characters of the fingerprint used as the artifact key.
 KEY_LENGTH = 12
+
+#: ``stack_mode`` values an artifact may carry: the two union layouts,
+#: and ``"dense"``, which earlier builds wrote (a version-1 manifest
+#: carries no mode and means it).  ``"sparse"`` payloads hold CSR
+#: triplets, the others a ``values`` matrix.
+STORED_MODES = ("sparse", "aligned", "dense")
 
 
 def default_store_path() -> str:
@@ -210,25 +218,25 @@ def _utc_now() -> str:
 def _model_arrays(model: BatchAligner) -> dict[str, NDArray[Any]]:
     """Every array of a fitted model, ready for ``np.savez``.
 
-    The value stack is persisted in its resident representation: CSR
-    triplets (``values_data``/``values_indices``/``values_indptr``) for
-    sparse-mode stacks -- payload size scales with *stored* entries --
-    and the dense ``values`` matrix for aligned/dense stacks.  The
-    manifest's ``stack_mode`` records which, so the loader restores the
-    exact blend arithmetic that was saved.
+    The value stack is persisted in its resident layout: CSR triplets
+    (``values_data``/``values_indices``/``values_indptr``) for a
+    sparse-layout union -- payload size scales with *stored* entries --
+    and the ``values`` matrix for an aligned one.  The manifest's
+    ``stack_mode`` records which.
     """
     stack = model.stack_
     assert stack is not None
     assert model.weights_ is not None
     assert model.masks_ is not None
     assert model.objectives_ is not None
+    union = stack.dm_stack
     arrays: dict[str, NDArray[Any]] = {
         "design": np.ascontiguousarray(stack.design),
         "gram": np.ascontiguousarray(stack.gram),
         "scales": np.ascontiguousarray(stack.scales),
         "source_vectors": np.ascontiguousarray(stack.source_vectors),
-        "entry_rows": np.ascontiguousarray(stack.entry_rows),
-        "entry_cols": np.ascontiguousarray(stack.entry_cols),
+        "entry_rows": np.ascontiguousarray(union.entry_rows),
+        "entry_cols": np.ascontiguousarray(union.entry_cols),
         "weights": np.ascontiguousarray(model.weights_),
         "masks": np.ascontiguousarray(model.masks_),
         "objectives": np.ascontiguousarray(model.objectives_),
@@ -241,25 +249,27 @@ def _model_arrays(model: BatchAligner) -> dict[str, NDArray[Any]]:
             model.attribute_names_ or [], dtype=str
         ),
     }
-    if stack.dm_stack.mode == "sparse":
-        data, indices, indptr = stack.dm_stack.csr_arrays()
-        arrays["values_data"] = np.ascontiguousarray(data)
-        arrays["values_indices"] = np.ascontiguousarray(indices)
-        arrays["values_indptr"] = np.ascontiguousarray(indptr)
+    if union.ref_matrix is None:
+        arrays["values"] = union.values
     else:
-        arrays["values"] = np.ascontiguousarray(stack.values)
+        arrays["values_data"] = union.ref_matrix.data
+        arrays["values_indices"] = union.ref_matrix.indices.astype(np.int64)
+        arrays["values_indptr"] = union.ref_matrix.indptr.astype(np.int64)
     return arrays
 
 
-def _check_shapes(arrays: dict[str, NDArray[Any]], where: str) -> None:
-    """Cross-array consistency beyond the checksum (defence in depth)."""
+def _check_shapes(
+    arrays: dict[str, NDArray[Any]], where: str, stack_mode: str
+) -> None:
+    """Cross-array consistency beyond the checksum (defence in depth).
+
+    Of the value arrays, it checks the group ``stack_mode`` reads: a
+    payload may carry the other group too, and the loader ignores it.
+    """
     k, m = arrays["source_vectors"].shape
     nnz = arrays["entry_rows"].shape[0]
     n_attrs = arrays["weights"].shape[0]
-    if "values" in arrays:
-        values_ok = arrays["values"].shape == (k, nnz)
-        values_msg = "values is not (k, nnz)"
-    else:
+    if stack_mode == "sparse":
         data = arrays["values_data"]
         indices = arrays["values_indices"]
         indptr = arrays["values_indptr"]
@@ -267,10 +277,18 @@ def _check_shapes(arrays: dict[str, NDArray[Any]], where: str) -> None:
             indptr.shape == (k + 1,)
             and data.shape == indices.shape
             and data.ndim == 1
-            and (len(indptr) == 0 or int(indptr[-1]) == len(data))
-            and (len(indices) == 0 or int(indices.max()) < nnz)
+            and int(indptr[0]) == 0
+            and bool(np.all(np.diff(indptr) >= 0))
+            and int(indptr[-1]) == len(data)
+            and (
+                len(indices) == 0
+                or (int(indices.min()) >= 0 and int(indices.max()) < nnz)
+            )
         )
         values_msg = "sparse value triplets are not a (k, nnz) CSR matrix"
+    else:
+        values_ok = arrays["values"].shape == (k, nnz)
+        values_msg = "values is not (k, nnz)"
     checks = (
         (arrays["design"].shape == (m, k), "design is not (m, k)"),
         (arrays["gram"].shape == (k, k), "gram is not (k, k)"),
@@ -307,9 +325,12 @@ def _check_shapes(arrays: dict[str, NDArray[Any]], where: str) -> None:
         if not ok:
             raise StoreError(f"{where}: inconsistent payload ({message})")
     n_targets = len(arrays["target_labels"])
+    entry_rows, entry_cols = arrays["entry_rows"], arrays["entry_cols"]
     if nnz and (
-        int(arrays["entry_rows"].max()) >= m
-        or int(arrays["entry_cols"].max()) >= n_targets
+        int(entry_rows.min()) < 0
+        or int(entry_cols.min()) < 0
+        or int(entry_rows.max()) >= m
+        or int(entry_cols.max()) >= n_targets
     ):
         raise StoreError(
             f"{where}: inconsistent payload (union entries index "
@@ -322,16 +343,16 @@ def _stack_mode(
 ) -> str:
     """The manifest's stack mode, checked against the arrays it reads.
 
-    A version-1 manifest carries no mode and means dense.  A mode
-    outside the three, or one whose value arrays the payload does not
-    hold (a ``"sparse"`` manifest over a dense ``values`` payload, or
+    A version-1 manifest carries no mode and means ``"dense"``.  A mode
+    outside :data:`STORED_MODES`, or one whose value arrays the payload
+    does not hold (a ``"sparse"`` manifest over a ``values`` payload, or
     the reverse), is a damaged artifact.
     """
     mode = manifest.get("stack_mode", "dense")
-    if mode not in _MODES:
+    if mode not in STORED_MODES:
         raise StoreError(
             f"{where}: unknown stack_mode {mode!r}; expected one of "
-            f"{_MODES}"
+            f"{STORED_MODES}"
         )
     dense_group, sparse_group = VALUE_ARRAY_GROUPS
     reads = sparse_group if mode == "sparse" else dense_group
@@ -344,79 +365,46 @@ def _stack_mode(
     return str(mode)
 
 
-def _rebuild_stack(
-    arrays: dict[str, NDArray[Any]], normalize: bool, stack_mode: str
-) -> ReferenceStack:
-    """Reassemble a :class:`ReferenceStack` from stored arrays.
+def _stored_references(
+    arrays: dict[str, NDArray[Any]], stack_mode: str
+) -> list[Reference]:
+    """The references, their DMs decoded from the stored value stack.
 
-    Nothing is recomputed: the design/Gram arrays are adopted verbatim,
-    and the union-pattern members as-is into a
-    :class:`~repro.core.sparse_stack.SparseDMStack` restored in its
-    *saved* storage mode (so the loaded blend arithmetic is bitwise the
-    arithmetic that was saved; version-1 artifacts carry no mode and
-    load as dense, matching the old engine's BLAS blend).  Per-reference
-    DMs are materialised from the stored value rows (explicit zeros
-    dropped by the DM constructor, restoring each reference's original
-    pattern); each reference's ``R`` row and operator are built from
-    them by the first ``predict`` that weights it, exactly as for the
-    model that was saved.
+    Each reference's values sit at union entry positions: every
+    position of its ``values`` row, or the CSR column indices of its
+    row of triplets (``stack_mode`` ``"sparse"``).  The DM constructor
+    drops explicit zeros, restoring each reference's own pattern.
     """
     source_labels = [str(s) for s in arrays["source_labels"]]
     target_labels = [str(t) for t in arrays["target_labels"]]
-    n_sources = len(source_labels)
-    n_targets = len(target_labels)
+    shape = (len(source_labels), len(target_labels))
     entry_rows = arrays["entry_rows"].astype(np.int64)
     entry_cols = arrays["entry_cols"].astype(np.int64)
+    per_reference: list[tuple[NDArray[Any], NDArray[Any]]]
     if stack_mode == "sparse":
-        dm_stack = SparseDMStack.from_stored(
-            n_sources,
-            n_targets,
-            entry_rows,
-            entry_cols,
-            "sparse",
-            data=np.asarray(arrays["values_data"], dtype=float),
-            indices=arrays["values_indices"].astype(np.int64),
-            ref_indptr=arrays["values_indptr"].astype(np.int64),
-        )
+        data = np.asarray(arrays["values_data"], dtype=float)
+        positions = arrays["values_indices"].astype(np.int64)
+        bounds = arrays["values_indptr"].astype(np.int64)
+        per_reference = [
+            (data[lo:hi], positions[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
     else:
-        dm_stack = SparseDMStack.from_stored(
-            n_sources,
-            n_targets,
-            entry_rows,
-            entry_cols,
-            stack_mode,
-            values=np.asarray(arrays["values"], dtype=float),
-        )
-
+        everywhere = np.arange(len(entry_rows))
+        per_reference = [
+            (row, everywhere)
+            for row in np.asarray(arrays["values"], dtype=float)
+        ]
     references = []
-    for i, name in enumerate(arrays["reference_names"]):
-        ref_values, positions = dm_stack.ref_entry_values(i)
-        dm = DisaggregationMatrix(
-            sparse.csr_matrix(
-                (
-                    ref_values,
-                    (entry_rows[positions], entry_cols[positions]),
-                ),
-                shape=(n_sources, n_targets),
-            ),
-            source_labels,
-            target_labels,
+    for name, source_vector, (values, at) in zip(
+        arrays["reference_names"], arrays["source_vectors"], per_reference
+    ):
+        matrix = sparse.csr_matrix(
+            (values, (entry_rows[at], entry_cols[at])), shape=shape
         )
-        references.append(
-            Reference(str(name), arrays["source_vectors"][i], dm)
-        )
-
-    return ReferenceStack.from_stored(
-        references,
-        normalize,
-        source_labels,
-        target_labels,
-        design=np.asarray(arrays["design"], dtype=float),
-        scales=np.asarray(arrays["scales"], dtype=float),
-        gram=np.asarray(arrays["gram"], dtype=float),
-        source_vectors=np.asarray(arrays["source_vectors"], dtype=float),
-        dm_stack=dm_stack,
-    )
+        dm = DisaggregationMatrix(matrix, source_labels, target_labels)
+        references.append(Reference(str(name), source_vector, dm))
+    return references
 
 
 class ModelStore:
@@ -527,16 +515,17 @@ class ModelStore:
 
         The artifact is checksum-verified and shape-checked before any
         array is trusted; the returned aligner is fitted (``predict`` /
-        ``predict_dms`` / ``weight_report`` work immediately) and
-        numerically identical to the model that was saved.
+        ``predict_dms`` / ``weight_report`` work immediately) on a
+        fresh stack over the stored references, and predicts bit for
+        bit what the saved model did.
         """
         key = self.resolve(prefix)
         with _span("store.load", key=key):
             manifest, arrays = read_artifact(self.root, key)
             where = manifest_path(self.root, key)
             entry = StoreEntry.from_manifest(manifest, where)
-            _check_shapes(arrays, where)
             stack_mode = _stack_mode(manifest, arrays, where)
+            _check_shapes(arrays, where, stack_mode)
             config = entry.config
             # Older manifests also name the solver that fitted them; the
             # stored weights are adopted as they are, so it is not read.
@@ -544,7 +533,10 @@ class ModelStore:
                 normalize=bool(config.get("normalize", True)),
                 denominator=str(config.get("denominator", "row-sums")),
             )
-            model.stack_ = _rebuild_stack(arrays, model.normalize, stack_mode)
+            model.stack_ = ReferenceStack(
+                _stored_references(arrays, stack_mode),
+                normalize=model.normalize,
+            )
             model.weights_ = np.asarray(arrays["weights"], dtype=float)
             model.masks_ = np.asarray(arrays["masks"], dtype=bool)
             model.objectives_ = np.asarray(

@@ -295,7 +295,7 @@ def test_stack_union_pattern_and_gram():
     assert stack.nnz == union_nnz
     for i, ref in enumerate(references):
         dense = np.zeros(ref.dm.shape)
-        dense[stack.entry_rows, stack.entry_cols] = stack.values[i]
+        dense[stack.entry_rows, stack.entry_cols] = stack.dm_stack.values[i]
         np.testing.assert_allclose(dense, ref.dm.to_dense())
 
 
@@ -321,7 +321,7 @@ def test_stack_with_references_shares_union_structure():
         for ref in references
     ]
     clone = stack.with_references(noisy)
-    assert clone.values is stack.values
+    assert clone.dm_stack is stack.dm_stack
     assert clone.entry_rows is stack.entry_rows
     # Numerics match a fresh stack over the noisy pool exactly.
     fresh = ReferenceStack(noisy)

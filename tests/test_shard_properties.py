@@ -126,7 +126,7 @@ class TestGlobalVolumePreservation:
         )
         predictions = model.predict()
         stack = model.stack_
-        blended = model.blend_weights_ @ stack.values
+        blended = model.blend_weights_ @ stack.dm_stack.values
         row_sums = stack.row_sums(blended)
         covered = row_sums > 0.0
         objectives = np.asarray(objectives, dtype=float)

@@ -5,9 +5,9 @@ Every :class:`~repro.core.sparse_stack.SparseDMStack` kernel --
 ``reaggregate`` (Eq. 17) -- and the linear-predict pair the
 :class:`~repro.core.batch.ReferenceStack` owns, ``ref_row_sums`` /
 ``rescaled_totals`` (Eq. 16/17), must match the dense oracle computed
-from the raw reference matrices to 1e-12, in every storage mode, across
-random union patterns that include empty rows, single-entry rows and
-fully dense matrices.  The oracle is recomputed here from scratch (no
+from the raw reference matrices to 1e-12, in both storage layouts,
+across random union patterns that include empty rows, single-entry rows
+and fully dense matrices.  The oracle is recomputed here from scratch (no
 stack code on the oracle side), so a kernel bug cannot cancel out.
 """
 
@@ -25,11 +25,7 @@ from scipy import sparse
 from repro.core import batch as batch_module
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.reference import Reference
-from repro.core.sparse_stack import (
-    DENSE_DENSITY_THRESHOLD,
-    EntrySlice,
-    SparseDMStack,
-)
+from repro.core.sparse_stack import EntrySlice, SparseDMStack
 from repro.errors import ShapeMismatchError, ValidationError
 from repro.partitions.dm import DisaggregationMatrix
 
@@ -43,13 +39,12 @@ TOL = dict(rtol=1e-12, atol=1e-12)
 
 @st.composite
 def stack_cases(draw):
-    """(matrices, m, t, force_dense) covering the pattern spectrum.
+    """(matrices, m, t) covering the pattern spectrum.
 
     ``style`` steers the union pattern: ``random`` mixes empty and
-    single-entry rows, ``aligned`` shares one support across all
-    references (the zero-copy fast path), ``full`` is fully dense so
-    the density heuristic kicks in.  ``force`` exercises all three
-    storage modes on the same data.
+    single-entry rows (the CSR layout), ``aligned`` shares one support
+    across all references (the zero-copy layout), ``full`` is fully
+    dense (aligned too).
     """
     seed = draw(st.integers(0, 10**6))
     rng = np.random.default_rng(seed)
@@ -57,7 +52,6 @@ def stack_cases(draw):
     t = draw(st.integers(1, 6))
     k = draw(st.integers(1, 4))
     style = draw(st.sampled_from(["random", "aligned", "full"]))
-    force = draw(st.sampled_from([None, True, False]))
     mats = []
     if style == "aligned":
         pattern = rng.random((m, t)) < rng.uniform(0.15, 0.9)
@@ -77,10 +71,10 @@ def stack_cases(draw):
                 ([1.0], ([rng.integers(m)], [rng.integers(t)])),
                 shape=(m, t),
             )
-    return mats, m, t, force
+    return mats, m, t
 
 
-def reference_stack(mats, m, t, dense=None):
+def reference_stack(mats, m, t):
     """A :class:`ReferenceStack` over the raw matrices as reference DMs."""
     source_labels = [f"s{i}" for i in range(m)]
     target_labels = [f"t{j}" for j in range(t)]
@@ -88,7 +82,7 @@ def reference_stack(mats, m, t, dense=None):
     for i, mat in enumerate(mats):
         dm = DisaggregationMatrix(mat, source_labels, target_labels)
         references.append(Reference(f"r{i}", dm.row_sums() + 1.0, dm))
-    return ReferenceStack(references, dense=dense)
+    return ReferenceStack(references)
 
 
 def oracle_values(stack, mats):
@@ -109,8 +103,8 @@ class TestKernelsMatchDenseOracle:
     @settings(max_examples=60, deadline=None)
     @given(stack_cases(), st.integers(0, 10**6))
     def test_union_pattern_and_values(self, case, seed):
-        mats, m, t, force = case
-        stack = SparseDMStack.from_matrices(mats, m, t, dense=force)
+        mats, m, t = case
+        stack = SparseDMStack.from_matrices(mats, m, t)
         expected = {
             (int(r), int(c))
             for mat in mats
@@ -130,8 +124,8 @@ class TestKernelsMatchDenseOracle:
     @settings(max_examples=60, deadline=None)
     @given(stack_cases(), st.integers(0, 10**6))
     def test_blend(self, case, seed):
-        mats, m, t, force = case
-        stack = SparseDMStack.from_matrices(mats, m, t, dense=force)
+        mats, m, t = case
+        stack = SparseDMStack.from_matrices(mats, m, t)
         rng = np.random.default_rng(seed)
         weights = rng.random((3, len(mats)))
         oracle = weights @ oracle_values(stack, mats)
@@ -140,8 +134,8 @@ class TestKernelsMatchDenseOracle:
     @settings(max_examples=60, deadline=None)
     @given(stack_cases(), st.integers(0, 10**6))
     def test_row_sums(self, case, seed):
-        mats, m, t, force = case
-        stack = SparseDMStack.from_matrices(mats, m, t, dense=force)
+        mats, m, t = case
+        stack = SparseDMStack.from_matrices(mats, m, t)
         rng = np.random.default_rng(seed)
         entry_values = rng.random((3, stack.nnz))
         oracle = np.zeros((3, m))
@@ -153,8 +147,8 @@ class TestKernelsMatchDenseOracle:
     @settings(max_examples=60, deadline=None)
     @given(stack_cases(), st.integers(0, 10**6))
     def test_scale_rows_inplace(self, case, seed):
-        mats, m, t, force = case
-        stack = SparseDMStack.from_matrices(mats, m, t, dense=force)
+        mats, m, t = case
+        stack = SparseDMStack.from_matrices(mats, m, t)
         rng = np.random.default_rng(seed)
         entry_values = rng.random((3, stack.nnz))
         factors = rng.random((3, m)) + 0.5
@@ -166,8 +160,8 @@ class TestKernelsMatchDenseOracle:
     @settings(max_examples=60, deadline=None)
     @given(stack_cases(), st.integers(0, 10**6))
     def test_reaggregate(self, case, seed):
-        mats, m, t, force = case
-        stack = SparseDMStack.from_matrices(mats, m, t, dense=force)
+        mats, m, t = case
+        stack = SparseDMStack.from_matrices(mats, m, t)
         rng = np.random.default_rng(seed)
         entry_values = rng.random((3, stack.nnz))
         oracle = np.zeros((3, t))
@@ -188,11 +182,11 @@ class TestKernelsMatchDenseOracle:
     ):
         """The reference stack's R and Eq. 16/17 kernel against blend ->
         rescale -> column sums on dense matrices, and against the union
-        stack's per-entry kernels in the drawn storage mode; zero weights
+        stack's per-entry kernels in the drawn layout; zero weights
         leave rows with a zero denominator (all rows when ``zero_share``
         is 1)."""
-        mats, m, t, force = case
-        stack = reference_stack(mats, m, t, dense=force)
+        mats, m, t = case
+        stack = reference_stack(mats, m, t)
         dense = np.array([np.asarray(mat.todense()) for mat in mats])
         np.testing.assert_allclose(
             stack.ref_row_sums, dense.sum(axis=2), **TOL
@@ -221,26 +215,20 @@ class TestKernelsMatchDenseOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(stack_cases(), st.integers(0, 10**6))
-    def test_entry_mass_and_ref_entry_values(self, case, seed):
-        mats, m, t, force = case
-        stack = SparseDMStack.from_matrices(mats, m, t, dense=force)
-        oracle = oracle_values(stack, mats)
+    def test_entry_mass(self, case, seed):
+        mats, m, t = case
+        stack = SparseDMStack.from_matrices(mats, m, t)
         np.testing.assert_allclose(
-            stack.entry_mass(), oracle.sum(axis=0), **TOL
+            stack.entry_mass(), oracle_values(stack, mats).sum(axis=0), **TOL
         )
-        for i in range(len(mats)):
-            values, positions = stack.ref_entry_values(i)
-            rebuilt = np.zeros(stack.nnz)
-            rebuilt[positions] = values
-            np.testing.assert_array_equal(rebuilt, oracle[i])
 
 
 class TestEntrySliceMatchesStack:
     @settings(max_examples=60, deadline=None)
     @given(stack_cases(), st.integers(0, 10**6))
     def test_sliced_blend_equals_blend_slice(self, case, seed):
-        mats, m, t, force = case
-        stack = SparseDMStack.from_matrices(mats, m, t, dense=force)
+        mats, m, t = case
+        stack = SparseDMStack.from_matrices(mats, m, t)
         rng = np.random.default_rng(seed)
         keep = rng.random(stack.nnz) < 0.5
         entries = np.flatnonzero(keep).astype(np.int64)
@@ -253,6 +241,35 @@ class TestEntrySliceMatchesStack:
             stack.blend(weights)[:, entries],
             **TOL,
         )
+
+
+def union_state(union, entries, weights):
+    """What a union stack's consumers read: its resident bytes, the bits
+    of ``entry_mass``, and the form and blend bits of one entry slice."""
+    piece = union.entry_slice(entries)
+    return (
+        union.resident_bytes,
+        union.entry_mass().tobytes(),
+        piece.dense is None,
+        piece.blend(weights).tobytes(),
+    )
+
+
+@pytest.mark.parametrize("aligned", [False, True], ids=["sparse", "aligned"])
+def test_values_read_leaves_the_stack_as_it_was(aligned):
+    """``values`` is an oracle view that caches nothing, so the kernels,
+    and the slices a sharded run ships, never depend on whether anything
+    read it first."""
+    mats = _ring_matrices(k=3, m=40, t=30)
+    if aligned:
+        mats = [mats[0] * scale for scale in (1.0, 2.0, 0.5)]
+    stack = SparseDMStack.from_matrices(mats, 40, 30)
+    assert stack.mode == ("aligned" if aligned else "sparse")
+    entries = np.arange(0, stack.nnz, 3, dtype=np.int64)
+    weights = np.random.default_rng(5).random((2, 3))
+    before = union_state(stack, entries, weights)
+    np.testing.assert_array_equal(stack.values, oracle_values(stack, mats))
+    assert union_state(stack, entries, weights) == before
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +304,10 @@ class TestModeSelection:
     def test_low_density_unaligned_picks_sparse(self):
         stack = SparseDMStack.from_matrices(_ring_matrices(), 6, 5)
         assert stack.mode == "sparse"
-        assert stack.density <= DENSE_DENSITY_THRESHOLD
+        assert stack.density <= 0.5
 
-    def test_high_density_unaligned_picks_dense(self):
+    def test_high_density_unaligned_picks_sparse(self):
+        # Density does not pick the layout: only a shared pattern does.
         rng = np.random.default_rng(3)
         mats = [
             sparse.csr_matrix(rng.random((4, 4)) + 0.1),
@@ -299,21 +317,13 @@ class TestModeSelection:
             ),
         ]
         stack = SparseDMStack.from_matrices(mats, 4, 4)
-        assert stack.mode == "dense"
-
-    def test_dense_flag_forces_and_forbids(self):
-        mats = _ring_matrices()
-        assert SparseDMStack.from_matrices(mats, 6, 5, dense=True).mode == (
-            "dense"
-        )
-        assert SparseDMStack.from_matrices(mats, 6, 5, dense=False).mode == (
-            "sparse"
-        )
+        assert stack.mode == "sparse"
+        assert stack.density > 0.5
 
     def test_single_entry_and_empty_rows(self):
         # Row 0 has one entry, rows 1-2 are empty everywhere.
         mat = sparse.csr_matrix(([2.0], ([0], [1])), shape=(3, 3))
-        stack = SparseDMStack.from_matrices([mat], 3, 3, dense=False)
+        stack = SparseDMStack.from_matrices([mat], 3, 3)
         weights = np.array([[1.5]])
         np.testing.assert_array_equal(
             stack.blend(weights), np.array([[3.0]])
@@ -428,12 +438,30 @@ class TestLinearPredictArrays:
         assert len(seen) == 8
         return seen
 
-    def test_one_build_under_concurrent_first_use(self):
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """The references each ``_build_linear`` call builds, in call
+        order; every call holds the lock long enough for the racing
+        threads to reach it."""
+        built = []
+        build = batch_module._build_linear
+
+        def counted_build(matrices, refs, *rest):
+            built.extend(refs)
+            time.sleep(0.02)
+            build(matrices, refs, *rest)
+
+        monkeypatch.setattr(batch_module, "_build_linear", counted_build)
+        return built
+
+    def test_one_build_under_concurrent_first_use(self, monkeypatch):
         stack = reference_stack(_ring_matrices(k=4, m=300, t=40), 300, 40)
+        built = self._count_builds(monkeypatch)
         seen = self._first_use_from_threads(
             stack, lambda s: (s.ref_row_sums, s.operators)
         )
         assert all(r is seen[0][0] and ops is seen[0][1] for r, ops in seen)
+        assert sorted(built) == [0, 1, 2, 3]
 
     def test_one_union_build_under_concurrent_first_use(self):
         stack = reference_stack(_ring_matrices(k=4, m=300, t=40), 300, 40)
@@ -503,16 +531,7 @@ class TestLinearPredictArrays:
             for i in range(len(supports))
         ]
         draws = itertools.count()
-        built = []
-        build = batch_module._build_linear
-
-        def counted_build(matrices, refs, *rest):
-            built.extend(refs)
-            # Hold the lock long enough for the other threads to reach it.
-            time.sleep(0.02)
-            build(matrices, refs, *rest)
-
-        monkeypatch.setattr(batch_module, "_build_linear", counted_build)
+        built = self._count_builds(monkeypatch)
 
         def race(shared):
             i = next(draws) % len(supports)
