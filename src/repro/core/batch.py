@@ -9,10 +9,11 @@ front.  Everything attribute-independent lives in a
 1. the max-normalised reference source vectors stacked into the design
    matrix ``A`` and the Gram matrix ``A^T A`` of Eq. 15;
 2. ``R``, the ``(k, m)`` row sums of each reference disaggregation matrix
-   ``D_j``, and the per-reference target-major ``(t, m)`` CSR operators
-   ``D_j^T`` (Eq. 16 / Eq. 17), built per reference by the first
-   ``predict`` that weights it: Eq. 15's simplex leaves many weights at
-   exactly zero, and a reference no fit weights is never built;
+   ``D_j``, and the per-reference ``(t, m)`` operators ``D_j^T``
+   (Eq. 16 / Eq. 17), COO views of each DM's own CSR entries, built per
+   reference by the first ``predict`` that weights it: Eq. 15's simplex
+   leaves many weights at exactly zero, and a reference no fit weights
+   is never built;
 3. the :class:`~repro.core.sparse_stack.SparseDMStack` holding the K
    reference DMs over the *union* of their sparsity patterns, built only
    when a consumer first asks for per-entry values.
@@ -345,41 +346,27 @@ def _build_linear(
     """Fill row ``R[j]`` and operator ``D_j^T`` for each ``j`` in ``refs``.
 
     ``R[j]`` is one CSR mat-vec of ``D_j`` with a ones vector.  The
-    operators are ``(t, m)`` CSR with int32 indices where they fit: the
-    CSC form of ``D_j`` is the CSR form of ``D_j^T``, and converting a
-    matrix whose values are the entries' own positions yields the
-    transposing permutation (SciPy's counting sort keeps source rows
-    ascending within each target).  References on one pattern built in
-    one call share it and the index arrays.
+    operator is a ``(t, m)`` COO view of ``D_j`` in canonical CSR: its
+    values and target indices are the CSR's own arrays, and its source
+    index is the row pointer expanded once per entry (int32 where it
+    fits).  The entries stay in CSR order and SciPy's COO product adds
+    them in that order, so every target sums its source rows in
+    ascending order, as a target-major CSR copy would.
     """
     m, t = row_sums.shape[1], n_targets
     ones = np.ones(t)
-    pattern: tuple[Any, NDArray[np.intp], Any] | None = None
+    sources = np.arange(
+        m, dtype=np.int32 if max(m, t) < np.iinfo(np.int32).max else np.int64
+    )
     with _span("stack.operators", k=len(refs)):
         for j in refs:
             csr = _as_sorted_csr(matrices[j])
             row_sums[j] = csr @ ones
-            if pattern is None or not (
-                np.array_equal(pattern[0].indptr, csr.indptr)
-                and np.array_equal(pattern[0].indices, csr.indices)
-            ):
-                index_dtype = (
-                    np.int32
-                    if max(csr.nnz, m, t) < np.iinfo(np.int32).max
-                    else np.int64
-                )
-                by_target = sparse.csr_matrix(
-                    (
-                        np.arange(csr.nnz, dtype=float),
-                        csr.indices.astype(index_dtype, copy=False),
-                        csr.indptr.astype(index_dtype, copy=False),
-                    ),
-                    shape=(m, t),
-                ).tocsc()
-                pattern = (csr, by_target.data.astype(np.intp), by_target)
-            _, order, by_target = pattern
-            operators[j] = sparse.csr_matrix(
-                (csr.data[order], by_target.indices, by_target.indptr),
+            operators[j] = sparse.coo_matrix(
+                (
+                    csr.data,
+                    (csr.indices, np.repeat(sources, np.diff(csr.indptr))),
+                ),
                 shape=(t, m),
             )
 
@@ -390,7 +377,9 @@ class _DMArrays:
     ``R`` and the operators serve :meth:`BatchAligner.predict`, built
     per reference: a reference's ``R`` row and operator on the first
     call that asks for that reference, so a reference no fit weights
-    keeps an all-zero ``R`` row and no operator.  The union-pattern
+    keeps an all-zero ``R`` row and no operator.  An operator is a COO
+    view of its DM's own CSR arrays and holds only its source index
+    besides.  The union-pattern
     :class:`~repro.core.sparse_stack.SparseDMStack` serves the per-entry
     consumers.  Both are built on first use under one lock, so a caller
     may share one stack across threads.  Stacks over the same DMs
@@ -467,19 +456,20 @@ class _DMArrays:
 
     @property
     def resident_bytes(self) -> int:
-        """``R`` and the built operators, plus the union stack, once
-        built."""
+        """``R`` and what the built operators hold beyond their DMs' own
+        arrays (the source indices, and any canonical copy), plus the
+        union stack, once built."""
         total = 0
         if self.row_sums is not None:
-            # Operators on one pattern share their index buffers: count
-            # each buffer once, keyed by address.
-            buffers = {
-                array.ctypes.data: int(array.nbytes)
-                for op in self.operators
-                if op is not None
-                for array in (op.data, op.indices, op.indptr)
-            }
-            total += int(self.row_sums.nbytes) + sum(buffers.values())
+            total += int(self.row_sums.nbytes)
+            for op, matrix in zip(self.operators, self.matrices):
+                if op is not None:
+                    own = (id(matrix.data), id(matrix.indices))
+                    total += sum(
+                        int(array.nbytes)
+                        for array in (op.data, op.row, op.col)
+                        if id(array) not in own
+                    )
         if self.dm_stack is not None:
             total += self.dm_stack.resident_bytes
         return total
@@ -535,20 +525,21 @@ class ReferenceStack:
         self.n_sources = len(self.source_labels)
         self.n_targets = len(self.target_labels)
 
-        if normalize:
-            self.design = np.column_stack(
-                [ref.normalized_source() for ref in refs]
-            )
-            self.scales = np.array(
-                [float(ref.source_vector.max()) for ref in refs]
-            )
-        else:
-            self.design = np.column_stack(
-                [ref.source_vector for ref in refs]
-            )
-            self.scales = np.ones(len(refs))
-        self.gram = self.design.T @ self.design
         self.source_vectors = np.vstack([ref.source_vector for ref in refs])
+        if normalize:
+            self.scales = self.source_vectors.max(axis=1)
+            for ref, peak in zip(refs, self.scales):
+                if peak <= 0:
+                    raise ValidationError(
+                        f"reference {ref.name!r} cannot be normalised: "
+                        "max is 0"
+                    )
+            scaled = self.source_vectors / self.scales[:, np.newaxis]
+        else:
+            self.scales = np.ones(len(refs))
+            scaled = self.source_vectors
+        self.design = scaled.T.copy()
+        self.gram = self.design.T @ self.design
         self._dms = _DMArrays(
             [ref.dm.matrix for ref in refs], self.n_sources, self.n_targets
         )
@@ -593,7 +584,8 @@ class ReferenceStack:
 
     @property
     def operators(self) -> list[Any]:
-        """Per-reference ``(t, m)`` CSR operators ``D_j^T``."""
+        """Per-reference ``(t, m)`` COO operators ``D_j^T``, views of the
+        reference DMs' canonical CSR entries."""
         return self._dms.linear_arrays()[1]
 
     def linear_for(
@@ -627,7 +619,7 @@ class ReferenceStack:
 
         The column sums of each blended DM after source row ``r`` is
         multiplied by ``factors[:, r]``, computed as ``sum_j
-        blend_weights[:, j] * (factors @ D_j)`` over the target-major
+        blend_weights[:, j] * (factors @ D_j)`` over the ``D_j^T``
         operators, so no ``(n, nnz)`` matrix exists.  A reference
         weighted zero for every attribute adds nothing: it is skipped,
         and its operator is not built.

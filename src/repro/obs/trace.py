@@ -37,7 +37,7 @@ import math
 import threading
 import time
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -249,19 +249,33 @@ def trace(name: str = "trace", /, **attrs: object) -> Iterator[Trace]:
         _ACTIVE.reset(token)
 
 
-@contextmanager
-def span(name: str, /, **attrs: object) -> Iterator[SpanRecord | None]:
+#: What :func:`span` returns when no session is active: one shared,
+#: stateless context manager that yields ``None`` and records nothing.
+_NO_SPAN: AbstractContextManager[None] = nullcontext()
+
+
+def span(
+    name: str, /, **attrs: object
+) -> AbstractContextManager[SpanRecord | None]:
     """Record a named, timed, hierarchical region of the block.
 
     Yields the :class:`SpanRecord` (shared by every active session) so
     callers may attach attributes mid-flight, or ``None`` when tracing
     is off.  An exception escaping the block marks the span
-    ``status="error"`` before re-raising.
+    ``status="error"`` before re-raising.  With no active session the
+    call costs one ``ContextVar.get()`` and returns a shared no-op.
     """
     sessions = _ACTIVE.get()
     if not sessions:
-        yield None
-        return
+        return _NO_SPAN
+    return _recorded_span(sessions, name, attrs)
+
+
+@contextmanager
+def _recorded_span(
+    sessions: tuple[Trace, ...], name: str, attrs: dict[str, object]
+) -> Iterator[SpanRecord]:
+    """The recording half of :func:`span`."""
     record = SpanRecord(
         span_id=next(_IDS),
         parent_id=_PARENT.get(),

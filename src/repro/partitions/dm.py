@@ -127,8 +127,17 @@ class DisaggregationMatrix:
         return np.asarray(self.matrix.sum(axis=1), dtype=float).ravel()
 
     def col_sums(self) -> FloatArray:
-        """Target-level aggregate vector implied by the matrix."""
-        return np.asarray(self.matrix.sum(axis=0), dtype=float).ravel()
+        """Target-level aggregate vector implied by the matrix.
+
+        One ``bincount`` over the stored entries, which adds them to
+        their targets in storage order, as ``matrix.sum(axis=0)`` does.
+        """
+        sums = np.bincount(
+            self.matrix.indices,
+            weights=self.matrix.data,
+            minlength=self.shape[1],
+        )
+        return np.asarray(sums, dtype=float)
 
     def total(self) -> float:
         """Grand total of the attribute over the universe."""

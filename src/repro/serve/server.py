@@ -596,13 +596,14 @@ class AlignmentServer:
         """Current server gauges, shared by both /metrics renderings.
 
         Warm-stack residency: bytes held by every loaded model's
-        reference stack (``R`` once any reference is built, the
-        operators of the references a predict weighted, and the union
-        value stack once built), and the union-pattern size and density
-        of the union stacks built so far.  A store-loaded model's stack
-        is a fresh one, so its union counts once a per-entry request
-        (``/disaggregate``) built it.  Reading the gauges builds
-        nothing.
+        reference stack (``R`` once any reference is built, the source
+        indices of the operators of the references a predict weighted --
+        an operator views its DM's own values and target indices -- and
+        the union value stack once built), and the union-pattern size
+        and density of the union stacks built so far.  A store-loaded
+        model's stack is a fresh one, so its union counts once a
+        per-entry request (``/disaggregate``) built it.  Reading the
+        gauges builds nothing.
         """
         stacks = [
             serving.model.stack_

@@ -55,6 +55,28 @@ class TestTraceCore:
         incr("ignored")
         set_gauge("ignored", 1.0)
 
+    def test_disabled_span_yields_none_and_records_nothing(self):
+        assert not tracing_active()
+        with span("untraced", k=1) as record:
+            with span("nested") as nested:
+                with trace("opened-inside") as session:
+                    with span("traced"):
+                        pass
+        assert record is None and nested is None
+        # The disabled spans set no parent: the session's root span is
+        # a root, and nothing but the session's own spans is recorded.
+        (root,) = session.root_spans()
+        assert root.name == "opened-inside" and root.parent_id is None
+        assert session.span_names() == ["opened-inside", "traced"]
+
+    def test_disabled_span_propagates_exceptions(self):
+        assert not tracing_active()
+        with pytest.raises(ValidationError, match="boom"):
+            with span("doomed"):
+                raise ValidationError("boom")
+        with span("after") as record:
+            assert record is None
+
     def test_session_records_spans_and_nesting(self):
         with trace("t") as session:
             assert tracing_active()
@@ -143,6 +165,10 @@ class TestTraceCore:
         with timed_span("untraced") as clock:
             pass
         assert clock.seconds > 0.0
+        with pytest.raises(ValidationError):
+            with timed_span("untraced-error") as failed:
+                raise ValidationError("boom")
+        assert failed.seconds > 0.0
 
     def test_timed_span_contributes_span_when_tracing(self):
         with trace("t") as session:

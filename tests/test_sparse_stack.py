@@ -28,6 +28,7 @@ from repro.core.reference import Reference
 from repro.core.sparse_stack import EntrySlice, SparseDMStack
 from repro.errors import ShapeMismatchError, ValidationError
 from repro.partitions.dm import DisaggregationMatrix
+from tests import dm_oracles
 
 TOL = dict(rtol=1e-12, atol=1e-12)
 
@@ -71,6 +72,69 @@ def stack_cases(draw):
                 ([1.0], ([rng.integers(m)], [rng.integers(t)])),
                 shape=(m, t),
             )
+    return mats, m, t
+
+
+def _non_canonical(mat, rng):
+    """``mat`` as CSR with each row's entries shuffled and some split
+    into duplicate pairs: the same matrix, not in canonical form."""
+    data, indices, indptr = [], [], [0]
+    for r in range(mat.shape[0]):
+        row = []
+        for jj in range(mat.indptr[r], mat.indptr[r + 1]):
+            col, value = int(mat.indices[jj]), float(mat.data[jj])
+            if rng.random() < 0.3:
+                share = rng.uniform(0.2, 0.8)
+                row += [(col, value * share), (col, value * (1.0 - share))]
+            else:
+                row.append((col, value))
+        rng.shuffle(row)
+        indices += [col for col, _ in row]
+        data += [value for _, value in row]
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (
+            np.array(data, dtype=float),
+            np.array(indices, dtype=np.int32),
+            np.array(indptr, dtype=np.int32),
+        ),
+        shape=mat.shape,
+    )
+
+
+@st.composite
+def operator_cases(draw):
+    """(matrices, m, t) for the Eq. 17 operators.
+
+    Both weight sides (``m < t`` and ``m > t``), one shared pattern or
+    one per reference, forced empty rows and columns, and matrices
+    handed over in non-canonical CSR (unsorted and duplicate entries).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    small, large = draw(
+        st.lists(st.integers(1, 12), min_size=2, max_size=2, unique=True)
+        .map(sorted)
+    )
+    m, t = (small, large) if draw(st.booleans()) else (large, small)
+    k = draw(st.integers(1, 4))
+    aligned = draw(st.booleans())
+    canonical = draw(st.booleans())
+    empty_row, empty_col = draw(st.booleans()), draw(st.booleans())
+
+    def pattern():
+        keep = rng.random((m, t)) < rng.uniform(0.2, 0.9)
+        if empty_row:
+            keep[rng.integers(m)] = False
+        if empty_col:
+            keep[:, rng.integers(t)] = False
+        return keep
+
+    shared = pattern()
+    mats = []
+    for _ in range(k):
+        keep = shared if aligned else pattern()
+        mat = sparse.csr_matrix(np.where(keep, rng.random((m, t)) + 0.1, 0.0))
+        mats.append(mat if canonical else _non_canonical(mat, rng))
     return mats, m, t
 
 
@@ -221,6 +285,35 @@ class TestKernelsMatchDenseOracle:
         np.testing.assert_allclose(
             stack.entry_mass(), oracle_values(stack, mats).sum(axis=0), **TOL
         )
+
+
+class TestRescaledTotalsMatchTransposedOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        operator_cases(),
+        st.sampled_from([1, 2, 64]),
+        st.integers(0, 10**6),
+    )
+    def test_bitwise_equal(self, case, n_attrs, seed):
+        """Eq. 17 through the stack's operators equals the transposed-CSR
+        oracle bit for bit, with references weighted zero in every
+        attribute; each DM's column sums equal SciPy's bit for bit."""
+        mats, m, t = case
+        stack = reference_stack(mats, m, t)
+        k = len(mats)
+        rng = np.random.default_rng(seed)
+        weights = rng.random((n_attrs, k))
+        weights[rng.random(weights.shape) < 0.2] = 0.0
+        weights[:, rng.random(k) < 0.4] = 0.0
+        factors = rng.random((n_attrs, m)) * (rng.random((n_attrs, m)) < 0.9)
+        matrices = [ref.dm.matrix for ref in stack.references]
+        expected = dm_oracles.rescaled_totals(matrices, weights, factors)
+        got = stack.rescaled_totals(weights, factors)
+        assert got.shape == (n_attrs, t)
+        assert got.tobytes() == expected.tobytes()
+        for matrix, ref in zip(matrices, stack.references):
+            scipy_sums = np.asarray(matrix.sum(axis=0), dtype=float).ravel()
+            assert ref.dm.col_sums().tobytes() == scipy_sums.tobytes()
 
 
 class TestEntrySliceMatchesStack:
@@ -382,8 +475,10 @@ class TestLinearPredictArrays:
 
     @pytest.mark.parametrize("aligned", [False, True])
     def test_resident_bytes_counts_r_and_operators(self, aligned):
+        """An operator views its DM's own values and target indices, so
+        the stack counts ``R`` and the expanded source indices only."""
         mats = _ring_matrices()
-        if aligned:  # one pattern: the operators share index buffers
+        if aligned:  # one pattern: the union stack picks the aligned layout
             mats = [mats[0], mats[0] * 2.0]
         stack = reference_stack(mats, 6, 5)
         assert stack.resident_bytes == 0  # nothing built yet
@@ -391,17 +486,35 @@ class TestLinearPredictArrays:
         stack.rescaled_totals(weights, np.ones((1, 6)))
         assert stack.built_dm_stack is None
         operators = stack.operators
-        index_bytes = [op.indices.nbytes + op.indptr.nbytes for op in operators]
-        built = (
-            stack.ref_row_sums.nbytes
-            + sum(op.data.nbytes for op in operators)
-            + (index_bytes[0] if aligned else sum(index_bytes))
+        for op, ref in zip(operators, stack.references):
+            assert op.data is ref.dm.matrix.data
+            assert op.row is ref.dm.matrix.indices
+            assert op.col.dtype == np.int32
+        built = stack.ref_row_sums.nbytes + sum(
+            op.col.nbytes for op in operators
         )
         assert stack.resident_bytes == built
-        assert all(op.indices.dtype == np.int32 for op in operators)
         union = stack.dm_stack
         assert union.mode == ("aligned" if aligned else "sparse")
         assert stack.resident_bytes == built + union.resident_bytes
+
+    def test_resident_bytes_counts_a_canonical_copy(self):
+        """A DM stored out of canonical order is viewed through the
+        canonical copy the build makes, and the stack counts that copy."""
+        mats = _ring_matrices()
+        mats[1] = _non_canonical(mats[0] + mats[1], np.random.default_rng(2))
+        stack = reference_stack(mats, 6, 5)
+        assert not stack.references[1].dm.matrix.has_canonical_format
+        own, copied = stack.operators
+        assert own.data is stack.references[0].dm.matrix.data
+        assert copied.data is not stack.references[1].dm.matrix.data
+        assert stack.resident_bytes == (
+            stack.ref_row_sums.nbytes
+            + own.col.nbytes
+            + copied.data.nbytes
+            + copied.row.nbytes
+            + copied.col.nbytes
+        )
 
     def test_pickle_round_trip_keeps_built_arrays(self):
         stack = reference_stack(_ring_matrices(), 6, 5)
@@ -474,7 +587,7 @@ class TestLinearPredictArrays:
         """A one-row fit that weights references 0 and 2 of 3 builds
         their ``R`` rows and operators and nothing for reference 1, in
         one ``stack.operators`` span; forcing the rest adds exactly
-        reference 1's operator bytes."""
+        reference 1's source-index bytes."""
         mats = _ring_matrices(k=3)
         stack = reference_stack(mats, 6, 5)
         objective = stack.references[0].source_vector + 1.0
@@ -492,7 +605,7 @@ class TestLinearPredictArrays:
         partial = stack.resident_bytes
 
         def operator_bytes(op):
-            return op.data.nbytes + op.indices.nbytes + op.indptr.nbytes
+            return op.col.nbytes  # the rest is the DM's own arrays
 
         assert partial == row_sums.nbytes + sum(
             operator_bytes(operators[j]) for j in (0, 2)

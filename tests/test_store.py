@@ -490,8 +490,8 @@ class TestSparseArtifacts:
 
     @pytest.mark.parametrize("mode", ["sparse", "aligned"])
     def test_loaded_predict_bit_identical_in_every_mode(self, store, mode):
-        # The loaded stack builds R and its target-major operators from
-        # the decoded reference DMs, so the linear predict replays bit
+        # The loaded stack builds R and its operator views over the
+        # decoded reference DMs, so the linear predict replays bit
         # for bit; the union, built on first per-entry use, takes the
         # layout the references' patterns select, as it did when saved.
         references, objectives = _sparse_world(shifted=mode != "aligned")
