@@ -29,7 +29,6 @@ from repro.core.batch import BatchAligner
 from repro.experiments.reporting import save_bench_json
 from repro.obs import Trace, evaluate_health
 from repro.serve import AlignmentServer, ServeClient, encode_response
-from repro.serve.metrics import percentile
 from repro.synth.bigalign import build_big_universe
 
 #: Full-scale universe (scaled down by ``REPRO_BENCH_SCALE``).  Kept
@@ -123,8 +122,7 @@ def test_serve_predict_throughput(benchmark, bench_scale, report):
     total = N_CLIENTS * REQUESTS_PER_CLIENT
     assert len(latencies) == total
     rps = total / wall_seconds
-    window = sorted(latencies)
-    p50, p95, p99 = (percentile(window, q) for q in (50.0, 95.0, 99.0))
+    p50, p95, p99 = np.percentile(latencies, (50.0, 95.0, 99.0))
 
     # Served output is the offline output, to the last bit (1e-12 would
     # already be too lax: nothing on the path may perturb a float).

@@ -11,7 +11,7 @@ disaggregation is linear in the reference DMs, so the Eq. 16/17 totals
 come from per-reference quantities the reference stack owns.  The
 union stack is built on first use, for the consumers that need
 per-entry values -- ``predict_dms``, ``/disaggregate``, the health
-audit, the shard planner and merge check, and the model store's save:
+audit, and the shard planner and merge check:
 
 * ``blend``        -- Eq. 14 numerator, ``W @ values`` over the union
   entries, returning a dense ``(n_attrs, nnz)`` matrix;

@@ -35,9 +35,6 @@ class AlignmentResult:
     seconds: float
     rows: list = field(default_factory=list)  # (dataset, rmse, nrmse)
 
-    def nrmse_by_dataset(self):
-        return {name: value for name, _, value in self.rows}
-
     def to_text(self):
         lines = [
             f"Alignment ({self.universe}): NRMSE by dataset",

@@ -47,17 +47,6 @@ class ScalabilityResult:
 
     timings: list = field(default_factory=list)
 
-    def runtime_vs_sources(self):
-        """(n_source_units, mean_runtime) pairs, ladder order."""
-        return [
-            (t.n_source_units, t.mean_runtime) for t in self.timings
-        ]
-
-    def runtime_vs_targets(self):
-        return [
-            (t.n_target_units, t.mean_runtime) for t in self.timings
-        ]
-
     def linearity(self):
         """Pearson correlation of runtime with source and target counts.
 

@@ -203,10 +203,6 @@ class Trace:
             if s.parent_id is None or s.parent_id not in known
         ]
 
-    def children_of(self, span_id: int) -> list[SpanRecord]:
-        """Direct children of the span with id ``span_id``."""
-        return [s for s in self.spans if s.parent_id == span_id]
-
     def ancestors_of(self, record: SpanRecord) -> list[SpanRecord]:
         """Parent chain of ``record``, innermost first."""
         by_id = {s.span_id: s for s in self.spans}

@@ -27,7 +27,7 @@ from repro.serve.http import (
     encode_response,
     read_request,
 )
-from repro.serve.metrics import ServerMetrics, percentile
+from repro.serve.metrics import ServerMetrics
 from repro.serve.sampler import Exemplar, TailSampler
 from repro.serve.server import AlignmentServer, ServingModel
 
@@ -43,6 +43,5 @@ __all__ = [
     "ServingModel",
     "TailSampler",
     "encode_response",
-    "percentile",
     "read_request",
 ]

@@ -17,16 +17,12 @@ with ``count``/``mean_seconds``/``p*_seconds``), with one deliberate
 change: an endpoint with *no* observations reports only
 ``count: 0`` -- a fabricated ``0.0`` percentile is indistinguishable
 from a true zero-latency reading.
-
-:func:`percentile` is the nearest-rank helper for harnesses that
-aggregate their own client-side samples; the server stores none.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.errors import ValidationError
 from repro.obs.promfmt import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
@@ -34,20 +30,10 @@ from repro.obs.promfmt import (
     sanitize_metric_name,
 )
 
-__all__ = ["ServerMetrics", "percentile"]
+__all__ = ["ServerMetrics"]
 
 #: Prefix every exposed Prometheus metric carries.
 PROM_PREFIX = "geoalign"
-
-
-def percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty sorted sample list."""
-    if not samples:
-        raise ValidationError("percentile needs at least one sample")
-    if not 0.0 < q <= 100.0:
-        raise ValidationError(f"percentile q must be in (0, 100], got {q}")
-    rank = max(int(len(samples) * q / 100.0 + 0.5), 1)
-    return samples[min(rank, len(samples)) - 1]
 
 
 class ServerMetrics:

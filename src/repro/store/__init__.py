@@ -2,9 +2,11 @@
 
 The alignment-as-a-service layer (:mod:`repro.serve`) answers queries
 from *warm* models: a fitted :class:`~repro.core.batch.BatchAligner` --
-its reference DMs and source vectors, the design/Gram pair, the learned
-weights -- is serialized once and reloaded in milliseconds instead of
-being refitted per process.  :class:`ModelStore` owns that
+its reference DMs and source vectors, the learned weights and the
+objectives -- is serialized once and reloaded in milliseconds instead
+of being refitted per process; what its reference stack derives from
+the references (the design/Gram pair, the union stack) is rebuilt, not
+stored, and a save builds none of it.  :class:`ModelStore` owns that
 serialization:
 
 * artifacts are **content-addressed**: the key is a prefix of a

@@ -10,7 +10,7 @@ The manifest is the commit point: it is written (atomically, via
 that sees a manifest can expect its payload -- and verifies it anyway,
 because the manifest records the payload's SHA-256 and byte length and
 :func:`read_artifact` re-hashes before parsing.  Any mismatch, parse
-failure, missing array, or format-version skew raises
+failure, or format-version skew raises
 :class:`~repro.errors.StoreError` with the artifact path in the
 message; the numpy layer runs with ``allow_pickle=False`` so a hostile
 or mangled payload cannot execute anything.
@@ -52,59 +52,18 @@ __all__ = [
 ARTIFACT_FORMAT = "geoalign-fitted-model"
 
 #: Current artifact format version; bump on any incompatible layout
-#: change.  Version 2 adds sparse value stacks: the payload carries CSR
-#: triplets (``values_data``/``values_indices``/``values_indptr``) when
-#: the manifest's ``stack_mode`` is ``"sparse"``, the ``values`` matrix
-#: otherwise.
-ARTIFACT_VERSION = 2
+#: change.  Version 3 stores each reference DM's own CSR arrays;
+#: versions 1 and 2 stored the reference DMs as one union value stack
+#: (:mod:`repro.store.store` lists what each version's payload holds).
+ARTIFACT_VERSION = 3
 
-#: Versions :func:`read_manifest` accepts.  Version-1 artifacts (a
-#: ``values`` matrix, no ``stack_mode``) decode like a version-2
-#: ``values`` payload, and their models predict what they did when
-#: saved.  Other versions are rejected with a typed error instead of
-#: guessing.
-SUPPORTED_VERSIONS = (1, 2)
+#: Versions :func:`read_manifest` accepts.  Other versions are rejected
+#: with a typed error instead of guessing.
+SUPPORTED_VERSIONS = (1, 2, 3)
 
 #: Chaos hook: ``truncate-payload`` | ``corrupt-payload`` |
 #: ``version-skew`` makes the next save produce a damaged artifact.
 FAULT_ENV = "REPRO_STORE_FAULT"
-
-#: Arrays every payload must contain (missing keys fail the load).
-REQUIRED_ARRAYS = (
-    "design",
-    "gram",
-    "scales",
-    "source_vectors",
-    "entry_rows",
-    "entry_cols",
-    "weights",
-    "masks",
-    "objectives",
-    "source_labels",
-    "target_labels",
-    "reference_names",
-    "attribute_names",
-)
-
-#: Alternative value-stack representations; every payload must carry
-#: exactly one of these array groups on top of :data:`REQUIRED_ARRAYS`.
-VALUE_ARRAY_GROUPS = (
-    ("values",),
-    ("values_data", "values_indices", "values_indptr"),
-)
-
-
-def _missing_arrays(arrays: "dict[str, NDArray[Any]] | set[str]") -> list[str]:
-    """Required-array inventory; empty when the payload is complete."""
-    missing = [name for name in REQUIRED_ARRAYS if name not in arrays]
-    if not any(
-        all(name in arrays for name in group)
-        for group in VALUE_ARRAY_GROUPS
-    ):
-        missing.append(
-            "values (or values_data/values_indices/values_indptr)"
-        )
-    return missing
 
 
 def manifest_path(root: str, key: str) -> str:
@@ -141,17 +100,12 @@ def write_artifact(
 ) -> dict[str, object]:
     """Persist one artifact; returns the manifest that was written.
 
-    ``arrays`` must cover :data:`REQUIRED_ARRAYS`; ``manifest_extra``
+    ``arrays`` is the payload, written as it is; ``manifest_extra``
     carries the caller's descriptive fields (fingerprint, shapes,
     config, health snapshot).  The payload is serialized in memory
     first so its checksum and length land in the manifest, then both
     files are committed atomically, manifest last.
     """
-    missing = _missing_arrays(arrays)
-    if missing:
-        raise StoreError(
-            f"artifact {key!r}: payload is missing arrays {missing}"
-        )
     os.makedirs(root, exist_ok=True)
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
@@ -222,8 +176,9 @@ def read_artifact(
 
     Verification order: manifest structure and version first, then the
     payload's byte length and SHA-256 against the manifest, and only
-    then the numpy parse (``allow_pickle=False``) and required-array
-    inventory.  Every failure mode raises :class:`StoreError`.
+    then the numpy parse (``allow_pickle=False``).  Every failure mode
+    raises :class:`StoreError`; which arrays a payload must hold is the
+    reader's check (:mod:`repro.store.store`).
     """
     manifest = read_manifest(root, key)
     path = payload_path(root, key)
@@ -249,7 +204,4 @@ def read_artifact(
             arrays = {name: bundle[name] for name in bundle.files}
     except (OSError, ValueError, zipfile.BadZipFile, KeyError) as exc:
         raise StoreError(f"{path}: payload failed to parse ({exc})") from exc
-    missing = _missing_arrays(arrays)
-    if missing:
-        raise StoreError(f"{path}: payload is missing arrays {missing}")
     return manifest, arrays

@@ -1,26 +1,28 @@
 """The model store: save, list, and warm-load fitted aligners.
 
 :class:`ModelStore` maps a content fingerprint to one artifact
-(:mod:`repro.store.artifact`) holding everything a fitted
-:class:`~repro.core.batch.BatchAligner` needs to answer ``predict`` /
-``disaggregate`` / warm ``align`` queries without refitting:
+(:mod:`repro.store.artifact`) holding what a fitted
+:class:`~repro.core.batch.BatchAligner` is made of, so it answers
+``predict`` / ``disaggregate`` / warm ``align`` queries without
+refitting:
 
-* the :class:`~repro.core.batch.ReferenceStack` arrays -- design
-  matrix, Gram, per-reference scales, raw source vectors, and the
-  reference DMs as one value stack over their union sparsity pattern
-  (``entry_rows``/``entry_cols`` plus ``values`` or CSR triplets),
+* the reference set -- each reference's source vector, and its DM's own
+  CSR arrays as the DM holds them (:data:`DM_ARRAYS`),
 * the fit outputs -- simplex weights, masks, objectives, names,
 * an optional health-verdict snapshot and caller metadata.
 
-Loading adopts the stored weights, so nothing is refitted.  It decodes
-the value stack into per-reference DMs and builds a
-:class:`~repro.core.batch.ReferenceStack` over them, as a fresh fit
-would: the design, scales and Gram come from the stored source vectors,
-each reference's ``R`` row and operator from its DM on the first
-``predict`` that weights it, and the union stack on the first
+What a :class:`~repro.core.batch.ReferenceStack` derives from its
+references (the design, scales and Gram, ``R`` and the operators, the
+union stack) is not stored, and a save builds none of it.  Loading
+adopts the stored weights and builds a stack over the stored
+references, as a fresh fit would: the design, scales and Gram from the
+stored source vectors, each reference's ``R`` row and operator on the
+first ``predict`` that weights it, and the union stack on the first
 per-entry use.  A loaded model therefore predicts bit for bit what the
-saved one did (the round-trip suite pins it), whatever layout the
-saving build stored its union in.
+saved one did, and its references keep their fingerprints (the
+round-trip suite pins both).  Artifacts of format versions 1 and 2,
+which stored the union stack instead, decode into the same
+per-reference arrays.
 
 Fingerprints are :mod:`repro.utils.fingerprint`'s content hashes, the
 family the DM, reference and reference-stack ``fingerprint()`` methods
@@ -41,11 +43,11 @@ from scipy import sparse
 
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.reference import Reference
-from repro.errors import NotFittedError, StoreError
+from repro.errors import NotFittedError, StoreError, ValidationError
 from repro.obs.trace import span as _span
 from repro.partitions.dm import DisaggregationMatrix
 from repro.store.artifact import (
-    VALUE_ARRAY_GROUPS,
+    ARTIFACT_VERSION,
     manifest_path,
     payload_path,
     read_artifact,
@@ -70,11 +72,32 @@ DEFAULT_STORE_DIR = os.path.join(".geoalign", "store")
 #: Hex characters of the fingerprint used as the artifact key.
 KEY_LENGTH = 12
 
-#: ``stack_mode`` values an artifact may carry: the two union layouts,
-#: and ``"dense"``, which earlier builds wrote (a version-1 manifest
-#: carries no mode and means it).  ``"sparse"`` payloads hold CSR
-#: triplets, the others a ``values`` matrix.
-STORED_MODES = ("sparse", "aligned", "dense")
+#: Arrays a payload of every format version holds: the stacked
+#: reference source vectors, the fit outputs, and each label and name
+#: list once.
+FIT_ARRAYS = (
+    "source_vectors", "weights", "masks", "objectives",
+    "source_labels", "target_labels", "reference_names", "attribute_names",
+)
+
+#: Version 3 adds the reference DMs, each as its own CSR arrays: one
+#: ``(k * m, t)`` CSR matrix of the k DMs stacked by source rows.
+DM_ARRAYS = ("dm_data", "dm_indices", "dm_indptr")
+
+#: Versions 1 and 2 added the union stack's entries, their values in
+#: the group :data:`STORED_MODES` names, and the design, Gram and
+#: scales, which the loader recomputes from the source vectors.
+UNION_ARRAYS = ("design", "gram", "scales", "entry_rows", "entry_cols")
+
+#: ``stack_mode`` of a version-1 or 2 manifest -> the value arrays it
+#: reads: CSR triplets over union entry positions, or the ``(k, nnz)``
+#: ``values`` matrix.  A version-1 manifest carries no mode and means
+#: ``"dense"``.
+STORED_MODES = {
+    "sparse": ("values_data", "values_indices", "values_indptr"),
+    "aligned": ("values",),
+    "dense": ("values",),
+}
 
 
 def default_store_path() -> str:
@@ -216,30 +239,31 @@ def _utc_now() -> str:
 
 
 def _model_arrays(model: BatchAligner) -> dict[str, NDArray[Any]]:
-    """Every array of a fitted model, ready for ``np.savez``.
+    """The version-3 payload of a fitted model, ready for ``np.savez``.
 
-    The value stack is persisted in its resident layout: CSR triplets
-    (``values_data``/``values_indices``/``values_indptr``) for a
-    sparse-layout union -- payload size scales with *stored* entries --
-    and the ``values`` matrix for an aligned one.  The manifest's
-    ``stack_mode`` records which.
+    The k reference DMs are stacked by source rows into one
+    ``(k * m, t)`` CSR matrix.  SciPy stacks CSR blocks by concatenating
+    their arrays, so each DM's entries keep the order the DM holds them
+    in, and the index arrays stay int32 while the entry count fits.
+    Nothing a stack derives from its references is read, so a save
+    builds none of it.
     """
     stack = model.stack_
     assert stack is not None
     assert model.weights_ is not None
     assert model.masks_ is not None
     assert model.objectives_ is not None
-    union = stack.dm_stack
-    arrays: dict[str, NDArray[Any]] = {
-        "design": np.ascontiguousarray(stack.design),
-        "gram": np.ascontiguousarray(stack.gram),
-        "scales": np.ascontiguousarray(stack.scales),
-        "source_vectors": np.ascontiguousarray(stack.source_vectors),
-        "entry_rows": np.ascontiguousarray(union.entry_rows),
-        "entry_cols": np.ascontiguousarray(union.entry_cols),
-        "weights": np.ascontiguousarray(model.weights_),
-        "masks": np.ascontiguousarray(model.masks_),
-        "objectives": np.ascontiguousarray(model.objectives_),
+    dms = sparse.vstack(
+        [ref.dm.matrix for ref in stack.references], format="csr"
+    )
+    return {
+        "source_vectors": stack.source_vectors,
+        "dm_data": dms.data,
+        "dm_indices": dms.indices,
+        "dm_indptr": dms.indptr,
+        "weights": model.weights_,
+        "masks": model.masks_,
+        "objectives": model.objectives_,
         "source_labels": np.asarray(stack.source_labels, dtype=str),
         "target_labels": np.asarray(stack.target_labels, dtype=str),
         "reference_names": np.asarray(
@@ -249,59 +273,122 @@ def _model_arrays(model: BatchAligner) -> dict[str, NDArray[Any]]:
             model.attribute_names_ or [], dtype=str
         ),
     }
-    if union.ref_matrix is None:
-        arrays["values"] = union.values
-    else:
-        arrays["values_data"] = union.ref_matrix.data
-        arrays["values_indices"] = union.ref_matrix.indices.astype(np.int64)
-        arrays["values_indptr"] = union.ref_matrix.indptr.astype(np.int64)
-    return arrays
 
 
-def _check_shapes(
-    arrays: dict[str, NDArray[Any]], where: str, stack_mode: str
-) -> None:
-    """Cross-array consistency beyond the checksum (defence in depth).
+def _check(ok: object, message: str, where: str) -> None:
+    """Cross-array consistency beyond the checksum (defence in depth)."""
+    if not ok:
+        raise StoreError(f"{where}: inconsistent payload ({message})")
 
-    Of the value arrays, it checks the group ``stack_mode`` reads: a
-    payload may carry the other group too, and the loader ignores it.
-    """
-    k, m = arrays["source_vectors"].shape
-    nnz = arrays["entry_rows"].shape[0]
-    n_attrs = arrays["weights"].shape[0]
-    if stack_mode == "sparse":
-        data = arrays["values_data"]
-        indices = arrays["values_indices"]
-        indptr = arrays["values_indptr"]
-        values_ok = (
-            indptr.shape == (k + 1,)
-            and data.shape == indices.shape
-            and data.ndim == 1
-            and int(indptr[0]) == 0
-            and bool(np.all(np.diff(indptr) >= 0))
-            and int(indptr[-1]) == len(data)
-            and (
-                len(indices) == 0
-                or (int(indices.min()) >= 0 and int(indices.max()) < nnz)
-            )
+
+def _is_csr(data: Any, indices: Any, indptr: Any, shape: Any) -> bool:
+    """Whether the three arrays form a CSR matrix of ``shape``."""
+    return bool(
+        data.ndim == 1
+        and indices.shape == data.shape
+        and indptr.shape == (shape[0] + 1,)
+        and indptr[0] == 0
+        and np.all(np.diff(indptr) >= 0)
+        and indptr[-1] == len(data)
+        and (
+            len(indices) == 0
+            or (indices.min() >= 0 and indices.max() < shape[1])
         )
-        values_msg = "sparse value triplets are not a (k, nnz) CSR matrix"
+    )
+
+
+def _union_as_dm_arrays(
+    manifest: dict[str, object],
+    arrays: dict[str, NDArray[Any]],
+    shape: tuple[int, int, int],
+    where: str,
+) -> tuple[NDArray[Any], NDArray[Any], NDArray[Any]]:
+    """A version-1 or 2 union value stack as the version-3 DM arrays.
+
+    Each reference's values sit at union entry positions: every position
+    of its ``values`` row, or the CSR column indices of its row of
+    triplets.  Explicit zeros are dropped, restoring each reference's
+    own pattern in canonical CSR order, as these versions decoded it.
+    The manifest's ``stack_mode`` names the value arrays; one outside
+    :data:`STORED_MODES`, or whose arrays the payload does not hold, is
+    a damaged artifact.
+    """
+    k, m, t = shape
+    mode = str(manifest.get("stack_mode", "dense"))
+    if mode not in STORED_MODES:
+        raise StoreError(
+            f"{where}: unknown stack_mode {mode!r}; expected one of "
+            f"{tuple(STORED_MODES)}"
+        )
+    missing = [name for name in STORED_MODES[mode] if name not in arrays]
+    if missing:
+        raise StoreError(
+            f"{where}: stack_mode {mode!r} reads {missing}, which the "
+            "payload does not hold"
+        )
+    rows, cols = arrays["entry_rows"], arrays["entry_cols"]
+    nnz = rows.size
+    if mode == "sparse":
+        data, at, bounds = (arrays[name] for name in STORED_MODES[mode])
+        _check(
+            _is_csr(data, at, bounds, (k, nnz)),
+            "sparse value triplets are not a (k, nnz) CSR matrix",
+            where,
+        )
+        owner = np.repeat(np.arange(k), np.diff(bounds))
     else:
-        values_ok = arrays["values"].shape == (k, nnz)
-        values_msg = "values is not (k, nnz)"
-    checks = (
-        (arrays["design"].shape == (m, k), "design is not (m, k)"),
-        (arrays["gram"].shape == (k, k), "gram is not (k, k)"),
-        (arrays["scales"].shape == (k,), "scales is not (k,)"),
-        (values_ok, values_msg),
+        data = arrays["values"]
+        _check(data.shape == (k, nnz), "values is not (k, nnz)", where)
+        owner = np.repeat(np.arange(k), nnz)
+        at = np.tile(np.arange(nnz), k)
+    _check(
+        rows.shape == cols.shape == (nnz,),
+        "entry index arrays do not match nnz",
+        where,
+    )
+    _check(
+        nnz == 0
+        or min(rows.min(), cols.min()) >= 0
+        and rows.max() < m
+        and cols.max() < t,
+        "union entries index outside the labelled units",
+        where,
+    )
+    rows, cols = rows.astype(np.int64)[at], cols.astype(np.int64)[at]
+    stacked = sparse.csr_matrix(
+        (np.asarray(data, dtype=float).ravel(), (owner * m + rows, cols)),
+        shape=(k * m, t),
+    )
+    stacked.eliminate_zeros()
+    return stacked.data, stacked.indices, stacked.indptr
+
+
+def _stored_references(
+    manifest: dict[str, object], arrays: dict[str, NDArray[Any]], where: str
+) -> list[Reference]:
+    """The references of a payload of any version.
+
+    Every version decodes into the version-3 arrays, and each
+    reference's DM is a view of its rows of them; the labels are
+    decoded once.  A stored value no reference admits (a negative or
+    non-finite DM entry or source aggregate) is a damaged artifact.
+    """
+    current = manifest["version"] == ARTIFACT_VERSION
+    required = FIT_ARRAYS + (DM_ARRAYS if current else UNION_ARRAYS)
+    missing = [name for name in required if name not in arrays]
+    if missing:
+        raise StoreError(f"{where}: payload is missing arrays {missing}")
+    vectors, weights = arrays["source_vectors"], arrays["weights"]
+    _check(
+        vectors.ndim == weights.ndim == 2,
+        "source_vectors/weights are not matrices",
+        where,
+    )
+    (k, m), n_attrs = vectors.shape, weights.shape[0]
+    t = arrays["target_labels"].size
+    for ok, message in (
         (
-            arrays["entry_rows"].shape == (nnz,)
-            and arrays["entry_cols"].shape == (nnz,),
-            "entry index arrays do not match nnz",
-        ),
-        (
-            arrays["weights"].shape == (n_attrs, k)
-            and arrays["masks"].shape == (n_attrs, k),
+            weights.shape == arrays["masks"].shape == (n_attrs, k),
             "weights/masks are not (n_attrs, k)",
         ),
         (
@@ -317,93 +404,45 @@ def _check_shapes(
             "attribute_names does not cover every attribute",
         ),
         (
-            len(arrays["source_labels"]) == m,
+            arrays["source_labels"].shape == (m,),
             "source_labels does not cover every source row",
         ),
-    )
-    for ok, message in checks:
-        if not ok:
-            raise StoreError(f"{where}: inconsistent payload ({message})")
-    n_targets = len(arrays["target_labels"])
-    entry_rows, entry_cols = arrays["entry_rows"], arrays["entry_cols"]
-    if nnz and (
-        int(entry_rows.min()) < 0
-        or int(entry_cols.min()) < 0
-        or int(entry_rows.max()) >= m
-        or int(entry_cols.max()) >= n_targets
+        (
+            arrays["target_labels"].shape == (t,),
+            "target_labels is not a flat list",
+        ),
     ):
-        raise StoreError(
-            f"{where}: inconsistent payload (union entries index "
-            "outside the labelled units)"
+        _check(ok, message, where)
+    if current:
+        data, indices, indptr = (arrays[name] for name in DM_ARRAYS)
+        _check(
+            _is_csr(data, indices, indptr, (k * m, t)),
+            "dm_data/dm_indices/dm_indptr are not a (k * m, t) CSR matrix",
+            where,
         )
-
-
-def _stack_mode(
-    manifest: dict[str, object], arrays: dict[str, NDArray[Any]], where: str
-) -> str:
-    """The manifest's stack mode, checked against the arrays it reads.
-
-    A version-1 manifest carries no mode and means ``"dense"``.  A mode
-    outside :data:`STORED_MODES`, or one whose value arrays the payload
-    does not hold (a ``"sparse"`` manifest over a ``values`` payload, or
-    the reverse), is a damaged artifact.
-    """
-    mode = manifest.get("stack_mode", "dense")
-    if mode not in STORED_MODES:
-        raise StoreError(
-            f"{where}: unknown stack_mode {mode!r}; expected one of "
-            f"{STORED_MODES}"
-        )
-    dense_group, sparse_group = VALUE_ARRAY_GROUPS
-    reads = sparse_group if mode == "sparse" else dense_group
-    missing = [name for name in reads if name not in arrays]
-    if missing:
-        raise StoreError(
-            f"{where}: stack_mode {mode!r} reads {missing}, which the "
-            "payload does not hold"
-        )
-    return str(mode)
-
-
-def _stored_references(
-    arrays: dict[str, NDArray[Any]], stack_mode: str
-) -> list[Reference]:
-    """The references, their DMs decoded from the stored value stack.
-
-    Each reference's values sit at union entry positions: every
-    position of its ``values`` row, or the CSR column indices of its
-    row of triplets (``stack_mode`` ``"sparse"``).  The DM constructor
-    drops explicit zeros, restoring each reference's own pattern.
-    """
-    source_labels = [str(s) for s in arrays["source_labels"]]
-    target_labels = [str(t) for t in arrays["target_labels"]]
-    shape = (len(source_labels), len(target_labels))
-    entry_rows = arrays["entry_rows"].astype(np.int64)
-    entry_cols = arrays["entry_cols"].astype(np.int64)
-    per_reference: list[tuple[NDArray[Any], NDArray[Any]]]
-    if stack_mode == "sparse":
-        data = np.asarray(arrays["values_data"], dtype=float)
-        positions = arrays["values_indices"].astype(np.int64)
-        bounds = arrays["values_indptr"].astype(np.int64)
-        per_reference = [
-            (data[lo:hi], positions[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
     else:
-        everywhere = np.arange(len(entry_rows))
-        per_reference = [
-            (row, everywhere)
-            for row in np.asarray(arrays["values"], dtype=float)
-        ]
-    references = []
-    for name, source_vector, (values, at) in zip(
-        arrays["reference_names"], arrays["source_vectors"], per_reference
-    ):
-        matrix = sparse.csr_matrix(
-            (values, (entry_rows[at], entry_cols[at])), shape=shape
+        data, indices, indptr = _union_as_dm_arrays(
+            manifest, arrays, (k, m, t), where
         )
-        dm = DisaggregationMatrix(matrix, source_labels, target_labels)
-        references.append(Reference(str(name), source_vector, dm))
+    data = np.asarray(data, dtype=float)
+    source_labels = arrays["source_labels"].tolist()
+    target_labels = arrays["target_labels"].tolist()
+    references: list[Reference] = []
+    try:
+        for j, (name, vector) in enumerate(
+            zip(arrays["reference_names"].tolist(), vectors)
+        ):
+            bounds = indptr[j * m : (j + 1) * m + 1]
+            lo, hi = bounds[0], bounds[-1]
+            matrix = sparse.csr_matrix(
+                (data[lo:hi], indices[lo:hi], bounds - lo), shape=(m, t)
+            )
+            dm = DisaggregationMatrix(matrix, source_labels, target_labels)
+            references.append(Reference(name, vector, dm))
+    except ValidationError as exc:
+        raise StoreError(
+            f"{where}: stored values are not a valid model ({exc})"
+        ) from exc
     return references
 
 
@@ -438,14 +477,14 @@ class ModelStore:
         stack = model.stack_
         assert stack is not None
         with _span("store.save", key=key):
+            arrays = _model_arrays(model)
             manifest = write_artifact(
                 self.root,
                 key,
-                _model_arrays(model),
+                arrays,
                 {
                     "fingerprint": fingerprint,
                     "created_at": _utc_now(),
-                    "stack_mode": stack.dm_stack.mode,
                     "config": {
                         "normalize": bool(model.normalize),
                         "denominator": model.denominator,
@@ -455,7 +494,7 @@ class ModelStore:
                         "n_references": stack.n_references,
                         "n_sources": stack.n_sources,
                         "n_targets": stack.n_targets,
-                        "nnz": stack.nnz,
+                        "nnz": len(arrays["dm_data"]),
                     },
                     "attribute_names": list(model.attribute_names_ or []),
                     "reference_names": [
@@ -524,8 +563,7 @@ class ModelStore:
             manifest, arrays = read_artifact(self.root, key)
             where = manifest_path(self.root, key)
             entry = StoreEntry.from_manifest(manifest, where)
-            stack_mode = _stack_mode(manifest, arrays, where)
-            _check_shapes(arrays, where, stack_mode)
+            references = _stored_references(manifest, arrays, where)
             config = entry.config
             # Older manifests also name the solver that fitted them; the
             # stored weights are adopted as they are, so it is not read.
@@ -534,17 +572,14 @@ class ModelStore:
                 denominator=str(config.get("denominator", "row-sums")),
             )
             model.stack_ = ReferenceStack(
-                _stored_references(arrays, stack_mode),
-                normalize=model.normalize,
+                references, normalize=model.normalize
             )
             model.weights_ = np.asarray(arrays["weights"], dtype=float)
             model.masks_ = np.asarray(arrays["masks"], dtype=bool)
             model.objectives_ = np.asarray(
                 arrays["objectives"], dtype=float
             )
-            model.attribute_names_ = [
-                str(name) for name in arrays["attribute_names"]
-            ]
+            model.attribute_names_ = arrays["attribute_names"].tolist()
         return model, entry
 
     def delete(self, prefix: str) -> str:

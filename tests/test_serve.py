@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.batch import BatchAligner
 from repro.core.reference import Reference
-from repro.errors import ServeError, ValidationError
+from repro.errors import ServeError
 from repro.obs import PROMETHEUS_CONTENT_TYPE
 from repro.partitions.dm import DisaggregationMatrix
 from repro.serve import (
@@ -39,7 +39,6 @@ from repro.serve import (
     ServeClient,
     ServingModel,
     encode_response,
-    percentile,
     read_request,
 )
 from repro.store import ModelStore, model_fingerprint
@@ -245,21 +244,6 @@ class TestHttpFraming:
             encode_response(
                 200, {"rows": RawJSON(b"[]"), "x": float("nan")}, True
             )
-
-
-class TestMetricsPrimitives:
-    def test_percentile_nearest_rank(self):
-        samples = sorted(float(i) for i in range(1, 101))
-        assert percentile(samples, 50.0) == 50.0
-        assert percentile(samples, 95.0) == 95.0
-        assert percentile(samples, 99.0) == 99.0
-        assert percentile(samples, 100.0) == 100.0
-
-    def test_percentile_refuses_bad_input(self):
-        with pytest.raises(ValidationError):
-            percentile([], 50.0)
-        with pytest.raises(ValidationError):
-            percentile([1.0], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,28 +2,40 @@
 
 The contract under test (see ``docs/serving.md``):
 
-* save -> load -> predict matches the original fitted model to 1e-12
-  on every golden-fixture world (in fact bit-exactly: the loader adopts
-  the stored weights and builds the stack from the decoded reference
-  DMs and source vectors, as the fit did), and the artifacts earlier
-  builds wrote still load and answer as they did;
+* save -> load is bit-exact on every golden-fixture world, on both
+  union layouts and on DMs that hold their entries out of column order:
+  the artifact stores each reference DM's own CSR arrays, and the
+  loader adopts the stored weights and builds the stack from the stored
+  references, as the fit did, so the loaded model keeps its predictions,
+  its recomputed design/scales/Gram and its fingerprint;
+* a save reads nothing a stack derives from its references, so it
+  builds no union stack;
+* the artifacts of every stored form, including the union-stack
+  formats 1 and 2 earlier builds wrote, still load and answer as saved;
 * every way an artifact can be damaged -- truncated payload, flipped
-  bytes, format-version skew, missing or garbage manifest -- raises a
-  typed :class:`~repro.errors.StoreError`, never pickle garbage or a
-  numpy traceback;
+  bytes, format-version skew, missing or garbage manifest, arrays that
+  disagree, values no reference admits -- raises a typed
+  :class:`~repro.errors.StoreError` naming the artifact, never pickle
+  garbage or a numpy traceback;
 * the artifact key is a content address: refitting identical inputs
   lands on the identical key, different inputs land elsewhere.
 """
 
+import hashlib
+import io
 import json
 import os
 import shutil
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+from repro.cli import main
 from repro.core.batch import BatchAligner
+from repro.core.reference import Reference
 from repro.errors import NotFittedError, StoreError
+from repro.partitions.dm import DisaggregationMatrix
 from repro.store import (
     ARTIFACT_VERSION,
     ModelStore,
@@ -32,14 +44,14 @@ from repro.store import (
     read_artifact,
 )
 from repro.store.artifact import manifest_path, payload_path
-from repro.store.store import KEY_LENGTH
+from repro.store.store import DM_ARRAYS, FIT_ARRAYS, KEY_LENGTH
 from tests.test_golden import GOLDEN_PATHS, _load
 
 RTOL = 1e-12
 ATOL = 1e-12
 
-#: Artifacts earlier builds wrote, one store root per form, and what
-#: each model answered when saved (``tests/store_fixtures_gen.py``).
+#: Committed artifacts of every stored form, one store root per form,
+#: and what each model answered when saved (``tests/store_fixtures_gen.py``).
 LEGACY_DIR = os.path.join(os.path.dirname(__file__), "fixtures", "store")
 with open(os.path.join(LEGACY_DIR, "expected.json")) as _handle:
     LEGACY = json.load(_handle)
@@ -49,6 +61,80 @@ def _fit_golden(path):
     _, references, objectives = _load(path)
     names = [f"attr-{i}" for i in range(objectives.shape[0])]
     return BatchAligner().fit(references, objectives, attribute_names=names)
+
+
+def _round_trip(store, model):
+    """Save and load ``model``, check that the loaded model is the same
+    model bit for bit, and return ``(loaded, entry)``."""
+    entry = store.save(model)
+    loaded, loaded_entry = store.load(entry.key)
+    assert loaded_entry.fingerprint == entry.fingerprint
+    assert model_fingerprint(loaded) == entry.fingerprint
+    assert (loaded.predict() == model.predict()).all()
+    for name in ("weights_", "masks_", "objectives_"):
+        assert (getattr(loaded, name) == getattr(model, name)).all()
+    for name in ("design", "scales", "gram"):
+        assert (getattr(loaded.stack_, name) == getattr(model.stack_, name)).all()
+    ours, theirs = loaded.stack_.references, model.stack_.references
+    assert len(ours) == len(theirs)
+    for mine, original in zip(ours, theirs):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(
+                getattr(mine.dm.matrix, part), getattr(original.dm.matrix, part)
+            )
+    return loaded, entry
+
+
+def _unsorted_world():
+    """Two references over 3 x 3 units; row 0 of the first DM holds its
+    entries at columns ``[2, 0]``, an order the DM keeps."""
+    src, tgt = ["s0", "s1", "s2"], ["t0", "t1", "t2"]
+    unsorted = sparse.csr_matrix(
+        ([1.0, 2.0, 3.0, 4.0], [2, 0, 1, 2], [0, 2, 3, 4]), shape=(3, 3)
+    )
+    banded = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, 3.0]])
+    references = [
+        Reference.from_dm("unsorted", DisaggregationMatrix(unsorted, src, tgt)),
+        Reference.from_dm("banded", DisaggregationMatrix(banded, src, tgt)),
+    ]
+    assert references[0].dm.matrix.indices[:2].tolist() == [2, 0]
+    return BatchAligner().fit(
+        references, [[3.0, 4.0, 5.0]], attribute_names=["a"]
+    )
+
+
+def _copy_form(tmp_path, form):
+    """A writable copy of one committed artifact: ``(root, key)``."""
+    root = str(tmp_path / form)
+    shutil.copytree(os.path.join(LEGACY_DIR, form), root)
+    return root, LEGACY[form]["key"]
+
+
+def _rewrite_payload(root, key, damage):
+    """Apply ``damage`` to artifact ``key``'s arrays and rewrite its
+    payload; the manifest keeps every field, its format version too,
+    and gets the new payload's checksum and length."""
+    manifest, arrays = read_artifact(root, key)
+    arrays = dict(arrays)
+    damage(arrays)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    payload = buffer.getvalue()
+    with open(payload_path(root, key), "wb") as handle:
+        handle.write(payload)
+    manifest["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    manifest["payload_bytes"] = len(payload)
+    with open(manifest_path(root, key), "w") as handle:
+        json.dump(manifest, handle)
+
+
+def _edit_manifest(root, key, edit):
+    path = manifest_path(root, key)
+    with open(path) as handle:
+        manifest = json.load(handle)
+    edit(manifest)
+    with open(path, "w") as handle:
+        json.dump(manifest, handle)
 
 
 @pytest.fixture
@@ -71,22 +157,20 @@ class TestRoundTrip:
         "path", GOLDEN_PATHS, ids=[os.path.basename(p) for p in GOLDEN_PATHS]
     )
     def test_golden_world_predictions_survive(self, store, path):
-        model = _fit_golden(path)
-        entry = store.save(model)
-        loaded, loaded_entry = store.load(entry.key)
-        np.testing.assert_allclose(
-            loaded.predict(), model.predict(), rtol=RTOL, atol=ATOL
-        )
-        assert loaded_entry.fingerprint == entry.fingerprint
+        _round_trip(store, _fit_golden(path))
 
     def test_round_trip_is_bit_exact(self, store, fitted):
-        entry = store.save(fitted)
-        loaded, _ = store.load(entry.key)
-        assert (loaded.predict() == fitted.predict()).all()
-        assert (loaded.weights_ == fitted.weights_).all()
-        assert (loaded.stack_.design == fitted.stack_.design).all()
-        assert (loaded.stack_.scales == fitted.stack_.scales).all()
-        assert (loaded.stack_.gram == fitted.stack_.gram).all()
+        _round_trip(store, fitted)
+
+    def test_unsorted_dm_rows_keep_the_fingerprint(self, store):
+        # The DM keeps a caller's entry order and its fingerprint hashes
+        # it; the artifact stores that order, so the loaded model keeps
+        # its key, and saving it again lands on the same artifact.
+        loaded, entry = _round_trip(store, _unsorted_world())
+        indices = loaded.stack_.references[0].dm.matrix.indices
+        assert indices[:2].tolist() == [2, 0]
+        assert store.save(loaded).key == entry.key
+        assert store.keys() == [entry.key]
 
     def test_loaded_model_answers_every_query(self, store, fitted):
         entry = store.save(fitted)
@@ -133,9 +217,9 @@ class TestRoundTrip:
 
 
 class TestLegacyArtifacts:
-    """The committed artifacts of every stored form (v2 ``sparse``,
-    ``aligned`` and ``dense``, and v1) load under their key and answer
-    what the saving build computed."""
+    """The committed artifacts of every stored form (v3; v2 ``sparse``,
+    ``aligned`` and ``dense``; v1) load under their key and answer what
+    the saving build computed."""
 
     @pytest.mark.parametrize("form", sorted(LEGACY))
     def test_legacy_artifact_answers_as_saved(self, tmp_path, form):
@@ -438,16 +522,118 @@ class TestObservability:
 
 
 # ----------------------------------------------------------------------
-# Format v2: sparse value stacks + v1 backward compatibility
+# Payload refusals (v3) and format-v2 union stacks, on committed copies
 # ----------------------------------------------------------------------
+
+
+class TestPayloadRefusals:
+    """A checksum-valid payload whose arrays disagree, or whose values
+    no reference admits, is a StoreError naming the artifact."""
+
+    @pytest.mark.parametrize("name", FIT_ARRAYS + DM_ARRAYS)
+    def test_missing_array_rejected(self, tmp_path, name):
+        root, key = _copy_form(tmp_path, "v3")
+        _rewrite_payload(root, key, lambda arrays: arrays.pop(name))
+        with pytest.raises(StoreError, match="missing arrays") as excinfo:
+            ModelStore(root).load(key)
+        assert repr(name) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda a: a.update(dm_indptr=a["dm_indptr"][:-1]),
+            lambda a: a.update(dm_indptr=a["dm_indptr"][::-1]),
+            lambda a: a.update(dm_indptr=a["dm_indptr"] - 1),
+            lambda a: a.update(dm_data=a["dm_data"][:-1]),
+            lambda a: a.update(dm_indices=a["dm_indices"] - 1),
+            lambda a: a.update(
+                dm_indices=a["dm_indices"] + len(a["target_labels"])
+            ),
+        ],
+        ids=[
+            "indptr-short",
+            "indptr-decreasing",
+            "indptr-not-from-zero",
+            "indptr-past-the-entries",
+            "index-negative",
+            "index-past-the-targets",
+        ],
+    )
+    def test_malformed_dm_arrays_rejected(self, tmp_path, damage):
+        root, key = _copy_form(tmp_path, "v3")
+        _rewrite_payload(root, key, damage)
+        with pytest.raises(StoreError, match="CSR"):
+            ModelStore(root).load(key)
+
+    @pytest.mark.parametrize(
+        "form, name",
+        [
+            ("v3", "source_vectors"),
+            ("v3", "weights"),
+            ("v3", "source_labels"),
+            ("v3", "target_labels"),
+            ("v3", "dm_indptr"),
+            ("v2-sparse", "entry_rows"),
+            ("v2-sparse", "values_data"),
+        ],
+    )
+    def test_array_of_another_rank_rejected(self, tmp_path, form, name):
+        # A 2-D array flattened, a 1-D one made a column or a scalar:
+        # the shape checks refuse it before any shape is unpacked.
+        root, key = _copy_form(tmp_path, form)
+
+        def reshape(arrays):
+            array = arrays[name]
+            arrays[name] = (
+                array.ravel() if array.ndim == 2
+                else array.reshape(-1, 1) if array.size > 1
+                else array.reshape(())
+            )
+
+        _rewrite_payload(root, key, reshape)
+        with pytest.raises(StoreError, match="inconsistent payload"):
+            ModelStore(root).load(key)
+
+    @pytest.mark.parametrize(
+        "form, name, damage",
+        [
+            ("v3", "dm_data", np.negative),
+            ("v3", "dm_data", lambda a: np.where(a > a.min(), a, np.inf)),
+            ("v3", "source_vectors", np.negative),
+            ("v2-sparse", "values_data", np.negative),
+            ("v2-sparse", "values_data", lambda a: a * np.nan),
+            ("v2-sparse", "source_vectors", lambda a: a * np.inf),
+        ],
+        ids=[
+            "v3-negative-dm",
+            "v3-infinite-dm",
+            "v3-negative-source",
+            "v2-negative-dm",
+            "v2-nan-dm",
+            "v2-infinite-source",
+        ],
+    )
+    def test_bad_stored_values_are_a_store_error(
+        self, tmp_path, capsys, form, name, damage
+    ):
+        root, key = _copy_form(tmp_path, form)
+        _rewrite_payload(
+            root, key, lambda arrays: arrays.update({name: damage(arrays[name])})
+        )
+        where = manifest_path(root, key)
+        with pytest.raises(StoreError, match="not a valid model") as excinfo:
+            ModelStore(root).load(key)
+        assert where in str(excinfo.value)
+        code = main(
+            ["store", "load", "--store", root, key], stream=io.StringIO()
+        )
+        assert code == 2
+        assert where in capsys.readouterr().err
 
 
 def _sparse_world(seed=21, m=12, t=9, k=3, n_attrs=3, shifted=True):
     """Shifted-band references whose union stays sparse (one shared
     band, the aligned layout, when ``shifted`` is false)."""
-    from repro.core.reference import Reference
-    from repro.partitions.dm import DisaggregationMatrix
-
     rng = np.random.default_rng(seed)
     source_labels = [f"s{i}" for i in range(m)]
     target_labels = [f"t{j}" for j in range(t)]
@@ -465,6 +651,10 @@ def _sparse_world(seed=21, m=12, t=9, k=3, n_attrs=3, shifted=True):
 
 
 class TestSparseArtifacts:
+    """Both union layouts round-trip through the current format; the
+    union-stack payloads of format 2 (and 1) are checked on copies of
+    the committed artifacts."""
+
     @pytest.fixture
     def sparse_fitted(self):
         references, objectives = _sparse_world()
@@ -476,13 +666,12 @@ class TestSparseArtifacts:
         entry = store.save(sparse_fitted)
         with open(manifest_path(store.root, entry.key)) as handle:
             manifest = json.load(handle)
-        assert manifest["version"] == ARTIFACT_VERSION
-        assert manifest["stack_mode"] == "sparse"
+        assert manifest["version"] == ARTIFACT_VERSION == 3
+        assert "stack_mode" not in manifest
+        stored = sum(ref.dm.nnz for ref in sparse_fitted.stack_.references)
+        assert manifest["shape"]["nnz"] == stored
         _, arrays = read_artifact(store.root, entry.key)
-        assert "values" not in arrays
-        assert {
-            "values_data", "values_indices", "values_indptr"
-        } <= set(arrays)
+        assert set(arrays) == set(FIT_ARRAYS + DM_ARRAYS)
         loaded, _ = store.load(entry.key)
         assert loaded.stack_.dm_stack.mode == "sparse"
         assert (loaded.predict() == sparse_fitted.predict()).all()
@@ -491,36 +680,36 @@ class TestSparseArtifacts:
     @pytest.mark.parametrize("mode", ["sparse", "aligned"])
     def test_loaded_predict_bit_identical_in_every_mode(self, store, mode):
         # The loaded stack builds R and its operator views over the
-        # decoded reference DMs, so the linear predict replays bit
-        # for bit; the union, built on first per-entry use, takes the
-        # layout the references' patterns select, as it did when saved.
+        # stored reference DMs, so the linear predict replays bit for
+        # bit; the union, built on first per-entry use, takes the layout
+        # the references' patterns select, as it did when saved.
         references, objectives = _sparse_world(shifted=mode != "aligned")
         masks = np.ones((objectives.shape[0], len(references)), dtype=bool)
         masks[0, 1] = False
         model = BatchAligner().fit(references, objectives, masks=masks)
         assert model.stack_.dm_stack.mode == mode
-        loaded, _ = store.load(store.save(model).key)
+        loaded, _ = _round_trip(store, model)
         assert loaded.stack_.built_dm_stack is None
         assert np.array_equal(loaded.predict(), model.predict())
         assert loaded.stack_.dm_stack.mode == mode
 
-    def test_v1_artifact_loads_by_structure(self, store):
+    def test_v1_artifact_loads_by_structure(self, tmp_path):
         # A version-1 artifact: a ``values`` payload, no ``stack_mode``
         # manifest key.  It loads bit-exactly, and its union takes the
         # layout its references' patterns select.
-        references, objectives = _sparse_world(shifted=False)
-        model = BatchAligner().fit(references, objectives)
-        entry = store.save(model)
-        path = manifest_path(store.root, entry.key)
-        with open(path) as handle:
+        root, key = _copy_form(tmp_path, "v2-aligned")
+        with open(manifest_path(root, key)) as handle:
             manifest = json.load(handle)
         assert manifest["stack_mode"] == "aligned"
-        manifest["version"] = 1
-        del manifest["stack_mode"]
-        with open(path, "w") as handle:
-            json.dump(manifest, handle)
-        loaded, _ = store.load(entry.key)
-        assert (loaded.predict() == model.predict()).all()
+
+        def as_v1(manifest):
+            manifest["version"] = 1
+            del manifest["stack_mode"]
+
+        _edit_manifest(root, key, as_v1)
+        loaded, _ = ModelStore(root).load(key)
+        saved = np.asarray(LEGACY["v2-aligned"]["predictions"])
+        assert (loaded.predict() == saved).all()
         assert loaded.stack_.dm_stack.mode == "aligned"
 
     @pytest.mark.parametrize(
@@ -535,57 +724,34 @@ class TestSparseArtifacts:
         ],
     )
     def test_stack_mode_disagreeing_with_payload_is_typed(
-        self, store, sparse_fitted, payload, stack_mode
+        self, tmp_path, payload, stack_mode
     ):
         # A manifest whose stack_mode (None: the key removed) names a
         # mode the payload cannot serve is refused with a StoreError,
         # not a KeyError or a silent load of the wrong arrays.
-        if payload == "triplets":
-            model = sparse_fitted
-        else:
-            references, objectives = _sparse_world(shifted=False)
-            model = BatchAligner().fit(references, objectives)
-        entry = store.save(model)
-        path = manifest_path(store.root, entry.key)
-        with open(path) as handle:
-            manifest = json.load(handle)
-        if stack_mode is None:
-            del manifest["stack_mode"]
-        else:
-            manifest["stack_mode"] = stack_mode
-        with open(path, "w") as handle:
-            json.dump(manifest, handle)
+        form = "v2-sparse" if payload == "triplets" else "v2-aligned"
+        root, key = _copy_form(tmp_path, form)
+
+        def set_mode(manifest):
+            if stack_mode is None:
+                del manifest["stack_mode"]
+            else:
+                manifest["stack_mode"] = stack_mode
+
+        _edit_manifest(root, key, set_mode)
         with pytest.raises(StoreError, match="stack_mode"):
-            store.load(entry.key)
+            ModelStore(root).load(key)
 
-    @staticmethod
-    def _rewrite_payload(store, key, damage):
-        """Re-save artifact ``key`` with ``damage`` applied to its arrays;
-        the manifest keeps its fields and gets a matching checksum."""
-        from repro.store.artifact import write_artifact
-
-        manifest, arrays = read_artifact(store.root, key)
-        arrays = dict(arrays)
-        damage(arrays)
-        extra = {
-            name: value
-            for name, value in manifest.items()
-            if name
-            not in ("format", "version", "key", "payload",
-                    "payload_sha256", "payload_bytes")
-        }
-        write_artifact(store.root, key, arrays, extra)
-
-    def test_bad_sparse_triplets_rejected(self, store, sparse_fitted):
-        entry = store.save(sparse_fitted)
+    def test_bad_sparse_triplets_rejected(self, tmp_path):
+        root, key = _copy_form(tmp_path, "v2-sparse")
 
         def chop(arrays):
             # The per-reference indptr no longer has (k + 1,) entries.
             arrays["values_indptr"] = arrays["values_indptr"][:-1]
 
-        self._rewrite_payload(store, entry.key, chop)
+        _rewrite_payload(root, key, chop)
         with pytest.raises(StoreError, match="triplets"):
-            store.load(entry.key)
+            ModelStore(root).load(key)
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -605,40 +771,40 @@ class TestSparseArtifacts:
         ],
         ids=["negative-index", "decreasing-indptr", "negative-entry-row"],
     )
-    def test_malformed_indices_rejected(
-        self, store, sparse_fitted, damage, message
-    ):
+    def test_malformed_indices_rejected(self, tmp_path, damage, message):
         # Indices the decoder would wrap around or hand to SciPy are
         # refused before any reference is rebuilt.
-        entry = store.save(sparse_fitted)
-        self._rewrite_payload(store, entry.key, damage)
+        root, key = _copy_form(tmp_path, "v2-sparse")
+        _rewrite_payload(root, key, damage)
         with pytest.raises(StoreError, match=message):
-            store.load(entry.key)
+            ModelStore(root).load(key)
 
     def test_checks_cover_the_value_group_the_mode_reads(
-        self, store, sparse_fitted, capsys
+        self, tmp_path, capsys
     ):
         # A well-formed ``values`` matrix beside out-of-range CSR
         # indices: ``stack_mode: "sparse"`` reads the triplets, so they
         # are what is checked, and the load is a StoreError (exit 2 from
         # the CLI), not an IndexError.
-        import io
-
-        from repro.cli import main
-
-        entry = store.save(sparse_fitted)
-        union = sparse_fitted.stack_.dm_stack
+        root, key = _copy_form(tmp_path, "v2-sparse")
 
         def both_groups(arrays):
-            arrays["values"] = union.values
-            arrays["values_indices"] = arrays["values_indices"] + union.nnz
+            k, nnz = len(arrays["source_vectors"]), len(arrays["entry_rows"])
+            arrays["values"] = sparse.csr_matrix(
+                (
+                    arrays["values_data"],
+                    arrays["values_indices"],
+                    arrays["values_indptr"],
+                ),
+                shape=(k, nnz),
+            ).toarray()
+            arrays["values_indices"] = arrays["values_indices"] + nnz
 
-        self._rewrite_payload(store, entry.key, both_groups)
+        _rewrite_payload(root, key, both_groups)
         with pytest.raises(StoreError, match="triplets"):
-            store.load(entry.key)
+            ModelStore(root).load(key)
         code = main(
-            ["store", "load", "--store", store.root, entry.key],
-            stream=io.StringIO(),
+            ["store", "load", "--store", root, key], stream=io.StringIO()
         )
         assert code == 2
         assert "triplets" in capsys.readouterr().err
@@ -647,29 +813,15 @@ class TestSparseArtifacts:
         "shifted", [True, False], ids=["sparse", "aligned"]
     )
     def test_save_leaves_the_live_union_as_it_was(self, store, shifted):
-        # Saving reads the union's values; the live stack's kernels and
-        # the slices a sharded run ships must not change with it.
-        from tests.test_sparse_stack import union_state
-
+        # A save reads each reference's own DM arrays and nothing the
+        # stack derives from them: a union that was not built stays
+        # unbuilt, and the stack holds no byte more.
         references, objectives = _sparse_world(shifted=shifted)
         model = BatchAligner().fit(references, objectives)
-        union = model.stack_.dm_stack
-        assert union.mode == ("sparse" if shifted else "aligned")
-        entries = np.arange(0, union.nnz, 3, dtype=np.int64)
-        weights = model.weights_ / model.stack_.scales
-        before = union_state(union, entries, weights)
+        model.predict()
+        stack = model.stack_
+        before = stack.resident_bytes
         store.save(model)
-        assert model.stack_.dm_stack is union
-        assert union_state(union, entries, weights) == before
-
-    def test_missing_value_group_rejected_at_write(
-        self, store, sparse_fitted
-    ):
-        from repro.store.artifact import write_artifact
-
-        entry = store.save(sparse_fitted)
-        manifest, arrays = read_artifact(store.root, entry.key)
-        arrays = dict(arrays)
-        del arrays["values_data"]
-        with pytest.raises(StoreError, match="missing arrays"):
-            write_artifact(store.root, "deadbeef", arrays, {})
+        assert stack.built_dm_stack is None
+        assert stack.resident_bytes == before
+        assert stack.dm_stack.mode == ("sparse" if shifted else "aligned")
