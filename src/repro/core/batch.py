@@ -19,9 +19,7 @@ front.  Everything attribute-independent lives in a
    when a consumer first asks for per-entry values.
 
 :class:`BatchAligner` fits N attributes with N small simplex solves over
-the shared Gram matrix -- each reusing one Cholesky factorization of it
-(:func:`~repro.core.solver.simplex_lstsq_from_gram` with a
-:class:`~repro.core.solver.GramFactor`).
+the shared Gram matrix (:func:`~repro.core.solver.simplex_lstsq_from_gram`).
 
 For fixed weights the disaggregation is linear in the reference DMs, so
 :meth:`BatchAligner.predict` never forms the ``(N, nnz)`` blend: the
@@ -60,11 +58,7 @@ from repro.core.diagnostics import (
     weight_entropy,
 )
 from repro.core.reference import Reference
-from repro.core.solver import (
-    GramFactor,
-    SimplexLstsqResult,
-    simplex_lstsq_from_gram,
-)
+from repro.core.solver import SimplexLstsqResult, simplex_lstsq_from_gram
 from repro.core.sparse_stack import SparseDMStack, _as_sorted_csr
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import (
@@ -220,46 +214,17 @@ def _solve_masked_weights(
     the sub-Gram solve.  Returns the ``(n_attrs, k)`` weight matrix plus
     the per-attribute solver results.  Every engine reaches it through
     :meth:`BatchAligner._solve_weights` on the stack's own ``gram``.
-
-    The shared Gram matrix is Cholesky-factorized **once** and the
-    factor threaded through every active-set solve (per attribute and
-    per active-set iteration only triangular solves / rank updates
-    remain); masked attributes get per-mask sub-factors, memoised so a
-    leave-one-out series factorizes each sub-Gram once rather than per
-    attribute.  A factorization failure (collinear references) simply
-    falls back to the dense KKT least-squares path inside the solver.
     """
     n_attrs, n_refs = mask_matrix.shape
     results: list[SimplexLstsqResult] = []
     weights = np.zeros((n_attrs, n_refs))
-    factor = GramFactor.try_build(gram) if n_refs > 1 else None
-    sub_factors: dict[bytes, GramFactor | None] = {}
     for j in range(n_attrs):
-        mask = mask_matrix[j]
-        if mask.all():
-            result = simplex_lstsq_from_gram(
-                gram,
-                atb_all[:, j],
-                btb=float(btb_all[j]),
-                factor=factor,
-            )
-            weights[j] = result.weights
-        else:
-            idx = np.flatnonzero(mask)
-            subgram = gram[np.ix_(idx, idx)]
-            sub_factor: GramFactor | None = None
-            if len(idx) > 1:
-                key = mask.tobytes()
-                if key not in sub_factors:
-                    sub_factors[key] = GramFactor.try_build(subgram)
-                sub_factor = sub_factors[key]
-            result = simplex_lstsq_from_gram(
-                subgram,
-                atb_all[idx, j],
-                btb=float(btb_all[j]),
-                factor=sub_factor,
-            )
-            weights[j, idx] = result.weights
+        idx = np.flatnonzero(mask_matrix[j])
+        subgram = gram if len(idx) == n_refs else gram[np.ix_(idx, idx)]
+        result = simplex_lstsq_from_gram(
+            subgram, atb_all[idx, j], btb=float(btb_all[j])
+        )
+        weights[j, idx] = result.weights
         results.append(result)
     return weights, results
 

@@ -26,28 +26,28 @@ objective attributes share one reference design, ``A^T A`` is computed
 once and every per-attribute solve enters through
 :func:`simplex_lstsq_from_gram`.
 
-The batch engine goes one step further with :class:`GramFactor`: the
-shared Gram is Cholesky-factorized **once per stack**, and every
-active-set iteration of every per-attribute solve reuses that factor
-through rank-one updates/downdates (:class:`_FreeSetFactor`) instead of
-re-factorizing the KKT system from scratch.  Any numerical breakdown of
-the updated factor (semi-definite free-set Gram, Givens underflow)
-raises :class:`_FactorBreakdown` and the iteration falls back to the
-exact least-squares KKT solve, so the factor path is a pure
-acceleration: the independent KKT optimality check in the active-set
-loop gates every candidate either way.
+Each solve takes one of two routes for its free-set systems, chosen by
+one Cholesky attempt on the Gram.  A positive-definite Gram solves every
+active-set iteration afresh with ``np.linalg.solve`` on the free-set
+sub-Gram (every principal sub-Gram of a positive-definite Gram is
+positive definite too); any other Gram -- collinear references -- takes
+the least-squares KKT solve on every iteration.  Rounding can pass an
+exactly duplicated reference through the Cholesky attempt; the first
+free-set solve that then meets a singular sub-Gram moves the rest of
+its solve to the KKT route.  The KKT optimality check in the
+active-set loop gates every candidate on either route.  Everything here
+runs on numpy's LAPACK: SciPy bundles its own BLAS, whose tiny calls
+slow down by orders of magnitude when they compete with numpy's thread
+pool.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.linalg.lapack import (  # type: ignore[attr-defined]
-    dpotrf as _dpotrf,
-    dtrtrs as _dtrtrs,
-)
 
 from repro.errors import SolverError, ValidationError
 from repro.obs.trace import event as _obs_event
@@ -185,23 +185,12 @@ def _normal_equations(A: FloatArray, b: FloatArray) -> _NormalEqs:
 
 
 def _validate_normal_inputs(
-    gram: ArrayLike, atb: ArrayLike, btb: float,
-    gram_checked: bool = False,
+    gram: ArrayLike, atb: ArrayLike, btb: float
 ) -> _NormalEqs:
-    """Validate Eq. 15 normal-equation inputs.
-
-    ``gram_checked=True`` skips the square/finite checks on ``gram``:
-    the batch engine re-submits one already-validated Gram matrix for
-    every attribute, and per-call ``isfinite`` sweeps were measurable in
-    the per-attribute solve budget.  Callers assert the provenance (the
-    Gram behind a successfully built :class:`GramFactor`) before
-    setting it.
-    """
+    """Validate Eq. 15 normal-equation inputs."""
     gram = np.asarray(gram, dtype=float)
     atb = np.asarray(atb, dtype=float)
-    if not gram_checked and (
-        gram.ndim != 2 or gram.shape[0] != gram.shape[1]
-    ):
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValidationError(
             f"gram must be square, got shape {gram.shape}"
         )
@@ -209,7 +198,7 @@ def _validate_normal_inputs(
         raise ValidationError(
             f"atb must have shape ({gram.shape[0]},), got {atb.shape}"
         )
-    if not gram_checked and not np.isfinite(gram).all():
+    if not np.isfinite(gram).all():
         raise ValidationError("gram contains non-finite entries")
     if not np.isfinite(atb).all():
         raise ValidationError("atb contains non-finite entries")
@@ -220,221 +209,6 @@ def _validate_normal_inputs(
     if gram.shape[0] == 0:
         raise ValidationError("gram must have at least one column")
     return _NormalEqs(gram, atb, float(btb))
-
-
-# ----------------------------------------------------------------------
-# Shared Cholesky factor (batch hot path)
-# ----------------------------------------------------------------------
-class GramFactor:
-    """One upper-triangular Cholesky factor ``R`` with ``R'R = gram``.
-
-    Built once per :class:`~repro.core.batch.ReferenceStack` and shared
-    across all N per-attribute solves: the active-set kernel derives its
-    per-free-set factors from this one via rank updates instead of
-    re-factorizing ``O(k^3)`` per attribute per iteration.  Construction
-    goes through :meth:`try_build`, which returns ``None`` (rather than
-    raising) when the Gram is not numerically positive definite --
-    callers then simply run the pre-existing least-squares KKT path.
-    """
-
-    __slots__ = ("gram", "upper")
-
-    def __init__(self, gram: FloatArray, upper: FloatArray) -> None:
-        self.gram = gram
-        self.upper = upper
-
-    @classmethod
-    def try_build(cls, gram: ArrayLike) -> "GramFactor | None":
-        """Factorize ``gram``; ``None`` if it is not positive definite.
-
-        A successful build also certifies the Gram as square and
-        finite, which lets :func:`simplex_lstsq_from_gram` skip the
-        per-attribute re-validation of the shared matrix.
-        """
-        dense = np.asarray(gram, dtype=float)
-        if (
-            dense.ndim != 2
-            or dense.shape[0] != dense.shape[1]
-            or not np.all(np.isfinite(dense))
-        ):
-            _obs_event(
-                "solver.factor_skipped",
-                n=int(dense.shape[0]) if dense.ndim else 0,
-            )
-            return None
-        try:
-            lower = np.linalg.cholesky(dense)
-        except np.linalg.LinAlgError:
-            _obs_event("solver.factor_skipped", n=int(dense.shape[0]))
-            return None
-        _obs_event("solver.factor_built", n=int(dense.shape[0]))
-        return cls(dense, np.ascontiguousarray(lower.T))
-
-    @property
-    def n(self) -> int:
-        return int(self.gram.shape[0])
-
-
-class _FactorBreakdown(Exception):
-    """Updated Cholesky factor lost positive definiteness.
-
-    Raised by :class:`_FreeSetFactor` whenever a rank update/downdate or
-    a triangular solve produces a non-finite or non-SPD result; the
-    active-set loop catches it and continues on the exact least-squares
-    KKT path for the remainder of that solve.
-    """
-
-
-def _tri_solve(upper: FloatArray, rhs: FloatArray, trans: int) -> FloatArray:
-    """Triangular solve via raw LAPACK ``dtrtrs``.
-
-    The batch hot path makes thousands of solves against factors of a
-    handful of references each, so the Python-side validation layers of
-    ``scipy.linalg.solve_triangular`` (~10x the LAPACK call at k~8)
-    dominate; calling the f2py routine directly keeps the per-solve
-    overhead at the microsecond level.  ``trans=1`` solves
-    ``upper' x = rhs``, ``trans=0`` solves ``upper x = rhs``.
-    """
-    x, info = _dtrtrs(upper, rhs, lower=0, trans=trans)
-    if info != 0:
-        raise _FactorBreakdown(
-            f"triangular solve failed (LAPACK info={info})"
-        )
-    return x
-
-
-class _FreeSetFactor:
-    """Cholesky factor of ``gram[F][:, F]`` maintained under pivots.
-
-    ``order`` lists the free set F as *global* column indices in factor
-    (insertion) order; ``upper`` is upper triangular with
-    ``upper' upper == gram[order][:, order]``.  Freeing a variable
-    appends a column (triangular solve + scalar pivot, ``O(f^2)``);
-    pinning one deletes a column and re-triangularizes with Givens
-    rotations (``O(f^2)``) -- both asymptotically cheaper than the
-    ``O(f^3)`` refactorization they replace.
-    """
-
-    __slots__ = ("gram", "upper", "order", "_idx", "_unsort")
-
-    def __init__(self, factor: GramFactor) -> None:
-        self.gram = factor.gram
-        self.upper: FloatArray = factor.upper.copy()
-        self.order: list[int] = list(range(factor.n))
-        # Cached ``np.asarray(order)`` and its stable argsort; the hot
-        # loop calls ``solve`` more often than it pivots, so these are
-        # rebuilt lazily on the first solve after a pivot.  The initial
-        # order is the identity, so both caches start as ``arange``.
-        self._idx: NDArray[np.intp] | None = np.arange(factor.n)
-        self._unsort: NDArray[np.intp] | None = np.arange(factor.n)
-
-    def solve(self, atb: FloatArray) -> tuple[FloatArray, float]:
-        """Equality-constrained solve over the current free set.
-
-        Returns ``(w_free, lam)`` matching :func:`_equality_solve`'s
-        conventions exactly: ``w_free`` is ordered by ascending global
-        index (the ``np.flatnonzero(free)`` order) and ``lam`` is the
-        multiplier of the KKT system ``[[2G, -1], [1', 0]]``.  The
-        solution decomposes as ``w = x + c y`` with ``G x = atb_F`` and
-        ``G y = 1`` (two triangular-solve pairs against the cached
-        factor), ``c = (1 - sum x) / sum y`` and ``lam = 2 c``.
-        """
-        idx = self._idx
-        if idx is None or self._unsort is None:
-            idx = self._idx = np.asarray(self.order, dtype=np.intp)
-            self._unsort = idx.argsort(kind="stable")
-        f = len(idx)
-        rhs = np.empty((f, 2))
-        rhs[:, 0] = atb[idx]
-        rhs[:, 1] = 1.0
-        half = _tri_solve(self.upper, rhs, trans=1)
-        xy = _tri_solve(self.upper, half, trans=0)
-        x = xy[:, 0]
-        y = xy[:, 1]
-        y_total = float(y.sum())
-        if not np.isfinite(y_total) or y_total == 0.0:  # repro-lint: allow[float-eq] exact-zero division guard; any non-zero sum is usable
-            raise _FactorBreakdown("degenerate equality direction")
-        c = (1.0 - float(x.sum())) / y_total
-        w_free = x + c * y
-        if not (np.isfinite(c) and np.isfinite(w_free).all()):
-            raise _FactorBreakdown("non-finite factored solution")
-        return w_free[self._unsort], 2.0 * c
-
-    def add(self, j: int) -> None:
-        """Free global column ``j``: append it to the factor."""
-        self._idx = self._unsort = None
-        f = len(self.order)
-        gjj = float(self.gram[j, j])
-        if f == 0:
-            if not np.isfinite(gjj) or gjj <= 0.0:
-                raise _FactorBreakdown("non-positive diagonal pivot")
-            self.upper = np.array([[float(np.sqrt(gjj))]])
-            self.order = [j]
-            return
-        idx = np.asarray(self.order, dtype=np.intp)
-        u = _tri_solve(self.upper, self.gram[idx, j], trans=1)
-        rho_sq = gjj - float(u @ u)
-        if not (np.isfinite(u).all() and np.isfinite(rho_sq)):
-            raise _FactorBreakdown("non-finite rank-one update")
-        if rho_sq <= 0.0:
-            raise _FactorBreakdown("update lost positive definiteness")
-        grown = np.zeros((f + 1, f + 1))
-        grown[:f, :f] = self.upper
-        grown[:f, f] = u
-        grown[f, f] = float(np.sqrt(rho_sq))
-        self.upper = grown
-        self.order.append(j)
-
-    def drop(self, j: int) -> None:
-        """Pin global column ``j``: delete it and re-triangularize."""
-        self._idx = self._unsort = None
-        try:
-            pos = self.order.index(j)
-        except ValueError:
-            raise _FactorBreakdown(
-                f"column {j} not in the tracked free set"
-            ) from None
-        self.order.pop(pos)
-        f = self.upper.shape[0]
-        trimmed = np.delete(self.upper, pos, axis=1)
-        # Givens rotations sweep the subdiagonal spike left behind by the
-        # column deletion; ``hypot`` keeps every new diagonal entry
-        # non-negative, so the result is again a valid Cholesky factor.
-        for k in range(pos, f - 1):
-            a = float(trimmed[k, k])
-            b = float(trimmed[k + 1, k])
-            r = float(np.hypot(a, b))
-            if r == 0.0:  # repro-lint: allow[float-eq] hypot is exactly 0 only when both entries are; identity rotation is the correct branch
-                cos, sin = 1.0, 0.0
-            else:
-                cos, sin = a / r, b / r
-            top = trimmed[k, k:].copy()
-            bottom = trimmed[k + 1, k:]
-            trimmed[k, k:] = cos * top + sin * bottom
-            trimmed[k + 1, k:] = cos * bottom - sin * top
-            trimmed[k, k] = r
-            trimmed[k + 1, k] = 0.0
-        self.upper = np.ascontiguousarray(trimmed[: f - 1, :])
-
-    def reset(self, columns: "list[int] | NDArray[np.intp]") -> None:
-        """Re-anchor the factor on an explicit free set from scratch.
-
-        Runs on the block-pin hot path, so the factorization is a raw
-        LAPACK ``dpotrf``: only the upper triangle of ``self.upper`` is
-        written (the strictly-lower part is unspecified), which is fine
-        because every consumer of the factor -- ``dtrtrs`` solves, the
-        ``add`` append and the ``drop`` Givens sweep -- reads the upper
-        triangle exclusively.
-        """
-        self._idx = self._unsort = None
-        idx = np.asarray(columns, dtype=np.intp)
-        upper, info = _dpotrf(
-            self.gram[idx[:, None], idx], lower=0
-        )
-        if info != 0:
-            raise _FactorBreakdown("reset sub-Gram not SPD")
-        self.upper = upper
-        self.order = idx.tolist()
 
 
 def simplex_lstsq(A: ArrayLike, b: ArrayLike) -> SimplexLstsqResult:
@@ -463,10 +237,7 @@ def simplex_lstsq(A: ArrayLike, b: ArrayLike) -> SimplexLstsqResult:
 
 
 def simplex_lstsq_from_gram(
-    gram: ArrayLike,
-    atb: ArrayLike,
-    btb: float = 0.0,
-    factor: GramFactor | None = None,
+    gram: ArrayLike, atb: ArrayLike, btb: float = 0.0
 ) -> SimplexLstsqResult:
     """Solve Eq. 15 given precomputed normal equations.
 
@@ -483,28 +254,13 @@ def simplex_lstsq_from_gram(
         ``(k,)`` projected right-hand side ``A^T b``.
     btb:
         ``b^T b``; only used to report the objective value.
-    factor:
-        Optional pre-built :class:`GramFactor` of the *same* ``gram``
-        (``GramFactor.try_build(gram)``).  Lets the active-set kernel
-        reuse one Cholesky factorization across the N per-attribute
-        solves.  Every candidate is still verified against the exact
-        KKT conditions, so a stale or ill-conditioned factor degrades
-        speed, never correctness.
 
     Returns
     -------
     SimplexLstsqResult
     """
-    eqs = _validate_normal_inputs(
-        gram, atb, btb,
-        gram_checked=factor is not None and factor.gram is gram,
-    )
-    if factor is not None and factor.n != eqs.n:
-        raise ValidationError(
-            f"factor is {factor.n}x{factor.n} but gram is "
-            f"{eqs.n}x{eqs.n}"
-        )
-    result = _active_set(eqs, factor)
+    eqs = _validate_normal_inputs(gram, atb, btb)
+    result = _active_set(eqs)
     _emit_solver_event(result, eqs.n)
     return result
 
@@ -534,15 +290,15 @@ def project_to_simplex(v: ArrayLike) -> FloatArray:
 # Active set
 # ----------------------------------------------------------------------
 def _equality_solve(
-    gram: FloatArray, atb: FloatArray, free: NDArray[np.bool_]
+    gram: FloatArray, atb: FloatArray, idx: NDArray[np.intp]
 ) -> tuple[FloatArray, float]:
     """Solve the KKT system of min ||A_F w - b||^2 s.t. sum(w_F) = 1.
 
-    Returns ``(w_free, lam)`` where ``lam`` is the equality multiplier,
-    using least-squares on the KKT matrix so rank-deficient reference
-    sets (perfectly collinear references) still yield a solution.
+    ``idx`` lists the free set F in ascending order.  Returns
+    ``(w_free, lam)`` where ``lam`` is the equality multiplier, using
+    least-squares on the KKT matrix so rank-deficient reference sets
+    (perfectly collinear references) still yield a solution.
     """
-    idx = np.flatnonzero(free)
     k = len(idx)
     kkt = np.zeros((k + 1, k + 1))
     kkt[:k, :k] = 2.0 * gram[np.ix_(idx, idx)]
@@ -555,9 +311,43 @@ def _equality_solve(
     return solution[:k], float(solution[k])
 
 
-def _active_set(
-    eqs: _NormalEqs, factor: GramFactor | None = None
-) -> SimplexLstsqResult:
+def _positive_definite(gram: FloatArray) -> bool:
+    """Whether ``gram`` has a Cholesky factor: the route check of a solve."""
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _free_set_solve(
+    gram: FloatArray, atb: FloatArray, idx: NDArray[np.intp]
+) -> tuple[FloatArray, float]:
+    """:func:`_equality_solve` for a positive-definite free-set Gram.
+
+    The solution decomposes as ``w = x + c y`` with ``G_F x = atb_F``
+    and ``G_F y = 1`` (one two-column solve), ``c = (1 - sum x) / sum
+    y`` and the multiplier ``lam = 2 c``.  Raises ``LinAlgError`` when
+    ``G_F`` is singular after all: a Gram with an exactly duplicated
+    column can pass the Cholesky check by rounding, and LU then meets a
+    zero pivot or ``sum y = 1' G_F^-1 1`` comes out non-positive or
+    non-finite.
+    """
+    sub = gram if len(idx) == gram.shape[0] else gram[idx[:, None], idx]
+    rhs = np.empty((len(idx), 2))
+    rhs[:, 0] = atb[idx]
+    rhs[:, 1] = 1.0
+    xy = np.linalg.solve(sub, rhs)
+    # Finite column sums mean finite columns (an inf or nan entry
+    # leaves its sum inf or nan).
+    x_total, y_total = xy.sum(axis=0).tolist()
+    if not (0.0 < y_total < math.inf and math.isfinite(x_total)):
+        raise np.linalg.LinAlgError("free-set Gram is singular")
+    c = (1.0 - x_total) / y_total
+    return xy[:, 0] + c * xy[:, 1], 2.0 * c
+
+
+def _active_set(eqs: _NormalEqs) -> SimplexLstsqResult:
     n = eqs.n
     if n == 1:
         # One reference: the constraint pins the answer.
@@ -569,28 +359,26 @@ def _active_set(
     kkt_tol = _TOL * scale + 1e-12
 
     # Start from the uniform feasible point with all variables free.
-    # ``state`` mirrors ``free`` as an updatable Cholesky factor of the
-    # free-set Gram; any numerical breakdown permanently drops to the
-    # exact least-squares KKT solve for the rest of this solve.  The
-    # KKT optimality check below gates candidates from either path, so
-    # the factor only ever changes speed, not the accepted answer.
+    # ``fresh`` is the route: free-set solves on a positive-definite
+    # Gram, else the exact least-squares KKT solve.  A free-set solve
+    # that finds its sub-Gram singular moves the rest of this solve to
+    # the KKT route.  The KKT optimality check below gates candidates
+    # from either route.
     free = np.ones(n, dtype=bool)
     w = np.full(n, 1.0 / n)
-    state = _FreeSetFactor(factor) if factor is not None else None
+    fresh = _positive_definite(gram)
     iterations = 0
     stalls = 0
     while iterations < 50 * n:
         iterations += 1
-        w_free = lam = None
-        if state is not None:
-            try:
-                w_free, lam = state.solve(atb)
-            except _FactorBreakdown:
-                _obs_incr("solver.factor_breakdowns")
-                state = None
-        if w_free is None or lam is None:
-            w_free, lam = _equality_solve(gram, atb, free)
         idx = free.nonzero()[0]
+        if fresh:
+            try:
+                w_free, lam = _free_set_solve(gram, atb, idx)
+            except np.linalg.LinAlgError:
+                fresh = False
+        if not fresh:
+            w_free, lam = _equality_solve(gram, atb, idx)
         if (w_free >= -_TOL).all():
             candidate = np.zeros(n)
             candidate[idx] = np.maximum(w_free, 0.0)
@@ -621,12 +409,6 @@ def _active_set(
                 )
             worst = zero.nonzero()[0][int(np.argmax(violations))]
             free[worst] = True
-            if state is not None:
-                try:
-                    state.add(int(worst))
-                except _FactorBreakdown:
-                    _obs_incr("solver.factor_breakdowns")
-                    state = None
             w = candidate
             stalls += 1
             if stalls > 2 * n:
@@ -634,28 +416,22 @@ def _active_set(
                 # hand off to the always-convergent iterative solver.
                 return _projected_gradient(eqs)
         else:
-            if state is not None:
+            if fresh:
                 # Speculative block pin (the Bro & de Jong FNNLS move):
-                # pin every negative coordinate at once and re-anchor
-                # the factor on the survivors with one small fresh
-                # Cholesky, instead of line-searching variables to zero
-                # one iteration at a time.  Over-pinning is repaired by
-                # the KKT re-free step above, each pin strictly shrinks
-                # the free set, and every accepted answer still passes
-                # the exact optimality check -- so this only changes
-                # how fast the optimum is reached, not which point is
-                # accepted.
+                # pin every negative coordinate at once and restart from
+                # the uniform point on the survivors, instead of
+                # line-searching variables to zero one iteration at a
+                # time.  Over-pinning is repaired by the KKT re-free
+                # step above, each pin strictly shrinks the free set,
+                # and every accepted answer still passes the exact
+                # optimality check -- so this only changes how fast the
+                # optimum is reached, not which point is accepted.
                 negative = w_free < -_TOL
                 keep = idx[~negative]
                 if len(keep):
                     free[idx[negative]] = False
                     w = np.zeros(n)
                     w[keep] = 1.0 / len(keep)
-                    try:
-                        state.reset(keep)
-                    except _FactorBreakdown:
-                        _obs_incr("solver.factor_breakdowns")
-                        state = None
                     continue
             # Infeasible equality solution: step from w toward it until the
             # first free variable hits zero, then pin that variable.
@@ -672,15 +448,8 @@ def _active_set(
             hit = (moving & (alphas <= alpha + 1e-15)).nonzero()[0]
             if len(hit) == 0:
                 return _projected_gradient(eqs)
-            for j in hit:
-                free[j] = False
-                w[j] = 0.0
-                if state is not None:
-                    try:
-                        state.drop(int(j))
-                    except _FactorBreakdown:
-                        _obs_incr("solver.factor_breakdowns")
-                        state = None
+            free[hit] = False
+            w[hit] = 0.0
             if not free.any():
                 # Numerical corner: restart from the best single column.
                 best = int(
@@ -690,12 +459,6 @@ def _active_set(
                 )
                 w = _unit(n, best)
                 free[best] = True
-                if state is not None:
-                    try:
-                        state.reset([best])
-                    except _FactorBreakdown:
-                        _obs_incr("solver.factor_breakdowns")
-                        state = None
     return _projected_gradient(eqs)
 
 

@@ -29,7 +29,6 @@ See ``docs/serving.md`` for the on-disk format.
 from repro.store.artifact import (
     ARTIFACT_FORMAT,
     ARTIFACT_VERSION,
-    FAULT_ENV,
     read_artifact,
     write_artifact,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "ARTIFACT_FORMAT",
     "ARTIFACT_VERSION",
     "DEFAULT_STORE_DIR",
-    "FAULT_ENV",
     "ModelStore",
     "StoreEntry",
     "default_store_path",

@@ -14,12 +14,6 @@ failure, or format-version skew raises
 :class:`~repro.errors.StoreError` with the artifact path in the
 message; the numpy layer runs with ``allow_pickle=False`` so a hostile
 or mangled payload cannot execute anything.
-
-``REPRO_STORE_FAULT`` is the chaos hook for the fault-injection suite
-(the store's analogue of ``REPRO_SHARD_FAULT``): set it to
-``truncate-payload``, ``corrupt-payload`` or ``version-skew`` to make
-:func:`write_artifact` produce exactly the damaged artifact each test
-needs, proving the loader refuses it.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ __all__ = [
     "ARTIFACT_FORMAT",
     "ARTIFACT_VERSION",
     "SUPPORTED_VERSIONS",
-    "FAULT_ENV",
     "manifest_path",
     "payload_path",
     "read_artifact",
@@ -57,13 +50,9 @@ ARTIFACT_FORMAT = "geoalign-fitted-model"
 #: (:mod:`repro.store.store` lists what each version's payload holds).
 ARTIFACT_VERSION = 3
 
-#: Versions :func:`read_manifest` accepts.  Other versions are rejected
-#: with a typed error instead of guessing.
+#: Versions :func:`read_manifest` accepts, as plain JSON integers.
+#: Other versions are rejected with a typed error instead of guessing.
 SUPPORTED_VERSIONS = (1, 2, 3)
-
-#: Chaos hook: ``truncate-payload`` | ``corrupt-payload`` |
-#: ``version-skew`` makes the next save produce a damaged artifact.
-FAULT_ENV = "REPRO_STORE_FAULT"
 
 
 def manifest_path(root: str, key: str) -> str:
@@ -88,10 +77,6 @@ def _atomic_write(path: str, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _injected_fault() -> str | None:
-    return os.environ.get(FAULT_ENV) or None
-
-
 def write_artifact(
     root: str,
     key: str,
@@ -110,26 +95,13 @@ def write_artifact(
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
     payload = buffer.getvalue()
-    checksum = _sha256(payload)
-    version = ARTIFACT_VERSION
-
-    fault = _injected_fault()
-    if fault == "truncate-payload":
-        payload = payload[: len(payload) // 2]
-    elif fault == "corrupt-payload":
-        mangled = bytearray(payload)
-        mangled[len(mangled) // 2] ^= 0xFF
-        payload = bytes(mangled)
-    elif fault == "version-skew":
-        version = ARTIFACT_VERSION + 1
-
     manifest: dict[str, object] = {
         "format": ARTIFACT_FORMAT,
-        "version": version,
+        "version": ARTIFACT_VERSION,
         "key": key,
         "payload": os.path.basename(payload_path(root, key)),
-        "payload_sha256": checksum,
-        "payload_bytes": len(buffer.getvalue()),
+        "payload_sha256": _sha256(payload),
+        "payload_bytes": len(payload),
         **manifest_extra,
     }
     _atomic_write(payload_path(root, key), payload)
@@ -157,9 +129,12 @@ def read_manifest(root: str, key: str) -> dict[str, object]:
             f"{path}: not a {ARTIFACT_FORMAT} manifest "
             f"(format={parsed.get('format')!r})"
         )
-    if parsed.get("version") not in SUPPORTED_VERSIONS:
+    # ``True == 1`` and ``1.0 == 1`` in Python, so a membership test
+    # alone would read ``true`` or ``1.0`` as format 1.
+    version = parsed.get("version")
+    if type(version) is not int or version not in SUPPORTED_VERSIONS:
         raise StoreError(
-            f"{path}: artifact format version {parsed.get('version')!r} "
+            f"{path}: artifact format version {version!r} "
             f"is not among the supported versions {SUPPORTED_VERSIONS}; "
             "re-save the model with this build"
         )

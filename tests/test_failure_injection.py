@@ -7,6 +7,7 @@ units).  This module attacks each layer in turn.
 """
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -311,11 +312,10 @@ class TestShardWorkerFaults:
 class TestStoreFaults:
     """Damaged saves must be refused at load with a typed StoreError.
 
-    The store's chaos hook (``REPRO_STORE_FAULT``) makes one save
-    produce exactly the damage under test -- a truncated payload, a
-    flipped byte, a format-version bump -- so the loader's integrity
-    checks are exercised against real artifacts, not synthetic mocks
-    (the store analogue of ``REPRO_SHARD_FAULT`` above).
+    Each test damages a real artifact after a clean save -- a truncated
+    payload, a flipped byte, a format-version bump -- so the loader's
+    integrity checks are exercised against real artifacts, not
+    synthetic mocks.
     """
 
     @staticmethod
@@ -329,6 +329,29 @@ class TestStoreFaults:
             paired_references, objectives, attribute_names=["a", "b"]
         )
 
+    @staticmethod
+    def _damage(store, key, fault):
+        """Give the saved artifact ``key`` the damage named ``fault``."""
+        from repro.store.artifact import manifest_path, payload_path
+
+        if fault == "version-skew":
+            path = manifest_path(store.root, key)
+            with open(path) as handle:
+                manifest = json.load(handle)
+            manifest["version"] = 4
+            with open(path, "w") as handle:
+                json.dump(manifest, handle)
+            return
+        path = payload_path(store.root, key)
+        with open(path, "rb") as handle:
+            payload = bytearray(handle.read())
+        if fault == "truncate-payload":
+            payload = payload[: len(payload) // 2]
+        else:
+            payload[len(payload) // 2] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(payload))
+
     @pytest.mark.parametrize(
         "fault, match",
         [
@@ -338,47 +361,28 @@ class TestStoreFaults:
         ],
     )
     def test_injected_damage_is_refused_at_load(
-        self, monkeypatch, tmp_path, paired_references, fault, match
+        self, tmp_path, paired_references, fault, match
     ):
         from repro.errors import StoreError
         from repro.store import ModelStore
-        from repro.store.artifact import FAULT_ENV
 
         store = ModelStore(str(tmp_path / "store"))
-        model = self._fitted(paired_references)
-        monkeypatch.setenv(FAULT_ENV, fault)
-        entry = store.save(model)
-        monkeypatch.delenv(FAULT_ENV)
+        entry = store.save(self._fitted(paired_references))
+        self._damage(store, entry.key, fault)
         with pytest.raises(StoreError, match=match):
             store.load(entry.key)
 
-    def test_resave_after_fault_recovers(
-        self, monkeypatch, tmp_path, paired_references
-    ):
+    def test_resave_after_fault_recovers(self, tmp_path, paired_references):
         """A clean save over a damaged artifact makes it loadable again."""
         from repro.store import ModelStore
-        from repro.store.artifact import FAULT_ENV
 
         store = ModelStore(str(tmp_path / "store"))
         model = self._fitted(paired_references)
-        monkeypatch.setenv(FAULT_ENV, "corrupt-payload")
         entry = store.save(model)
-        monkeypatch.delenv(FAULT_ENV)
+        self._damage(store, entry.key, "corrupt-payload")
         store.save(model)  # same content fingerprint -> same key
         loaded, _ = store.load(entry.key)
         np.testing.assert_array_equal(loaded.predict(), model.predict())
-
-    def test_unknown_fault_value_is_ignored(
-        self, monkeypatch, tmp_path, paired_references
-    ):
-        from repro.store import ModelStore
-        from repro.store.artifact import FAULT_ENV
-
-        store = ModelStore(str(tmp_path / "store"))
-        monkeypatch.setenv(FAULT_ENV, "no-such-fault")
-        entry = store.save(self._fitted(paired_references))
-        loaded, _ = store.load(entry.key)
-        assert loaded.weights_ is not None
 
 
 class TestEndToEndUnderStress:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.core import solver
 from repro.core.solver import (
-    GramFactor,
     project_to_simplex,
     simplex_lstsq,
     simplex_lstsq_from_gram,
@@ -290,87 +290,66 @@ class TestSolverProperties:
         assert _feasible(result.weights)
 
 
-class TestGramFactor:
-    """The shared-Cholesky active-set path (batch hot loop)."""
+def _kkt_route(gram, atb):
+    """The least-squares KKT route, forced whatever the Gram."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_positive_definite", lambda gram: False)
+        return simplex_lstsq_from_gram(gram, atb)
 
-    def test_try_build_on_spd_gram(self):
-        A, _ = _random_problem(0, m=30, k=5)
-        gram = A.T @ A
-        factor = GramFactor.try_build(gram)
-        assert factor is not None
-        assert factor.n == 5
-        np.testing.assert_allclose(
-            factor.upper.T @ factor.upper, gram, rtol=1e-12, atol=1e-12
-        )
 
-    def test_try_build_none_on_singular_gram(self):
-        A = np.ones((10, 3))  # perfectly collinear columns
-        assert GramFactor.try_build(A.T @ A) is None
+class TestFreeSetRoute:
+    """The two routes of one solve: fresh free-set solves on a positive-
+    definite Gram, the least-squares KKT solve on any other."""
 
-    def test_factored_matches_lstsq_path(self):
-        # Identical KKT gates on both paths: the factored solve must
-        # land on the same weights to factorization noise.
+    def test_fresh_route_matches_kkt_route(self):
+        # Identical KKT gates on both routes: they must accept the same
+        # weights to solve noise.
         tested = 0
         for seed in range(60):
             A, b = _random_problem(seed)
             gram, atb = A.T @ A, A.T @ b
-            factor = GramFactor.try_build(gram)
-            if factor is None:  # rank-deficient draw (m < k)
+            if not solver._positive_definite(gram):  # rank-deficient draw (m < k)
                 continue
             tested += 1
-            plain = simplex_lstsq_from_gram(gram, atb)
-            fast = simplex_lstsq_from_gram(gram, atb, factor=factor)
-            assert _feasible(fast.weights)
+            fresh = simplex_lstsq_from_gram(gram, atb)
+            plain = _kkt_route(gram, atb)
+            assert _feasible(fresh.weights)
             np.testing.assert_allclose(
-                fast.weights, plain.weights, rtol=1e-9, atol=1e-12
+                fresh.weights, plain.weights, rtol=1e-9, atol=1e-12
             )
-            assert fast.objective == pytest.approx(
+            assert fresh.objective == pytest.approx(
                 plain.objective, rel=1e-9, abs=1e-12
             )
         assert tested >= 30  # most draws are full column rank
 
-    def test_factor_reused_across_attributes(self):
-        # One factor, many right-hand sides -- the batch engine's shape.
-        rng = np.random.default_rng(11)
-        A = rng.random((40, 6)) * (rng.random(6) + 0.05)
-        gram = A.T @ A
-        factor = GramFactor.try_build(gram)
-        assert factor is not None
-        for _ in range(25):
-            b = rng.random(40) * rng.choice([0.1, 1.0, 10.0])
-            atb = A.T @ b
-            fast = simplex_lstsq_from_gram(gram, atb, factor=factor)
-            plain = simplex_lstsq_from_gram(gram, atb)
-            np.testing.assert_allclose(
-                fast.weights, plain.weights, rtol=1e-9, atol=1e-12
-            )
-
-    def test_vertex_solutions_exercise_drop_path(self):
-        # A rhs aligned with one column pins the rest at zero, forcing
-        # the active-set loop through add *and* drop rank updates.
+    def test_vertex_solution_is_a_unit_vector(self):
+        # A rhs along one column pins the rest at zero, through both the
+        # block pin and the KKT re-free step.
         rng = np.random.default_rng(5)
         A = rng.random((30, 4)) + 0.05
         b = A[:, 2] * 3.0
-        gram, atb = A.T @ A, A.T @ b
-        factor = GramFactor.try_build(gram)
-        fast = simplex_lstsq_from_gram(gram, atb, factor=factor)
-        plain = simplex_lstsq_from_gram(gram, atb)
-        np.testing.assert_allclose(
-            fast.weights, plain.weights, rtol=1e-9, atol=1e-12
-        )
+        result = simplex_lstsq_from_gram(A.T @ A, A.T @ b)
+        np.testing.assert_array_equal(result.weights, [0.0, 0.0, 1.0, 0.0])
 
-    def test_dimension_mismatch_rejected(self):
-        A, b = _random_problem(1, m=20, k=4)
-        other, _ = _random_problem(2, m=20, k=3)
-        factor = GramFactor.try_build(other.T @ other)
-        assert factor is not None
-        with pytest.raises(ValidationError):
-            simplex_lstsq_from_gram(A.T @ A, A.T @ b, factor=factor)
+    def test_non_positive_definite_gram_keeps_kkt_weights(self):
+        # A collinear pair fails the Cholesky check, so every iteration
+        # takes the least-squares KKT solve; these are its weights, bit
+        # for bit, from before the fresh route existed.
+        rng = np.random.default_rng(4)
+        base = rng.random(20)
+        A = np.column_stack([base, 2.0 * base, rng.random(20)])
+        b = rng.random(20)
+        gram = A.T @ A
+        assert not solver._positive_definite(gram)
+        expected = [0.27866589527134855, 0.0, 0.7213341047286513]
+        for result in (
+            simplex_lstsq_from_gram(gram, A.T @ b), simplex_lstsq(A, b)
+        ):
+            np.testing.assert_array_equal(result.weights, expected)
 
-    def test_near_singular_gram_still_correct(self):
-        # Two nearly collinear columns: if the factor breaks down mid-
-        # solve the loop must fall back to the lstsq KKT path and still
-        # return a feasible, KKT-gated point.
+    def test_near_duplicate_columns_reach_kkt_objective(self):
+        # Two columns 1e-13 apart pass the Cholesky check; the weights
+        # of such a pair are not identifiable, the objective is.
         rng = np.random.default_rng(9)
         base = rng.random(50)
         A = np.column_stack(
@@ -378,8 +357,33 @@ class TestGramFactor:
         )
         b = rng.random(50)
         gram, atb = A.T @ A, A.T @ b
-        factor = GramFactor.try_build(gram)
-        result = simplex_lstsq_from_gram(gram, atb, factor=factor)
+        result = simplex_lstsq_from_gram(gram, atb)
         assert _feasible(result.weights)
-        plain = simplex_lstsq_from_gram(gram, atb)
-        assert result.objective <= plain.objective + 1e-9
+        assert result.objective == pytest.approx(
+            _kkt_route(gram, atb).objective, rel=1e-12, abs=1e-12
+        )
+
+    def test_duplicated_column_survives_a_passing_cholesky(self):
+        # An exactly duplicated column can pass the Cholesky check by
+        # rounding while LU then meets a zero pivot; such a solve moves
+        # to the KKT route instead of raising.
+        rng = np.random.default_rng(13)
+        singular_after_all = 0
+        for _ in range(40):
+            A = rng.random((int(rng.integers(3, 30)), 3))
+            A[:, 1] = A[:, 0]
+            A /= A.max(axis=0)
+            b = rng.random(A.shape[0])
+            gram, atb = A.T @ A, A.T @ b
+            if not solver._positive_definite(gram):
+                continue
+            try:
+                np.linalg.solve(gram, np.ones(3))
+            except np.linalg.LinAlgError:
+                singular_after_all += 1
+            result = simplex_lstsq_from_gram(gram, atb)
+            assert _feasible(result.weights)
+            assert result.objective == pytest.approx(
+                _kkt_route(gram, atb).objective, rel=1e-9, abs=1e-12
+            )
+        assert singular_after_all >= 1

@@ -421,6 +421,20 @@ class TestIntegrityRefusals:
         with pytest.raises(StoreError, match="format version"):
             store.load(entry.key)
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+    def test_version_that_only_equals_one_is_refused(self, tmp_path, version):
+        # ``true`` and ``1.0`` compare equal to 1 in Python; neither is
+        # the integer format version a manifest holds.
+        root, key = _copy_form(tmp_path, "v1")
+        path = manifest_path(root, key)
+        with open(path) as handle:
+            manifest = json.load(handle)
+        manifest["version"] = version
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(StoreError, match="format version"):
+            ModelStore(root).load(key)
+
     def test_wrong_format_marker(self, store, fitted):
         entry = store.save(fitted)
         path = manifest_path(store.root, entry.key)
