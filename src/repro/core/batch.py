@@ -10,10 +10,13 @@ front.  Everything attribute-independent lives in a
    matrix ``A`` and the Gram matrix ``A^T A`` of Eq. 15;
 2. ``R``, the ``(k, m)`` row sums of each reference disaggregation matrix
    ``D_j``, and the per-reference ``(t, m)`` operators ``D_j^T``
-   (Eq. 16 / Eq. 17), COO views of each DM's own CSR entries, built per
+   (Eq. 16 / Eq. 17), COO views of each DM's own CSR entries, filled per
    reference by the first ``predict`` that weights it: Eq. 15's simplex
    leaves many weights at exactly zero, and a reference no fit weights
-   is never built;
+   is never filled.  Each DM builds its row sums and operator once
+   (:meth:`~repro.partitions.dm.DisaggregationMatrix.linear_arrays`),
+   so stacks over the same DMs -- the cross-validation folds, repeated
+   fits -- share them;
 3. the :class:`~repro.core.sparse_stack.SparseDMStack` holding the K
    reference DMs over the *union* of their sparsity patterns, built only
    when a consumer first asks for per-entry values.
@@ -59,7 +62,7 @@ from repro.core.diagnostics import (
 )
 from repro.core.reference import Reference
 from repro.core.solver import SimplexLstsqResult, simplex_lstsq_from_gram
-from repro.core.sparse_stack import SparseDMStack, _as_sorted_csr
+from repro.core.sparse_stack import SparseDMStack
 from repro.obs.trace import event as _obs_event
 from repro.obs.trace import (
     set_gauge as _set_gauge,
@@ -301,68 +304,60 @@ def _emit_weight_health_gauges(weights: FloatArray, gram: FloatArray) -> None:
     )
 
 
-def _build_linear(
-    matrices: Sequence[Any],
+def _fill_linear(
+    dms: Sequence[DisaggregationMatrix],
     refs: Sequence[int],
     row_sums: FloatArray,
     operators: list[Any],
-    n_targets: int,
 ) -> None:
     """Fill row ``R[j]`` and operator ``D_j^T`` for each ``j`` in ``refs``.
 
-    ``R[j]`` is one CSR mat-vec of ``D_j`` with a ones vector.  The
-    operator is a ``(t, m)`` COO view of ``D_j`` in canonical CSR: its
-    values and target indices are the CSR's own arrays, and its source
-    index is the row pointer expanded once per entry (int32 where it
-    fits).  The entries stay in CSR order and SciPy's COO product adds
-    them in that order, so every target sums its source rows in
-    ascending order, as a target-major CSR copy would.
+    Both come from the DM (:meth:`DisaggregationMatrix.linear_arrays`),
+    which builds them once and keeps them, so every stack over a DM
+    shares its operator object.  The ``stack.operators`` span counts the
+    references filled (``k``) and the DMs this call built (``built``).
     """
-    m, t = row_sums.shape[1], n_targets
-    ones = np.ones(t)
-    sources = np.arange(
-        m, dtype=np.int32 if max(m, t) < np.iinfo(np.int32).max else np.int64
-    )
-    with _span("stack.operators", k=len(refs)):
+    with _span("stack.operators", k=len(refs)) as fill_span:
+        built = 0
         for j in refs:
-            csr = _as_sorted_csr(matrices[j])
-            row_sums[j] = csr @ ones
-            operators[j] = sparse.coo_matrix(
-                (
-                    csr.data,
-                    (csr.indices, np.repeat(sources, np.diff(csr.indptr))),
-                ),
-                shape=(t, m),
-            )
+            built += dms[j].build_linear_arrays()
+            row_sums[j], operators[j] = dms[j].linear_arrays()
+        if fill_span is not None:
+            fill_span.attrs["built"] = built
 
 
 class _DMArrays:
-    """What a stack derives from its reference DMs, each built once.
+    """What a stack reads from its reference DMs, each filled once.
 
-    ``R`` and the operators serve :meth:`BatchAligner.predict`, built
+    ``R`` and the operators serve :meth:`BatchAligner.predict`, filled
     per reference: a reference's ``R`` row and operator on the first
     call that asks for that reference, so a reference no fit weights
-    keeps an all-zero ``R`` row and no operator.  An operator is a COO
-    view of its DM's own CSR arrays and holds only its source index
-    besides.  The union-pattern
+    keeps an all-zero ``R`` row and no operator.  Each DM builds its
+    row sums and operator once and keeps them, so a stack fills from
+    the DM and builds nothing a stack over the same DM built before.
+    An operator is a COO view of its DM's own CSR arrays and holds only
+    its source index besides.  The union-pattern
     :class:`~repro.core.sparse_stack.SparseDMStack` serves the per-entry
-    consumers.  Both are built on first use under one lock, so a caller
-    may share one stack across threads.  Stacks over the same DMs
-    (:meth:`ReferenceStack.with_references`) share one instance, so a
-    member built through any of them is built for all.
+    consumers.  Both are filled or built on first use under one lock,
+    so a caller may share one stack across threads.  A stack and its
+    :meth:`ReferenceStack.with_references` copies share one instance,
+    so a member filled through any of them is filled for all.
     """
 
     def __init__(
-        self, matrices: list[Any], n_sources: int, n_targets: int
+        self,
+        dms: list[DisaggregationMatrix],
+        n_sources: int,
+        n_targets: int,
     ) -> None:
-        self.matrices = matrices
+        self.dms = dms
         self.n_sources = n_sources
         self.n_targets = n_targets
         self.dm_stack: SparseDMStack | None = None
-        #: ``R``, allocated (all zero) by the first build.
+        #: ``R``, allocated (all zero) by the first fill.
         self.row_sums: FloatArray | None = None
-        #: Operator per reference, ``None`` until that reference is built.
-        self.operators: list[Any] = [None] * len(matrices)
+        #: Operator per reference, ``None`` until that reference is filled.
+        self.operators: list[Any] = [None] * len(dms)
         self.lock = threading.Lock()
 
     def __getstate__(self) -> dict[str, Any]:
@@ -381,55 +376,49 @@ class _DMArrays:
             with self.lock:
                 if self.dm_stack is None:
                     dm_stack = SparseDMStack.from_matrices(
-                        self.matrices, self.n_sources, self.n_targets
+                        [dm.matrix for dm in self.dms],
+                        self.n_sources,
+                        self.n_targets,
                     )
                     _set_gauge("health.stack_density", dm_stack.density)
                     self.dm_stack = dm_stack
         return self.dm_stack
 
-    def _unbuilt(self, refs: Iterable[int]) -> list[int]:
+    def _unfilled(self, refs: Iterable[int]) -> list[int]:
         return [j for j in refs if self.operators[j] is None]
 
     def linear_arrays(
         self, refs: Sequence[int] | None = None
     ) -> tuple[FloatArray, list[Any]]:
-        """``(R, operators)`` with the members of ``refs`` built.
+        """``(R, operators)`` with the members of ``refs`` filled.
 
         ``refs`` are ascending reference positions, every reference when
-        ``None``.  Each unbuilt one is built once, in one
-        ``stack.operators`` span per call that builds any.
+        ``None``.  Each unfilled one is filled once, in one
+        ``stack.operators`` span per call that fills any.
         """
-        wanted = range(len(self.matrices)) if refs is None else refs
+        wanted = range(len(self.dms)) if refs is None else refs
         row_sums = self.row_sums
-        if row_sums is None or self._unbuilt(wanted):
+        if row_sums is None or self._unfilled(wanted):
             with self.lock:
                 if self.row_sums is None:
-                    self.row_sums = np.zeros(
-                        (len(self.matrices), self.n_sources)
-                    )
+                    self.row_sums = np.zeros((len(self.dms), self.n_sources))
                 row_sums = self.row_sums
-                missing = self._unbuilt(wanted)
+                missing = self._unfilled(wanted)
                 if missing:
-                    _build_linear(
-                        self.matrices,
-                        missing,
-                        row_sums,
-                        self.operators,
-                        self.n_targets,
-                    )
+                    _fill_linear(self.dms, missing, row_sums, self.operators)
         return row_sums, self.operators
 
     @property
     def resident_bytes(self) -> int:
-        """``R`` and what the built operators hold beyond their DMs' own
+        """``R`` and what the filled operators hold beyond their DMs' own
         arrays (the source indices, and any canonical copy), plus the
         union stack, once built."""
         total = 0
         if self.row_sums is not None:
             total += int(self.row_sums.nbytes)
-            for op, matrix in zip(self.operators, self.matrices):
+            for op, dm in zip(self.operators, self.dms):
                 if op is not None:
-                    own = (id(matrix.data), id(matrix.indices))
+                    own = (id(dm.matrix.data), id(dm.matrix.indices))
                     total += sum(
                         int(array.nbytes)
                         for array in (op.data, op.row, op.col)
@@ -463,8 +452,8 @@ class ReferenceStack:
         divides the learned weights back to raw-DM scale before blending.
     ref_row_sums, operators:
         ``R`` and the per-reference ``D_j^T`` behind
-        :meth:`rescaled_totals`, every reference's built on first
-        access; a predict builds only the references it weights
+        :meth:`rescaled_totals`, every reference's filled from its DM
+        on first access; a predict fills only the references it weights
         (:meth:`linear_for`).
     dm_stack:
         The :class:`~repro.core.sparse_stack.SparseDMStack` holding the
@@ -506,7 +495,7 @@ class ReferenceStack:
         self.design = scaled.T.copy()
         self.gram = self.design.T @ self.design
         self._dms = _DMArrays(
-            [ref.dm.matrix for ref in refs], self.n_sources, self.n_targets
+            [ref.dm for ref in refs], self.n_sources, self.n_targets
         )
         self._fingerprint: str | None = None
 

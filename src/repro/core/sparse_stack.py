@@ -52,6 +52,7 @@ from scipy import sparse
 
 from repro.errors import ShapeMismatchError, ValidationError
 from repro.obs.trace import incr as _obs_incr, span as _span
+from repro.partitions.dm import _as_sorted_csr
 
 __all__ = [
     "EntrySlice",
@@ -100,20 +101,6 @@ class EntrySlice:
         )
         result = np.asarray(weights @ matrix, dtype=float)
         return result
-
-
-def _as_sorted_csr(matrix: Any) -> Any:
-    """The matrix as canonical CSR, copying only when normalisation is
-    actually needed (duplicate or unsorted entries).  A float CSR matrix
-    is checked as itself, so SciPy caches the result on it."""
-    csr = matrix
-    if not (sparse.isspmatrix_csr(csr) and csr.dtype == np.float64):
-        csr = sparse.csr_matrix(matrix, dtype=float)
-    if not csr.has_canonical_format:
-        csr = csr.copy()
-        csr.sum_duplicates()
-        csr.sort_indices()
-    return csr
 
 
 class SparseDMStack:

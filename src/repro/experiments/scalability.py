@@ -117,10 +117,13 @@ def stage_fraction(stage_seconds, stage):
 def time_geoalign_fold(references, test_reference, repeats=1):
     """Seconds for one full GeoAlign fold (fit + predict), best effort.
 
-    A fresh estimator is built per repeat so no cached DM carries over.
-    The timed repeats open no session of their own; the disaggregation
-    share comes from one more fold, traced
-    (:func:`traced_stage_seconds`).  Returns ``(mean_seconds,
+    A fresh estimator is built per repeat over the same reference DMs,
+    which build their row sums and operators once
+    (:meth:`~repro.partitions.dm.DisaggregationMatrix.linear_arrays`),
+    so the repeats after a pool's first fold reuse them, as the folds of
+    one cross-validated run do.  The timed repeats open no session of
+    their own; the disaggregation share comes from one more fold,
+    traced (:func:`traced_stage_seconds`).  Returns ``(mean_seconds,
     disaggregation_fraction)``.
     """
     pool = [r for r in references if r.name != test_reference.name]

@@ -21,7 +21,7 @@ from repro.errors import ValidationError
 from repro.core.baselines import Dasymetric
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.geoalign import GeoAlign
-from repro.metrics.errors import nrmse, rmse
+from repro.metrics.errors import rmse_and_nrmse
 from repro.obs.trace import span as _span
 from repro.obs.trace import timed_span as _timed_span
 
@@ -38,6 +38,12 @@ class MethodScore:
     rmse: float
     nrmse: float
     runtime_seconds: float
+
+
+def _method_score(method, dataset, estimates, truth, seconds):
+    """One (method, fold) score from one validated estimate/truth pair."""
+    error, normalised = rmse_and_nrmse(estimates, truth)
+    return MethodScore(method, dataset, error, normalised, seconds)
 
 
 @dataclass
@@ -143,19 +149,16 @@ def _batch_geoalign_scores(datasets, geoalign_factory, reference_selector):
         ).predict()
     seconds_per_fold = clock.seconds / len(datasets)
 
-    scores = []
-    for fold, test in enumerate(datasets):
-        truth = test.dm.col_sums()
-        scores.append(
-            MethodScore(
-                "GeoAlign",
-                test.name,
-                rmse(estimates[fold], truth),
-                nrmse(estimates[fold], truth),
-                seconds_per_fold,
-            )
+    return [
+        _method_score(
+            "GeoAlign",
+            test.name,
+            estimates[fold],
+            test.dm.col_sums(),
+            seconds_per_fold,
         )
-    return scores
+        for fold, test in enumerate(datasets)
+    ]
 
 
 def leave_one_dataset_out(
@@ -269,12 +272,8 @@ def leave_one_dataset_out(
                     ),
                 )
                 result.scores.append(
-                    MethodScore(
-                        "GeoAlign",
-                        test.name,
-                        rmse(estimates, truth),
-                        nrmse(estimates, truth),
-                        seconds,
+                    _method_score(
+                        "GeoAlign", test.name, estimates, truth, seconds
                     )
                 )
 
@@ -287,12 +286,8 @@ def leave_one_dataset_out(
                     lambda m=method: m.fit_predict(test.source_vector),
                 )
                 result.scores.append(
-                    MethodScore(
-                        method.name,
-                        test.name,
-                        rmse(estimates, truth),
-                        nrmse(estimates, truth),
-                        seconds,
+                    _method_score(
+                        method.name, test.name, estimates, truth, seconds
                     )
                 )
 
@@ -306,11 +301,11 @@ def leave_one_dataset_out(
                     lambda m=method: m.fit_predict(test.source_vector),
                 )
                 result.scores.append(
-                    MethodScore(
+                    _method_score(
                         "areal-weighting",
                         test.name,
-                        rmse(estimates, truth),
-                        nrmse(estimates, truth),
+                        estimates,
+                        truth,
                         seconds,
                     )
                 )

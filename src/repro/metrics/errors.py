@@ -29,10 +29,26 @@ def _paired(estimated, actual):
     return est, act
 
 
+def _rmse(est, act):
+    return float(np.sqrt(np.mean((est - act) ** 2)))
+
+
 def rmse(estimated, actual):
     """Root mean square error between two aggregate vectors."""
+    return _rmse(*_paired(estimated, actual))
+
+
+def rmse_and_nrmse(estimated, actual):
+    """``(rmse, nrmse)`` of one pair, validated once; each value is what
+    :func:`rmse` and :func:`nrmse` return."""
     est, act = _paired(estimated, actual)
-    return float(np.sqrt(np.mean((est - act) ** 2)))
+    denom = float(np.mean(act))
+    if is_zero(denom):
+        raise ValidationError(
+            "NRMSE undefined: measured data has (numerically) zero mean"
+        )
+    error = _rmse(est, act)
+    return error, error / abs(denom)
 
 
 def nrmse(estimated, actual):
@@ -41,13 +57,7 @@ def nrmse(estimated, actual):
     This is the paper's Figure 5 criterion.  Raises when the measured
     mean is zero, because the normalisation is undefined there.
     """
-    est, act = _paired(estimated, actual)
-    denom = float(np.mean(act))
-    if is_zero(denom):
-        raise ValidationError(
-            "NRMSE undefined: measured data has (numerically) zero mean"
-        )
-    return rmse(est, act) / abs(denom)
+    return rmse_and_nrmse(estimated, actual)[1]
 
 
 def mae(estimated, actual):

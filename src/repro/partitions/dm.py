@@ -15,6 +15,7 @@ speed to sparse storage of DMs.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Sequence
 from typing import Any
 
@@ -27,6 +28,45 @@ from repro.utils.fingerprint import combine_fingerprints, fingerprint_array
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
+
+
+def _as_sorted_csr(matrix: Any) -> Any:
+    """The matrix as canonical CSR, copying only when normalisation is
+    actually needed (duplicate or unsorted entries).  A float CSR matrix
+    is checked as itself, so SciPy caches the result on it."""
+    csr = matrix
+    if not (sparse.isspmatrix_csr(csr) and csr.dtype == np.float64):
+        csr = sparse.csr_matrix(matrix, dtype=float)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+        csr.sort_indices()
+    return csr
+
+
+def _build_linear(matrix: Any) -> tuple[FloatArray, Any]:
+    """``(row_sums, operator)`` of one DM for the linear Eq. 16/17 path.
+
+    The row sums are one CSR mat-vec of the canonical CSR with a ones
+    vector.  The operator is a ``(t, m)`` COO view of that CSR: its
+    values and target indices are the CSR's own arrays, and its source
+    index is the row pointer expanded once per entry (int32 where it
+    fits).  The entries stay in CSR order and SciPy's COO product adds
+    them in that order, so every target sums its source rows in
+    ascending order, as a target-major CSR copy would.
+    """
+    csr = _as_sorted_csr(matrix)
+    m, t = csr.shape
+    sources = np.arange(
+        m, dtype=np.int32 if max(m, t) < np.iinfo(np.int32).max else np.int64
+    )
+    row_sums = csr @ np.ones(t)
+    row_sums.flags.writeable = False
+    operator = sparse.coo_matrix(
+        (csr.data, (csr.indices, np.repeat(sources, np.diff(csr.indptr)))),
+        shape=(t, m),
+    )
+    return row_sums, operator
 
 
 class DisaggregationMatrix:
@@ -76,6 +116,20 @@ class DisaggregationMatrix:
         self.source_labels = source_labels
         self.target_labels = target_labels
         self._fingerprint: str | None = None
+        self._col_sums: FloatArray | None = None
+        self._linear: tuple[FloatArray, Any] | None = None
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Locks do not pickle; the copy gets a fresh one and keeps the
+        # memoised arrays.
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Constructors
@@ -131,13 +185,22 @@ class DisaggregationMatrix:
 
         One ``bincount`` over the stored entries, which adds them to
         their targets in storage order, as ``matrix.sum(axis=0)`` does.
+        Computed once per DM and returned read-only.
         """
-        sums = np.bincount(
-            self.matrix.indices,
-            weights=self.matrix.data,
-            minlength=self.shape[1],
-        )
-        return np.asarray(sums, dtype=float)
+        if self._col_sums is None:
+            with self._lock:
+                if self._col_sums is None:
+                    sums = np.asarray(
+                        np.bincount(
+                            self.matrix.indices,
+                            weights=self.matrix.data,
+                            minlength=self.shape[1],
+                        ),
+                        dtype=float,
+                    )
+                    sums.flags.writeable = False
+                    self._col_sums = sums
+        return self._col_sums
 
     def total(self) -> float:
         """Grand total of the attribute over the universe."""
@@ -165,6 +228,34 @@ class DisaggregationMatrix:
                 "\x1f".join(self.target_labels),
             )
         return self._fingerprint
+
+    def build_linear_arrays(self) -> bool:
+        """Build :meth:`linear_arrays` unless built; ``True`` when this
+        call built them.
+
+        The build runs once per DM, under the DM's lock, so stacks and
+        threads sharing one DM share one set of arrays.
+        """
+        if self._linear is not None:
+            return False
+        with self._lock:
+            if self._linear is not None:
+                return False
+            self._linear = _build_linear(self.matrix)
+            return True
+
+    def linear_arrays(self) -> tuple[FloatArray, Any]:
+        """``(row_sums, operator)`` behind the linear Eq. 16/17 predict.
+
+        ``row_sums`` is the read-only ``(m,)`` row-sum vector, and
+        ``operator`` the ``(t, m)`` COO view ``D^T`` of the canonical
+        CSR entries (the matrix's own arrays when it is canonical), with
+        its expanded source index besides.  Built on the first call and
+        kept: every reference stack over this DM reads the same objects.
+        """
+        self.build_linear_arrays()
+        assert self._linear is not None
+        return self._linear
 
     # ------------------------------------------------------------------
     # Algebra used by GeoAlign

@@ -595,21 +595,25 @@ class AlignmentServer:
     def _live_gauges(self) -> dict[str, float]:
         """Current server gauges, shared by both /metrics renderings.
 
-        Warm-stack residency: bytes held by every loaded model's
-        reference stack (``R`` once any reference is built, the source
-        indices of the operators of the references a predict weighted --
-        an operator views its DM's own values and target indices -- and
-        the union value stack once built), and the union-pattern size
-        and density of the union stacks built so far.  A store-loaded
-        model's stack is a fresh one, so its union counts once a
-        per-entry request (``/disaggregate``) built it.  Reading the
-        gauges builds nothing.
+        Warm-stack residency: bytes held by each distinct reference
+        stack of the served models (``R`` once any reference is filled,
+        the source indices of the operators of the references a predict
+        weighted -- an operator views its DM's own values and target
+        indices -- and the union value stack once built), and the
+        union-pattern size and density of the union stacks built so
+        far.  Every ``/align`` result shares its base model's stack, so
+        a stack counts once however many models hold it.  A
+        store-loaded model's stack is a fresh one, so its union counts
+        once a per-entry request (``/disaggregate``) built it.  Reading
+        the gauges builds nothing.
         """
-        stacks = [
-            serving.model.stack_
-            for serving in self._models.values()
-            if serving.model.stack_ is not None
-        ]
+        stacks = list(
+            {
+                id(serving.model.stack_): serving.model.stack_
+                for serving in self._models.values()
+                if serving.model.stack_ is not None
+            }.values()
+        )
         unions = [
             union
             for union in (stack.built_dm_stack for stack in stacks)

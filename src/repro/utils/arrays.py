@@ -90,6 +90,10 @@ def is_zero(
     >>> is_zero(0.0), is_zero(5e-13), is_zero(1e-9)
     (True, True, False)
     """
+    if isinstance(values, float):
+        # np.isclose's own test with rtol=0, without its array set-up,
+        # which costs tens of microseconds per scalar.
+        return bool(abs(values) <= atol)
     result = np.isclose(values, 0.0, rtol=0.0, atol=atol)
     if np.ndim(result) == 0:
         return bool(result)

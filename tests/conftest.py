@@ -5,11 +5,13 @@ suite) and deliberately small; set ``REPRO_TEST_SCALE`` to grow them.
 """
 
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro import DisaggregationMatrix, Reference
+from repro.partitions import dm as dm_module
 from repro.synth.universes import (
     build_new_york_world,
     build_united_states_world,
@@ -53,6 +55,32 @@ def capture_trace():
 
     def factory(name="test", **attrs):
         return trace(name, **attrs)
+
+    return factory
+
+
+@pytest.fixture
+def count_dm_builds(monkeypatch):
+    """Factory recording every build of a DM's Eq. 16/17 arrays.
+
+    ``count_dm_builds(pause=0.0)`` patches the builder behind
+    :meth:`DisaggregationMatrix.linear_arrays` and returns the list to
+    which each build appends the ``matrix`` it built from, in call
+    order.  ``pause`` holds each build (and so the DM's lock) long
+    enough for racing threads to reach it.
+    """
+
+    def factory(pause=0.0):
+        built = []
+        build = dm_module._build_linear
+
+        def counted_build(matrix):
+            built.append(matrix)
+            time.sleep(pause)
+            return build(matrix)
+
+        monkeypatch.setattr(dm_module, "_build_linear", counted_build)
+        return built
 
     return factory
 

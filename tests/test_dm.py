@@ -1,5 +1,7 @@
 """Tests for the labelled sparse DisaggregationMatrix."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +98,51 @@ class TestSums:
     def test_sum_identities_hold(self, dm):
         assert dm.row_sums().sum() == pytest.approx(dm.total())
         assert dm.col_sums().sum() == pytest.approx(dm.total())
+
+    def test_col_sums_are_memoised_read_only(self, small_dm):
+        sums = small_dm.col_sums()
+        assert small_dm.col_sums() is sums
+        assert not sums.flags.writeable
+        with pytest.raises(ValueError):
+            sums[0] = 1.0
+
+
+class TestLinearArrays:
+    def test_built_once_and_read_only(self, small_dm, count_dm_builds):
+        built = count_dm_builds()
+        row_sums, operator = small_dm.linear_arrays()
+        assert small_dm.linear_arrays()[0] is row_sums
+        assert small_dm.linear_arrays()[1] is operator
+        assert built == [small_dm.matrix]
+        assert not small_dm.build_linear_arrays()
+        assert not row_sums.flags.writeable
+        np.testing.assert_array_equal(row_sums, small_dm.row_sums())
+        np.testing.assert_array_equal(
+            operator.toarray(), small_dm.to_dense().T
+        )
+        assert operator.data is small_dm.matrix.data
+        assert operator.row is small_dm.matrix.indices
+
+    def test_pickle_keeps_the_built_arrays(self, small_dm, count_dm_builds):
+        small_dm.col_sums()
+        row_sums, operator = small_dm.linear_arrays()
+        clone = pickle.loads(pickle.dumps(small_dm))
+        built = count_dm_builds()
+        clone_rows, clone_operator = clone.linear_arrays()
+        assert built == []
+        assert clone_rows.tobytes() == row_sums.tobytes()
+        assert clone_operator.data is clone.matrix.data
+        assert clone.col_sums().tobytes() == small_dm.col_sums().tobytes()
+        assert clone.fingerprint() == small_dm.fingerprint()
+
+    def test_unbuilt_copy_builds_under_its_own_lock(self, count_dm_builds):
+        dm = DisaggregationMatrix([[1.0, 0.0], [2.0, 3.0]], SRC[:2], TGT)
+        clone = pickle.loads(pickle.dumps(dm))
+        built = count_dm_builds()
+        assert clone.build_linear_arrays()
+        assert built == [clone.matrix]
+        assert dm.build_linear_arrays()
+        assert len(built) == 2
 
 
 class TestAlgebra:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import DisaggregationMatrix, Reference
+from repro import DisaggregationMatrix, GeoAlign, Reference
 from repro.errors import ShapeMismatchError, ValidationError
 from repro.metrics import (
     leave_one_dataset_out,
@@ -167,6 +167,56 @@ class TestCrossValidation:
         for ref in refs:
             assert ref.name in text
         assert "GeoAlign" in text
+
+    def test_one_call_builds_each_operator_once(self, count_dm_builds):
+        """Every fold weights k-1 of the same k DMs, and each DM builds
+        its ``R`` row and operator once for all of them.  The scores of
+        a cold call, a warm one and a call on fresh DM copies agree bit
+        for bit, for GeoAlign and the dasymetric baseline alike."""
+        refs = _pool(n_datasets=5)
+        built = count_dm_builds()
+        cold = leave_one_dataset_out(refs, dasymetric_reference_names=["ds0"])
+        assert 0 < len(built) <= len(refs)
+        assert len({id(matrix) for matrix in built}) == len(built)
+        del built[:]
+        warm = leave_one_dataset_out(refs, dasymetric_reference_names=["ds0"])
+        assert built == []
+        copies = [
+            Reference(
+                ref.name,
+                ref.source_vector,
+                DisaggregationMatrix(
+                    ref.dm.matrix.copy(),
+                    ref.dm.source_labels,
+                    ref.dm.target_labels,
+                ),
+            )
+            for ref in refs
+        ]
+        fresh = leave_one_dataset_out(
+            copies, dasymetric_reference_names=["ds0"]
+        )
+
+        def bits(result):
+            return [
+                (s.method, s.dataset, s.rmse.hex(), s.nrmse.hex())
+                for s in result.scores
+            ]
+
+        assert bits(cold) == bits(warm) == bits(fresh)
+        assert len(cold.scores) == 2 * len(refs) - 1
+
+    def test_scores_equal_the_metric_functions(self):
+        refs = _pool()
+        result = leave_one_dataset_out(refs)
+        for score in result.scores:
+            test = next(r for r in refs if r.name == score.dataset)
+            estimate = GeoAlign().fit_predict(
+                [r for r in refs if r is not test], test.source_vector
+            )
+            truth = test.dm.col_sums()
+            assert score.rmse == rmse(estimate, truth)
+            assert score.nrmse == nrmse(estimate, truth)
 
     def test_self_consistent_fold_near_perfect(self):
         """A dataset identical to another gets crosswalked ~exactly."""

@@ -335,6 +335,34 @@ class TestEndpoints:
         assert status == 200
         assert payload["predictions"] == aligned[0][1]["predictions"]
 
+    def test_stack_gauges_count_a_shared_stack_once(self, fitted):
+        """Every ``/align`` result shares its base model's stack, so the
+        resident-bytes and union-size gauges count that stack once,
+        however many models hold it."""
+        rows = [
+            (fitted.objectives_[:1] * (1.0 + i / 8)).tolist()
+            for i in range(8)
+        ]
+
+        async def body(server, key):
+            async with ServeClient(server.host, server.port) as client:
+                for objectives in rows:
+                    status, payload = await client.request(
+                        "POST", "/align", {"objectives": objectives}
+                    )
+                    assert status == 200, payload
+                await client.request(
+                    "POST", "/disaggregate", {"model": key, "attribute": "a"}
+                )
+                _, metrics = await client.request("GET", "/metrics")
+            return metrics["gauges"], len(server.models)
+
+        gauges, n_models = run_with_server(fitted, body)
+        assert n_models == 1 + len(rows)
+        stack = fitted.stack_
+        assert gauges["stack_resident_bytes"] == stack.resident_bytes
+        assert gauges["stack_nnz"] == stack.built_dm_stack.nnz
+
     def test_align_refit_of_registered_model_keeps_its_health(self, fitted):
         """An ``/align`` on a registered model's own inputs answers under
         its key and leaves that model's health verdicts in place."""

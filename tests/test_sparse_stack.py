@@ -15,14 +15,12 @@ import itertools
 import pickle
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from repro.core import batch as batch_module
 from repro.core.batch import BatchAligner, ReferenceStack
 from repro.core.reference import Reference
 from repro.core.sparse_stack import EntrySlice, SparseDMStack
@@ -525,6 +523,10 @@ class TestLinearPredictArrays:
         assert np.array_equal(clone.rescaled_totals(weights, factors), expected)
         assert np.array_equal(clone.ref_row_sums, stack.ref_row_sums)
         assert clone.resident_bytes == stack.resident_bytes
+        # The copied DMs keep their built arrays, still shared with the
+        # copied stack.
+        for op, ref in zip(clone.operators, clone.references):
+            assert op is ref.dm.linear_arrays()[1]
 
     @staticmethod
     def _first_use_from_threads(stack, read):
@@ -552,29 +554,69 @@ class TestLinearPredictArrays:
         return seen
 
     @staticmethod
-    def _count_builds(monkeypatch):
-        """The references each ``_build_linear`` call builds, in call
-        order; every call holds the lock long enough for the racing
-        threads to reach it."""
-        built = []
-        build = batch_module._build_linear
+    def _positions(stack, built):
+        """Reference positions of the DM matrices ``built`` records."""
+        matrices = [ref.dm.matrix for ref in stack.references]
+        return [
+            next(j for j, mat in enumerate(matrices) if mat is matrix)
+            for matrix in built
+        ]
 
-        def counted_build(matrices, refs, *rest):
-            built.extend(refs)
-            time.sleep(0.02)
-            build(matrices, refs, *rest)
-
-        monkeypatch.setattr(batch_module, "_build_linear", counted_build)
-        return built
-
-    def test_one_build_under_concurrent_first_use(self, monkeypatch):
+    def test_one_build_under_concurrent_first_use(self, count_dm_builds):
         stack = reference_stack(_ring_matrices(k=4, m=300, t=40), 300, 40)
-        built = self._count_builds(monkeypatch)
+        built = count_dm_builds(pause=0.02)
         seen = self._first_use_from_threads(
             stack, lambda s: (s.ref_row_sums, s.operators)
         )
         assert all(r is seen[0][0] and ops is seen[0][1] for r, ops in seen)
-        assert sorted(built) == [0, 1, 2, 3]
+        assert sorted(self._positions(stack, built)) == [0, 1, 2, 3]
+
+    def test_stacks_over_the_same_dms_share_each_operator(
+        self, capture_trace, count_dm_builds
+    ):
+        """A second stack over the same DMs fills its ``R`` and operators
+        from the first stack's builds: each operator is one object, each
+        DM is built once, and the second ``stack.operators`` span builds
+        nothing.  Each stack still counts its own ``R`` and the source
+        indices of the operators it holds."""
+        first = reference_stack(_ring_matrices(k=3), 6, 5)
+        second = ReferenceStack(first.references)
+        built = count_dm_builds()
+        with capture_trace() as session:
+            ops_first = first.operators
+            ops_second = second.operators
+        assert all(a is b for a, b in zip(ops_first, ops_second))
+        assert self._positions(first, built) == [0, 1, 2]
+        spans = session.find_spans("stack.operators")
+        assert [(s.attrs["k"], s.attrs["built"]) for s in spans] == [
+            (3, 3),
+            (3, 0),
+        ]
+        assert first.ref_row_sums is not second.ref_row_sums
+        assert first.ref_row_sums.tobytes() == second.ref_row_sums.tobytes()
+        assert second.resident_bytes == first.resident_bytes
+
+    def test_one_build_per_dm_with_threads_racing_on_two_stacks(
+        self, count_dm_builds
+    ):
+        first = reference_stack(_ring_matrices(k=4, m=300, t=40), 300, 40)
+        second = ReferenceStack(first.references)
+        built = count_dm_builds(pause=0.02)
+        draws = itertools.count()
+
+        def read(stacks):
+            stack = stacks[next(draws) % 2]
+            return stack, stack.operators
+
+        seen = self._first_use_from_threads((first, second), read)
+        assert {id(stack) for stack, _ in seen} == {id(first), id(second)}
+        for _, operators in seen:
+            assert all(
+                op is ref.dm.linear_arrays()[1]
+                for op, ref in zip(operators, first.references)
+            )
+        assert sorted(self._positions(first, built)) == [0, 1, 2, 3]
+        assert first.ref_row_sums.tobytes() == second.ref_row_sums.tobytes()
 
     def test_one_union_build_under_concurrent_first_use(self):
         stack = reference_stack(_ring_matrices(k=4, m=300, t=40), 300, 40)
@@ -596,7 +638,7 @@ class TestLinearPredictArrays:
             aligner.fit(stack, [objective], masks=[[True, False, True]])
             aligner.predict()
         (build,) = session.find_spans("stack.operators")
-        assert build.attrs["k"] == 2
+        assert (build.attrs["k"], build.attrs["built"]) == (2, 2)
         weighted = aligner.blend_weights_[0] != 0.0
         assert weighted.tolist() == [True, False, True]
         row_sums, operators = stack.linear_for(aligner.blend_weights_)
@@ -613,14 +655,14 @@ class TestLinearPredictArrays:
         with capture_trace() as session:
             full = stack.operators
         (build,) = session.find_spans("stack.operators")
-        assert build.attrs["k"] == 1
+        assert (build.attrs["k"], build.attrs["built"]) == (1, 1)
         assert stack.resident_bytes == partial + operator_bytes(full[1])
         np.testing.assert_array_equal(
             row_sums[1], np.asarray(mats[1].sum(axis=1)).ravel()
         )
 
     def test_one_row_fits_with_different_supports_from_threads(
-        self, monkeypatch
+        self, count_dm_builds
     ):
         """One-row fits weighting different references, racing on one
         fresh stack, answer what each fit answers alone on a fresh
@@ -644,7 +686,7 @@ class TestLinearPredictArrays:
             for i in range(len(supports))
         ]
         draws = itertools.count()
-        built = self._count_builds(monkeypatch)
+        built = count_dm_builds(pause=0.02)
 
         def race(shared):
             i = next(draws) % len(supports)
@@ -654,7 +696,7 @@ class TestLinearPredictArrays:
         assert {i for i, _ in seen} == set(range(len(supports)))
         for i, predictions in seen:
             assert predictions.tobytes() == serial[i].tobytes()
-        assert sorted(built) == [0, 1, 2, 3]
+        assert sorted(self._positions(stack, built)) == [0, 1, 2, 3]
         row_sums, operators = stack.linear_for(np.zeros((1, 5)))
         assert [op is None for op in operators] == [False] * 4 + [True]
         assert not row_sums[4].any()

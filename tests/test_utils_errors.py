@@ -25,6 +25,7 @@ from repro.utils import (
     as_nonnegative_vector,
     as_rng,
     check_finite,
+    is_zero,
     spawn_rngs,
 )
 
@@ -100,6 +101,21 @@ class TestArrays:
         with pytest.raises(ValidationError, match="non-negative"):
             as_nonnegative_vector([1.0, -0.5])
         assert (as_nonnegative_vector([0.0, 1.0]) >= 0).all()
+
+    @pytest.mark.parametrize("atol", [1e-12, 0.0, 1e-9])
+    def test_is_zero_scalars_agree_with_isclose(self, atol):
+        """Float scalars skip ``np.isclose``; the answer is its answer,
+        as a plain ``bool``."""
+        values = [0.0, -0.0, 5e-13, -5e-13, 1e-12, -1e-12, 1e-9, 5e-324,
+                  np.inf, -np.inf, np.nan, np.float64(3e-13), 2.0]
+        for value in values:
+            got = is_zero(value, atol=atol)
+            assert type(got) is bool
+            assert got == bool(np.isclose(value, 0.0, rtol=0.0, atol=atol))
+        np.testing.assert_array_equal(
+            is_zero(np.array(values), atol=atol),
+            np.isclose(values, 0.0, rtol=0.0, atol=atol),
+        )
 
 
 class TestReference:
