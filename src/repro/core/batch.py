@@ -7,7 +7,13 @@ front.  Everything attribute-independent lives in a
 :class:`ReferenceStack`, built once per reference set:
 
 1. the max-normalised reference source vectors stacked into the design
-   matrix ``A`` and the Gram matrix ``A^T A`` of Eq. 15;
+   matrix ``A`` and the Gram matrix ``A^T A`` of Eq. 15.  Each reference
+   normalises its own row once and keeps it
+   (:meth:`~repro.core.reference.Reference.normalized_source`), and DMs
+   found to share their labels remember it
+   (:meth:`~repro.partitions.dm.DisaggregationMatrix.same_labels`), so
+   a stack build over references seen before copies the rows and forms
+   ``A^T A``;
 2. ``R``, the ``(k, m)`` row sums of each reference disaggregation matrix
    ``D_j``, and the per-reference ``(t, m)`` operators ``D_j^T``
    (Eq. 16 / Eq. 17), COO views of each DM's own CSR entries, filled per
@@ -99,10 +105,7 @@ def _validated_references(references: Iterable[Reference]) -> list[Reference]:
             )
     first = refs[0].dm
     for ref in refs[1:]:
-        if (
-            ref.dm.source_labels != first.source_labels
-            or ref.dm.target_labels != first.target_labels
-        ):
+        if not first.same_labels(ref.dm):
             raise ShapeMismatchError(
                 f"reference {ref.name!r} is labelled over different units "
                 "than the others"
@@ -450,6 +453,8 @@ class ReferenceStack:
     scales:
         Per-reference source maxima (1.0 each when ``normalize=False``);
         divides the learned weights back to raw-DM scale before blending.
+    source_vectors:
+        ``(k, m)`` raw reference source vectors, stacked on first read.
     ref_row_sums, operators:
         ``R`` and the per-reference ``D_j^T`` behind
         :meth:`rescaled_totals`, every reference's filled from its DM
@@ -479,21 +484,15 @@ class ReferenceStack:
         self.n_sources = len(self.source_labels)
         self.n_targets = len(self.target_labels)
 
-        self.source_vectors = np.vstack([ref.source_vector for ref in refs])
         if normalize:
-            self.scales = self.source_vectors.max(axis=1)
-            for ref, peak in zip(refs, self.scales):
-                if peak <= 0:
-                    raise ValidationError(
-                        f"reference {ref.name!r} cannot be normalised: "
-                        "max is 0"
-                    )
-            scaled = self.source_vectors / self.scales[:, np.newaxis]
+            rows = [ref.normalized_source() for ref in refs]
+            self.scales = np.array([ref.peak for ref in refs])
         else:
+            rows = [ref.source_vector for ref in refs]
             self.scales = np.ones(len(refs))
-            scaled = self.source_vectors
-        self.design = scaled.T.copy()
+        self.design = np.vstack(rows).T.copy()
         self.gram = self.design.T @ self.design
+        self._source_vectors: FloatArray | None = None
         self._dms = _DMArrays(
             [ref.dm for ref in refs], self.n_sources, self.n_targets
         )
@@ -502,6 +501,19 @@ class ReferenceStack:
     @property
     def n_references(self) -> int:
         return len(self.references)
+
+    @property
+    def source_vectors(self) -> FloatArray:
+        """``(k, m)`` raw reference source vectors, stacked on first read.
+
+        The ``source-vectors`` denominator, the store and the sharded
+        engine read them; a fit reads only :attr:`design`.
+        """
+        if self._source_vectors is None:
+            self._source_vectors = np.vstack(
+                [ref.source_vector for ref in self.references]
+            )
+        return self._source_vectors
 
     @property
     def dm_stack(self) -> SparseDMStack:
@@ -674,13 +686,12 @@ class ReferenceStack:
         if changed:
             clone.design = self.design.copy()
             clone.scales = self.scales.copy()
-            clone.source_vectors = self.source_vectors.copy()
+            clone._source_vectors = None
             for i in changed:
                 ref = refs[i]
-                clone.source_vectors[i] = ref.source_vector
                 if self.normalize:
                     clone.design[:, i] = ref.normalized_source()
-                    clone.scales[i] = float(ref.source_vector.max())
+                    clone.scales[i] = ref.peak
                 else:
                     clone.design[:, i] = ref.source_vector
             # Symmetric column replacement: only rows/columns of the

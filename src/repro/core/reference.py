@@ -19,6 +19,19 @@ from repro.utils.fingerprint import combine_fingerprints, fingerprint_array
 FloatArray = NDArray[np.float64]
 
 
+def _max_normalized(name: str, vector: FloatArray) -> tuple[float, FloatArray]:
+    """``(peak, vector / peak)``, the row read-only; the peak must be
+    positive."""
+    peak = float(vector.max())
+    if peak <= 0:
+        raise ValidationError(
+            f"reference {name!r} cannot be normalised: max is 0"
+        )
+    row = vector / peak
+    row.flags.writeable = False
+    return peak, row
+
+
 class Reference:
     """One reference attribute: source aggregates + disaggregation matrix.
 
@@ -36,12 +49,13 @@ class Reference:
         and target unit systems.
     """
 
-    __slots__ = ("name", "source_vector", "dm", "_fingerprint")
+    __slots__ = ("name", "source_vector", "dm", "_fingerprint", "_normalized")
 
     name: str
     source_vector: FloatArray
     dm: DisaggregationMatrix
     _fingerprint: str | None
+    _normalized: tuple[float, FloatArray] | None
 
     def __init__(
         self,
@@ -70,6 +84,7 @@ class Reference:
         self.source_vector = vector
         self.dm = dm
         self._fingerprint = None
+        self._normalized = None
 
     @classmethod
     def from_dm(cls, name: object, dm: DisaggregationMatrix) -> "Reference":
@@ -90,13 +105,24 @@ class Reference:
         return Reference(self.name, new_vector, self.dm)
 
     def normalized_source(self) -> FloatArray:
-        """Max-normalised source vector ``a'^s_r`` (paper §3.4)."""
-        peak = float(self.source_vector.max())
-        if peak <= 0:
-            raise ValidationError(
-                f"reference {self.name!r} cannot be normalised: max is 0"
-            )
-        return self.source_vector / peak
+        """Max-normalised source vector ``a'^s_r`` (paper §3.4).
+
+        Computed on the first call and kept, read-only: every reference
+        stack over this reference reads the same row.  References are
+        immutable by convention, as :meth:`fingerprint` assumes.
+        """
+        return self._peak_and_row()[1]
+
+    @property
+    def peak(self) -> float:
+        """The source vector's maximum, by which
+        :meth:`normalized_source` divides it."""
+        return self._peak_and_row()[0]
+
+    def _peak_and_row(self) -> tuple[float, FloatArray]:
+        if self._normalized is None:
+            self._normalized = _max_normalized(self.name, self.source_vector)
+        return self._normalized
 
     def fingerprint(self) -> str:
         """Content fingerprint (name + source vector + DM contents).

@@ -69,6 +69,40 @@ def _build_linear(matrix: Any) -> tuple[FloatArray, Any]:
     return row_sums, operator
 
 
+class _LabelClass:
+    """A node of the forest that groups DMs with equal unit labels.
+
+    DMs whose nodes share a root were found, pair by pair along the
+    tree, to carry equal source and target label lists.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self) -> None:
+        self.parent: _LabelClass | None = None
+
+    def root(self) -> "_LabelClass":
+        node = self
+        while node.parent is not None:
+            node = node.parent
+        return node
+
+
+#: Serialises the linking of label classes, so that two threads cannot
+#: link two roots under each other.
+_LABEL_CLASS_LOCK = threading.Lock()
+
+
+def _labels_equal(
+    left: "DisaggregationMatrix", right: "DisaggregationMatrix"
+) -> bool:
+    """Whether two DMs carry equal source and target label lists."""
+    return (
+        left.source_labels == right.source_labels
+        and left.target_labels == right.target_labels
+    )
+
+
 class DisaggregationMatrix:
     """A sparse source x target matrix with unit labels on both axes.
 
@@ -116,6 +150,7 @@ class DisaggregationMatrix:
         self.source_labels = source_labels
         self.target_labels = target_labels
         self._fingerprint: str | None = None
+        self._label_class = _LabelClass()
         self._col_sums: FloatArray | None = None
         self._linear: tuple[FloatArray, Any] | None = None
         self._lock = threading.Lock()
@@ -229,6 +264,30 @@ class DisaggregationMatrix:
             )
         return self._fingerprint
 
+    def same_labels(self, other: "DisaggregationMatrix") -> bool:
+        """Whether ``other`` is labelled over the same source and target
+        units, label for label.
+
+        DMs found to carry equal labels join one label class, and a
+        check between DMs of one class is an identity test.  Otherwise
+        the check compares both label lists in full, and joins the two
+        classes when they are equal.  So k same-labelled DMs are
+        compared in full at most k - 1 times, however many reference
+        stacks check them.  DMs are immutable by convention, as
+        :meth:`fingerprint` assumes.
+        """
+        mine = self._label_class.root()
+        theirs = other._label_class.root()
+        if mine is theirs:
+            return True
+        if not _labels_equal(self, other):
+            return False
+        with _LABEL_CLASS_LOCK:
+            mine, theirs = mine.root(), theirs.root()
+            if mine is not theirs:
+                theirs.parent = mine
+        return True
+
     def build_linear_arrays(self) -> bool:
         """Build :meth:`linear_arrays` unless built; ``True`` when this
         call built them.
@@ -261,10 +320,7 @@ class DisaggregationMatrix:
     # Algebra used by GeoAlign
     # ------------------------------------------------------------------
     def _require_same_labels(self, other: "DisaggregationMatrix") -> None:
-        if (
-            self.source_labels != other.source_labels
-            or self.target_labels != other.target_labels
-        ):
+        if not self.same_labels(other):
             raise ShapeMismatchError(
                 "disaggregation matrices are labelled over different unit "
                 "systems and cannot be combined"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import DisaggregationMatrix, Reference
+from repro.core import reference as reference_module
 from repro.partitions import dm as dm_module
 from repro.synth.universes import (
     build_new_york_world,
@@ -81,6 +82,40 @@ def count_dm_builds(monkeypatch):
 
         monkeypatch.setattr(dm_module, "_build_linear", counted_build)
         return built
+
+    return factory
+
+
+@pytest.fixture
+def count_reference_memos(monkeypatch):
+    """Factory recording every label comparison and normalised row.
+
+    ``count_reference_memos()`` patches the helpers behind
+    :meth:`DisaggregationMatrix.same_labels` and
+    :meth:`Reference.normalized_source` and returns two lists,
+    ``(compared, normalised)``: each full comparison of two DMs' label
+    lists appends the pair of DMs, each normalisation the source vector
+    it divided, in call order.
+    """
+
+    def factory():
+        compared, normalised = [], []
+        labels_equal = dm_module._labels_equal
+        normalize = reference_module._max_normalized
+
+        def counted_labels_equal(left, right):
+            compared.append((left, right))
+            return labels_equal(left, right)
+
+        def counted_normalize(name, vector):
+            normalised.append(vector)
+            return normalize(name, vector)
+
+        monkeypatch.setattr(dm_module, "_labels_equal", counted_labels_equal)
+        monkeypatch.setattr(
+            reference_module, "_max_normalized", counted_normalize
+        )
+        return compared, normalised
 
     return factory
 

@@ -1,4 +1,5 @@
-"""Direct routes to the Eq. 14 blend and the Eq. 17 totals, for tests.
+"""Direct routes to the Eq. 14 blend, the Eq. 17 totals and the Eq. 15
+stack arrays, for tests.
 
 The library never forms ``sum_k w_k * DM_k`` as a matrix: the batch
 engine blends per-entry value stacks (:mod:`repro.core.sparse_stack`)
@@ -9,8 +10,11 @@ and benches that need the blended matrix itself.
 :func:`rescaled_totals` is the Eq. 17 reference for
 ``ReferenceStack.rescaled_totals``: the same products over explicit
 target-major CSR copies of each ``D_j^T`` (:func:`transposed_operator`)
-in place of the library's views of the DMs' own entries.  The module
-has no ``test_`` prefix, so pytest imports it without collecting it.
+in place of the library's views of the DMs' own entries.
+:func:`stack_arrays` is the one-formula reference for what a
+``ReferenceStack`` computes from its references' source vectors, where
+the library reads each reference's own normalised row.  The module has
+no ``test_`` prefix, so pytest imports it without collecting it.
 """
 
 import numpy as np
@@ -98,3 +102,28 @@ def rescaled_totals(matrices, blend_weights, factors):
     if totals is None:
         return np.zeros((n_attrs, t))
     return np.ascontiguousarray(totals.T)
+
+
+def stack_arrays(references, normalize=True):
+    """``(design, scales, gram, source_vectors)`` of a reference stack.
+
+    One formula over the stacked source vectors: their row maxima are
+    the scales (1.0 each without ``normalize``), each row is divided by
+    its maximum, and the design is the transposed copy of the result,
+    with ``gram = design.T @ design``.  A zero maximum raises the
+    library's ``ValidationError``.
+    """
+    source_vectors = np.vstack([ref.source_vector for ref in references])
+    if normalize:
+        scales = source_vectors.max(axis=1)
+        for ref, peak in zip(references, scales):
+            if peak <= 0:
+                raise ValidationError(
+                    f"reference {ref.name!r} cannot be normalised: max is 0"
+                )
+        scaled = source_vectors / scales[:, np.newaxis]
+    else:
+        scales = np.ones(len(references))
+        scaled = source_vectors
+    design = scaled.T.copy()
+    return design, scales, design.T @ design, source_vectors

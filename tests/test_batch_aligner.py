@@ -12,6 +12,9 @@ worlds at those invariants; the unit tests pin the API contract
 fit and a predict do).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +28,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.partitions.dm import DisaggregationMatrix
+from tests import dm_oracles
 
 RTOL = 1e-9
 ATOL = 1e-10
@@ -297,6 +301,143 @@ def test_stack_union_pattern_and_gram():
         dense = np.zeros(ref.dm.shape)
         dense[stack.entry_rows, stack.entry_cols] = stack.dm_stack.values[i]
         np.testing.assert_allclose(dense, ref.dm.to_dense())
+
+
+def _assert_stack_equals_oracle(stack, references, normalize):
+    expected = dm_oracles.stack_arrays(references, normalize=normalize)
+    got = (stack.design, stack.scales, stack.gram, stack.source_vectors)
+    for name, left, right in zip(
+        ("design", "scales", "gram", "source_vectors"), got, expected
+    ):
+        assert (left.dtype, left.shape) == (right.dtype, right.shape), name
+        assert left.flags.c_contiguous == right.flags.c_contiguous, name
+        assert left.tobytes() == right.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 12),
+    k=st.integers(1, 5),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9]),
+    normalize=st.booleans(),
+)
+def test_stack_arrays_equal_the_one_formula_oracle(
+    seed, m, k, zero_share, normalize
+):
+    """A stack reads each reference's own normalised row, yet holds the
+    arrays of one vstack-divide-transpose formula bit for bit: on a cold
+    build, and on later builds over the same references in another
+    order and subset, as cross-validation folds make them."""
+    rng = np.random.default_rng(seed)
+    source_labels = [f"s{i}" for i in range(m)]
+    target_labels = ["t0", "t1", "t2"]
+    references = []
+    for idx in range(k):
+        dense = rng.uniform(0.5, 4.0, size=(m, 3))
+        dm = DisaggregationMatrix(dense, source_labels, target_labels)
+        vector = rng.uniform(size=m) * (rng.random(m) >= zero_share)
+        vector[rng.integers(m)] += rng.uniform(0.1, 1.0)
+        vector *= 10.0 ** rng.integers(-150, 150)
+        references.append(Reference(f"ref-{idx}", vector, dm))
+    stack = ReferenceStack(references, normalize=normalize)
+    _assert_stack_equals_oracle(stack, references, normalize)
+    fold = [references[i] for i in rng.permutation(k)[: max(k - 1, 1)]]
+    _assert_stack_equals_oracle(
+        ReferenceStack(fold, normalize=normalize), fold, normalize
+    )
+    if normalize:
+        for ref in references:
+            row = ref.normalized_source()
+            assert row is ref.normalized_source()
+            assert not row.flags.writeable
+
+
+def test_stacks_built_from_threads_agree(count_reference_memos):
+    """Eight threads build stacks at once over the same fresh references,
+    each in its own rotation, with a shortened switch interval: every
+    stack holds the oracle's arrays, and the DMs end in one label class,
+    so no later check compares their labels again."""
+    references, _ = _world(43, m=40, k=6)
+    compared, _ = count_reference_memos()
+    barrier = threading.Barrier(8)
+    built = []
+
+    def build(offset):
+        barrier.wait(timeout=10)
+        fold = references[offset:] + references[:offset]
+        built.append((fold, ReferenceStack(fold)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=build, args=(i % 6,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 8
+    for fold, stack in built:
+        _assert_stack_equals_oracle(stack, fold, normalize=True)
+    del compared[:]
+    for left in references:
+        for right in references:
+            assert left.dm.same_labels(right.dm)
+    assert compared == []
+
+
+@pytest.mark.parametrize("position", [0, 2])
+def test_zero_peak_reference_raises_the_oracle_error(position):
+    """A reference whose source vector was zeroed after construction
+    cannot be normalised; the stack raises the oracle's error for the
+    first such reference, and a stack without normalisation builds."""
+    references, _ = _world(41)
+    references[position].source_vector[:] = 0.0
+    with pytest.raises(ValidationError) as oracle:
+        dm_oracles.stack_arrays(references)
+    with pytest.raises(ValidationError) as got:
+        ReferenceStack(references)
+    assert str(got.value) == str(oracle.value) == (
+        f"reference 'ref-{position}' cannot be normalised: max is 0"
+    )
+    stack = ReferenceStack(references, normalize=False)
+    _assert_stack_equals_oracle(stack, references, normalize=False)
+
+
+@pytest.mark.parametrize(
+    "labels, relabelled",
+    [
+        ((["a", "b\x1fc"], ["t"]), (["a\x1fb", "c"], ["t"])),
+        ((["s"], ["a", "b\x1fc"]), (["s"], ["a\x1fb", "c"])),
+        ((["s0", "s1"], ["t"]), (["s0", "s1", "s2"], ["t"])),
+        ((["s0", "s1"], ["t0", "t1"]), (["s0", "s1"], ["t0"])),
+        ((["s0", "s1"], ["t"]), (["s1", "s0"], ["t"])),
+    ],
+)
+def test_stack_rejects_relabelled_references(labels, relabelled):
+    """Labels that join to the same ``"\\x1f"``-separated string, label
+    lists of other lengths and reordered labels all mark references over
+    different units."""
+
+    def reference(name, source, target):
+        dm = DisaggregationMatrix(
+            np.ones((len(source), len(target))), source, target
+        )
+        return Reference.from_dm(name, dm)
+
+    first = reference("first", *labels)
+    same = reference("same", *labels)
+    other = reference("other", *relabelled)
+    assert ReferenceStack([first, same]).n_references == 2
+    with pytest.raises(ShapeMismatchError, match="'other' is labelled over"):
+        ReferenceStack([first, same, other])
+    with pytest.raises(ShapeMismatchError, match="'first' is labelled over"):
+        ReferenceStack([other, first])
 
 
 def test_stack_rejects_mismatched_labels():

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
 from repro.errors import ShapeMismatchError, ValidationError
@@ -13,6 +13,7 @@ from tests.dm_oracles import blend
 
 SRC = ["s0", "s1", "s2"]
 TGT = ["t0", "t1"]
+LABELS = st.text(st.sampled_from("ab\x1f"), max_size=3)
 
 
 @st.composite
@@ -105,6 +106,43 @@ class TestSums:
         assert not sums.flags.writeable
         with pytest.raises(ValueError):
             sums[0] = 1.0
+
+
+class TestSameLabels:
+    def test_equal_labels_compare_once(self, count_reference_memos):
+        compared, _ = count_reference_memos()
+        dms = [
+            DisaggregationMatrix(np.eye(3, 2) * (i + 1), SRC, TGT)
+            for i in range(4)
+        ]
+        for left in dms:
+            for right in dms:
+                assert left.same_labels(right)
+        assert len(compared) == len(dms) - 1
+        clones = pickle.loads(pickle.dumps(dms))
+        assert all(clone.same_labels(clones[0]) for clone in clones)
+        assert len(compared) == len(dms) - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(LABELS, min_size=1, max_size=4),
+        st.lists(LABELS, min_size=1, max_size=4),
+    )
+    @example(["a\x1fb", "c"], ["a", "b\x1fc"])
+    def test_equal_exactly_when_the_labels_are(self, left, right):
+        """A small alphabet with ``"\\x1f"`` in it makes equal lists,
+        and unequal lists that join alike, common.  A failed check joins
+        nothing, so it fails again."""
+
+        def dm(source):
+            return DisaggregationMatrix(
+                np.ones((len(source), 1)), source, ["t"]
+            )
+
+        first, second = dm(left), dm(right)
+        for _ in range(2):
+            assert first.same_labels(second) == (left == right)
+            assert second.same_labels(first) == (left == right)
 
 
 class TestLinearArrays:

@@ -206,6 +206,27 @@ class TestCrossValidation:
         assert bits(cold) == bits(warm) == bits(fresh)
         assert len(cold.scores) == 2 * len(refs) - 1
 
+    def test_one_call_compares_and_normalises_each_reference_once(
+        self, count_reference_memos
+    ):
+        """Every fold stacks k-1 of the same k references: the k DMs
+        compare their labels k-1 times in all, joining one label class,
+        and each reference normalises its source vector once for all
+        folds.  A second call does neither again."""
+        refs = _pool(n_datasets=5)
+        compared, normalised = count_reference_memos()
+        leave_one_dataset_out(refs, dasymetric_reference_names=["ds0"])
+        assert len(compared) == len(refs) - 1
+        assert {id(dm) for pair in compared for dm in pair} == {
+            id(ref.dm) for ref in refs
+        }
+        assert sorted(map(id, normalised)) == sorted(
+            id(ref.source_vector) for ref in refs
+        )
+        leave_one_dataset_out(refs, dasymetric_reference_names=["ds0"])
+        assert len(compared) == len(refs) - 1
+        assert len(normalised) == len(refs)
+
     def test_scores_equal_the_metric_functions(self):
         refs = _pool()
         result = leave_one_dataset_out(refs)
